@@ -16,10 +16,9 @@
 //!    separation.
 
 use crate::projection::Projection2D;
-use serde::{Deserialize, Serialize};
 
 /// Measured shape descriptors of a (possibly thresholded) x–z field.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BananaMetrics {
     /// Weight-mean depth (mm).
     pub mean_depth: f64,

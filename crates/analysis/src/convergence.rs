@@ -7,10 +7,8 @@
 //! many photons a target precision requires, via the standard
 //! batch-means construction.
 
-use serde::{Deserialize, Serialize};
-
 /// Batch-means estimate for one scalar observable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorEstimate {
     /// Mean of the per-batch values.
     pub mean: f64,
@@ -52,7 +50,7 @@ pub fn photons_for_relative_error(
 }
 
 /// Running (Welford) accumulator for streaming convergence monitoring.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     n: u64,
     mean: f64,

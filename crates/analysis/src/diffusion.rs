@@ -14,8 +14,6 @@
 //! theory model of spatially resolved, steady-state diffuse reflectance",
 //! Med. Phys. 19(4), 1992.
 
-use serde::{Deserialize, Serialize};
-
 /// Semi-infinite medium parameters for the dipole model.
 ///
 /// ```
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(near > far); // reflectance decays with radius
 /// assert!((model.mu_eff() - (3.0f64 * 0.01 * 1.01).sqrt()).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiffusionModel {
     /// Absorption coefficient μa (mm⁻¹).
     pub mu_a: f64,

@@ -5,10 +5,9 @@
 //! [`Projection2D`] sums a [`VisitGrid`] over y.
 
 use lumen_core::tally::VisitGrid;
-use serde::{Deserialize, Serialize};
 
 /// A dense 2-D field over the x–z plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Projection2D {
     /// Columns (x bins).
     pub nx: usize,

@@ -1,10 +1,8 @@
 //! Histograms and summary statistics for photon-path observables
 //! (pathlength distributions, penetration depths, batch throughput).
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed-bin histogram over `[min, max)` with under/overflow counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     pub min: f64,
     pub max: f64,

@@ -26,8 +26,7 @@
 //! bookkeeping. `tcp` is the historical two-client point; `tcpN` (any
 //! N ≥ 1, e.g. `tcp16`) fans N clients at the single poll loop — the
 //! multi-client point that shows what connection multiplexing buys.
-//! The JSON is hand-rolled because the workspace's offline `serde` shim
-//! does not serialize.
+//! The JSON is hand-rolled: the workspace has no serialization crate.
 
 use lumen_bench::throughput_presets;
 use lumen_core::engine::Scenario;

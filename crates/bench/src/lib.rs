@@ -80,8 +80,7 @@ pub fn row(cells: &[String]) -> String {
     cells.join(" | ")
 }
 
-/// The preset matrix the `throughput` binary and the `bench_trace_photon`
-/// Criterion bench measure — one layered head (the BENCH trajectory's
+/// The preset matrix the `throughput` binary measures — one layered head (the BENCH trajectory's
 /// reference scenario, see `docs/PERFORMANCE.md`), one homogeneous slab
 /// dominated by the scattering kernels, and one voxel grid exercising the
 /// DDA traversal. Budgets and seeds are fixed here so every recorded

@@ -11,10 +11,9 @@
 //! granularity (a task is the unit that sees a consistent machine state).
 
 use mcrng::{McRng, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 /// Two-state owner-activity model with jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityModel {
     /// Long-run probability the owner is active on the machine.
     pub owner_active_prob: f64,

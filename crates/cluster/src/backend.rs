@@ -6,8 +6,9 @@
 //! and [`Rayon`](lumen_core::Rayon) here:
 //!
 //! * [`ThreadedCluster`] — the real master/worker protocol on OS threads
-//!   (demand-driven scheduling, leases, failure re-queueing), with optional
-//!   fault injection via [`FailurePlan`];
+//!   sharing one lock-guarded [`DataManager`] (demand-driven scheduling,
+//!   leases, failure re-queueing), with optional fault injection via
+//!   [`FailurePlan`];
 //! * [`Tcp`] — the paper's actual deployment: the DataManager on a TCP
 //!   listener, serving however many `net::run_client` processes connect;
 //! * [`SimulatedCluster`] — the discrete-event simulator. It models
@@ -22,20 +23,21 @@
 //! `lumen_core::engine::from_spec` for the core names, and [`BackendExt`]
 //! hangs convenience runners off [`Scenario`] itself.
 
-use crate::executor::{run_master_worker, DistributedConfig, DistributedReport};
 use crate::machine::{homogeneous_pool, MachinePool};
 use crate::net::{serve_with_options, NetError, ServeOptions};
-use crate::protocol::WorkerStats;
-use crate::{AvailabilityModel, ClusterSim, DesReport, JobSpec, NetworkModel};
-use lumen_core::engine::{Backend, EngineError, Progress, RunReport, Scenario, WorkerAccount};
+use crate::{AvailabilityModel, ClusterSim, DataManager, DesReport, JobSpec, NetworkModel};
+use lumen_core::engine::{
+    run_task, Backend, EngineError, Progress, RunReport, Scenario, WorkerAccount,
+};
 use lumen_core::SimulationResult;
-use serde::{Deserialize, Serialize};
+use mcrng::{McRng, SplitMix64, StreamFactory};
 use std::net::TcpListener;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How a [`ThreadedCluster`] injects worker failures (a non-dedicated PC
 /// being reclaimed by its owner mid-task).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum FailurePlan {
     /// No injected failures.
     #[default]
@@ -58,20 +60,16 @@ impl FailurePlan {
     }
 }
 
-fn account(stats: &[WorkerStats]) -> Vec<WorkerAccount> {
-    stats
-        .iter()
-        .map(|s| WorkerAccount {
-            tasks_completed: s.tasks_completed,
-            tasks_failed: s.tasks_failed,
-            photons: s.photons,
-        })
-        .collect()
-}
-
 /// The real master/worker engine as a backend: OS threads play the client
-/// PCs, channels play the LAN, the DataManager runs the full protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// PCs and share the [`DataManager`] behind a lock, each looping request →
+/// trace → return until every task has completed.
+///
+/// Deterministic in its *physics* for a given `(seed, tasks)`: the same
+/// batches with the same streams are executed regardless of worker count,
+/// scheduling order, or injected failures (a re-executed task re-runs the
+/// identical photons, exactly as the original platform re-assigns a lost
+/// simulation).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadedCluster {
     /// Number of worker threads ("client PCs"); must be >= 1.
     pub workers: usize,
@@ -103,21 +101,89 @@ impl Backend for ThreadedCluster {
         progress: &dyn Progress,
     ) -> Result<RunReport, EngineError> {
         scenario.validate()?;
-        let config = DistributedConfig {
-            seed: scenario.seed,
-            tasks: scenario.tasks,
-            workers: self.workers,
-            failure_rate: self.failure_plan.rate(),
-            task_offset: scenario.task_offset,
-        };
+        // Zero workers would leave the queue untouched forever.
+        if self.workers == 0 {
+            return Err(EngineError::InvalidConfig("cluster needs at least one worker".into()));
+        }
+        let failure_rate = self.failure_plan.rate();
+        if !(0.0..1.0).contains(&failure_rate) {
+            return Err(EngineError::InvalidConfig(format!(
+                "failure rate must be in [0, 1), got {failure_rate}"
+            )));
+        }
+
+        let started = Instant::now();
         let sim = scenario.simulation();
-        let DistributedReport { result, worker_stats, requeues, wall_seconds } =
-            run_master_worker(&sim, scenario.photons, config, progress)?;
+        let factory = StreamFactory::new(scenario.seed);
+        // The DataManager plus the photons completed so far, under one lock
+        // so observers see a strictly increasing count in call order.
+        let server = Mutex::new((
+            DataManager::with_offset(
+                scenario.photons,
+                scenario.tasks,
+                scenario.task_offset,
+                sim.new_tally(),
+                self.workers,
+            ),
+            0u64,
+        ));
+        // Signalled when a task re-queues (an idle worker can take it) and
+        // when the last task completes (idle workers can leave).
+        let changed = Condvar::new();
+
+        std::thread::scope(|scope| {
+            for worker in 0..self.workers {
+                let (sim, factory, server, changed) = (&sim, &factory, &server, &changed);
+                // Fault injection draws from a per-worker deterministic
+                // stream unrelated to the physics streams.
+                let mut fault_rng = SplitMix64::new(
+                    scenario.seed ^ 0xFA17_FA17_FA17_FA17 ^ (worker as u64).wrapping_mul(0x9E37),
+                );
+                // Poisoned only if another worker panicked mid-update.
+                let lock = move || server.lock().expect("a cluster worker panicked");
+                scope.spawn(move || loop {
+                    let task = {
+                        let mut guard = lock();
+                        loop {
+                            if let Some(task) = guard.0.assign() {
+                                break task;
+                            }
+                            if guard.0.finished() {
+                                return;
+                            }
+                            // Queue dry, leases live elsewhere: one of them
+                            // may still come back.
+                            guard = changed.wait(guard).expect("a cluster worker panicked");
+                        }
+                    };
+                    if failure_rate > 0.0 && fault_rng.next_f64() < failure_rate {
+                        // Machine "reclaimed by its owner": the task is lost
+                        // before completing.
+                        lock().0.fail(worker, task);
+                        progress.on_task_retry(task.task_id);
+                        changed.notify_one();
+                    } else {
+                        let tally = run_task(sim, factory, task.task_id, task.photons, None);
+                        let mut guard = lock();
+                        let (dm, photons_done) = &mut *guard;
+                        dm.complete(worker, task, &tally);
+                        *photons_done += task.photons;
+                        progress.on_photons(*photons_done, scenario.photons);
+                        if dm.finished() {
+                            changed.notify_all();
+                        }
+                    }
+                });
+            }
+        });
+
+        let (dm, _) = server.into_inner().expect("a cluster worker panicked");
+        let (tally, workers, requeues) = dm.into_results();
         Ok(RunReport {
-            result,
-            workers: account(&worker_stats),
+            result: SimulationResult::new(tally, Vec::new()),
+            workers,
             requeues,
-            wall_seconds,
+            wall_seconds: started.elapsed().as_secs_f64(),
             virtual_seconds: None,
             backend: self.name().to_string(),
         })
@@ -131,7 +197,7 @@ impl Backend for ThreadedCluster {
 /// [`crate::net::serve_with_options`]). Clients must be started
 /// separately with the same scenario definition and seed (the out-of-band
 /// experiment contract; `wire::encode_scenario` ships it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tcp {
     /// Address to bind, e.g. `"127.0.0.1:7878"`.
     pub addr: String,
@@ -221,7 +287,7 @@ impl Backend for Tcp {
         .map_err(net_error)?;
         Ok(RunReport {
             result: report.result,
-            workers: account(&report.worker_stats),
+            workers: report.worker_stats,
             requeues: report.requeues,
             wall_seconds: started.elapsed().as_secs_f64(),
             virtual_seconds: None,
@@ -238,7 +304,7 @@ impl Backend for Tcp {
 /// [`RunReport::virtual_seconds`] carries the simulated makespan, and the
 /// per-worker accounts describe the simulated machines. Use it to answer
 /// "how long would 10⁹ photons take on the Table 2 pool?" in milliseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulatedCluster {
     /// The machines being simulated.
     pub machine_pool: MachinePool,
@@ -490,10 +556,90 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_is_invalid_config() {
+    fn bad_cluster_parameters_are_typed_errors_not_hangs() {
         let s = scenario();
-        let err = ThreadedCluster::new(0).run(&s).unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig(_)), "{err}");
+        match ThreadedCluster::new(0).run(&s) {
+            Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains("worker"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        for rate in [1.0, 1.5, -0.1, f64::NAN] {
+            let cluster = ThreadedCluster::new(2).with_failure_plan(FailurePlan::Random { rate });
+            match cluster.run(&s) {
+                Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains("rate"), "{msg}"),
+                other => panic!("rate {rate}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn accounts_cover_every_task_and_photon() {
+        let s = scenario().with_photons(10_000).with_tasks(20);
+        let report = ThreadedCluster::new(3).run(&s).unwrap();
+        assert_eq!(report.workers.len(), 3);
+        assert_eq!(report.workers.iter().map(|w| w.photons).sum::<u64>(), 10_000);
+        assert_eq!(report.workers.iter().map(|w| w.tasks_completed).sum::<u64>(), 20);
+        assert_eq!(report.requeues, 0);
+    }
+
+    #[test]
+    fn single_worker_completes_every_task() {
+        let report = ThreadedCluster::new(1).run(&scenario()).unwrap();
+        assert_eq!(report.result.launched(), 4_000);
+        assert_eq!(report.workers[0].tasks_completed, 8);
+    }
+
+    #[test]
+    fn more_tasks_than_photons_is_fine() {
+        // 100 tasks for 50 photons: the empty batches are never queued.
+        let s = scenario().with_photons(50).with_tasks(100);
+        let report = ThreadedCluster::new(4).run(&s).unwrap();
+        assert_eq!(report.result.launched(), 50);
+        assert_eq!(report.result.tally, Sequential.run(&s).unwrap().result.tally);
+    }
+
+    #[test]
+    fn offset_runs_continue_an_earlier_run_bit_identically() {
+        // Streams 0..4 run in one job, then streams 4..8 arrive as
+        // single-task continuation runs folded on in order (a left fold
+        // is prefix-extendable; merging two multi-task partial folds
+        // would differ in the last ulp). Worker count must not matter.
+        let whole = ThreadedCluster::new(3).run(&scenario()).unwrap();
+        let head = scenario().with_photons(2_000).with_tasks(4);
+        let mut merged = ThreadedCluster::new(2).run(&head).unwrap().result.tally.clone();
+        for j in 4..8 {
+            let step = scenario().with_photons(500).with_tasks(1).with_task_offset(j);
+            merged.merge(&ThreadedCluster::new(2).run(&step).unwrap().result.tally);
+        }
+        assert_eq!(merged, whole.result.tally);
+    }
+
+    #[test]
+    fn sole_worker_retakes_its_own_requeued_tasks() {
+        // With one worker nobody else can pick up a failed task and nobody
+        // will ever signal the condvar: the worker must find its own
+        // requeue on the next assign. 32 tasks at 50%: P(zero failures)
+        // ~ 2e-10.
+        struct Monotonic {
+            last: Mutex<u64>,
+        }
+        impl Progress for Monotonic {
+            fn on_photons(&self, completed: u64, total: u64) {
+                assert_eq!(total, 4_000);
+                let mut last = self.last.lock().unwrap();
+                assert!(completed > *last, "{completed} after {last}");
+                *last = completed;
+            }
+        }
+        let s = scenario().with_tasks(32);
+        let observer = Monotonic { last: Mutex::new(0) };
+        let faulty = ThreadedCluster::new(1)
+            .with_failure_plan(FailurePlan::Random { rate: 0.5 })
+            .run_with_progress(&s, &observer)
+            .unwrap();
+        assert_eq!(faulty.result.tally, Sequential.run(&s).unwrap().result.tally);
+        assert!(faulty.requeues > 0);
+        assert_eq!(faulty.workers[0].tasks_failed, faulty.requeues);
+        assert_eq!(*observer.last.lock().unwrap(), 4_000);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! "The DataManager, which resides on the server, assigns simulations to
 //! client PCs and processes the returned results." This struct is exactly
-//! that, factored so the same logic drives both the real threaded executor
-//! and tests: it owns the queue of outstanding tasks, hands them out on
-//! request (demand-driven self-scheduling), re-queues failed tasks, and
-//! merges returned tallies.
+//! that, and the only place the requeue logic lives: `ThreadedCluster`
+//! workers share one behind a lock, the TCP server's event loop owns one.
+//! It owns the queue of outstanding tasks, hands them out on request
+//! (demand-driven self-scheduling), re-queues failed tasks, and merges
+//! returned tallies.
 
-use crate::protocol::{SimTask, WorkerStats};
+use crate::protocol::SimTask;
+use lumen_core::engine::{batch_sizes, WorkerAccount};
 use lumen_core::tally::Tally;
 use std::collections::VecDeque;
 
@@ -24,8 +26,8 @@ pub struct DataManager {
     completed: Vec<Option<Tally>>,
     /// Template for the aggregate tally.
     template: Tally,
-    /// Per-worker statistics.
-    stats: Vec<WorkerStats>,
+    /// Per-worker accounting.
+    stats: Vec<WorkerAccount>,
     tasks_total: usize,
     tasks_done: usize,
     requeues: u64,
@@ -54,7 +56,7 @@ impl DataManager {
         template: Tally,
         n_workers: usize,
     ) -> Self {
-        let sizes = lumen_core::parallel::batch_sizes(total_photons, n_tasks);
+        let sizes = batch_sizes(total_photons, n_tasks);
         let queue: VecDeque<SimTask> = sizes
             .iter()
             .enumerate()
@@ -66,7 +68,7 @@ impl DataManager {
             queue,
             outstanding: Vec::new(),
             template,
-            stats: vec![WorkerStats::default(); n_workers],
+            stats: vec![WorkerAccount::default(); n_workers],
             tasks_done: 0,
             requeues: 0,
             task_offset,
@@ -85,7 +87,7 @@ impl DataManager {
     /// server admits clients for the run's whole lifetime), returning its
     /// dense id.
     pub fn register_worker(&mut self) -> usize {
-        self.stats.push(WorkerStats::default());
+        self.stats.push(WorkerAccount::default());
         self.stats.len() - 1
     }
 
@@ -150,9 +152,10 @@ impl DataManager {
         self.requeues
     }
 
-    /// Consume the manager, yielding the merged tally and worker stats.
-    /// Tallies merge in task-id order for bit-level reproducibility.
-    pub fn into_results(self) -> (Tally, Vec<WorkerStats>, u64) {
+    /// Consume the manager, yielding the merged tally, the per-worker
+    /// accounts and the requeue count. Tallies merge in task-id order for
+    /// bit-level reproducibility.
+    pub fn into_results(self) -> (Tally, Vec<WorkerAccount>, u64) {
         assert!(self.finished(), "into_results before all tasks completed");
         let mut aggregate = self.template;
         for tally in self.completed.into_iter().flatten() {

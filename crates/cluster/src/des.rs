@@ -20,12 +20,11 @@ use crate::availability::AvailabilityModel;
 use crate::machine::MachinePool;
 use crate::network::NetworkModel;
 use crate::scheduler::{Plan, Scheduler, SelfScheduling};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The computational job being distributed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Total photons to simulate.
     pub total_photons: u64,
@@ -112,7 +111,7 @@ impl JobSpec {
 /// let report = sim.run(&JobSpec::paper_job());
 /// assert!(report.efficiency(60) > 0.95); // the paper's Fig 2 headline
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSim {
     pub pool: MachinePool,
     pub network: NetworkModel,
@@ -122,7 +121,7 @@ pub struct ClusterSim {
 }
 
 /// Results of one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesReport {
     /// Virtual completion time of the whole job (s).
     pub makespan_s: f64,

@@ -8,12 +8,13 @@
 //!
 //! We reproduce that platform twice, at two levels of fidelity:
 //!
-//! 1. **A real master/worker engine** ([`executor`]) — OS threads play the
-//!    clients, crossbeam channels play the LAN, and the full protocol
-//!    ([`protocol`]) runs for real: demand-driven task requests, task
-//!    leases, failure re-queueing, result merging on the server. This
-//!    executes the actual photon transport and is how the library does
-//!    multi-core work in production.
+//! 1. **A real master/worker engine** — the [`DataManager`] hands out
+//!    [`protocol::SimTask`]s and the full protocol runs for real:
+//!    demand-driven task requests, task leases, failure re-queueing,
+//!    result merging on the server. [`ThreadedCluster`] runs it with OS
+//!    threads as the clients, sharing the DataManager behind a lock;
+//!    [`net`] runs it over TCP with one event loop owning it. Both execute
+//!    the actual photon transport through `lumen_core::engine::run_task`.
 //! 2. **A discrete-event simulator** ([`des`]) — models machines by their
 //!    Mflop/s rating (Table 2), non-dedicated background load
 //!    ([`availability`]), and network transfer costs ([`network`]), so the
@@ -41,7 +42,6 @@ pub mod availability;
 pub mod backend;
 pub mod datamanager;
 pub mod des;
-pub mod executor;
 pub mod machine;
 pub mod net;
 pub mod network;
@@ -54,13 +54,8 @@ pub use availability::AvailabilityModel;
 pub use backend::{BackendExt, FailurePlan, SimulatedCluster, Tcp, ThreadedCluster};
 pub use datamanager::DataManager;
 pub use des::{ClusterSim, DesReport, JobSpec};
-#[allow(deprecated)]
-pub use executor::run_distributed;
-pub use executor::{run_master_worker, DistributedConfig, DistributedReport};
 pub use machine::{homogeneous_pool, table2_pool, MachineClass, MachinePool};
-pub use net::{
-    run_client, serve, serve_with_options, serve_with_progress, NetError, NetReport, ServeOptions,
-};
+pub use net::{run_client, serve_with_options, NetError, NetReport, ServeOptions};
 pub use network::NetworkModel;
 pub use scheduler::{GaScheduler, Scheduler, SelfScheduling, StaticChunking};
 pub use speedup::{efficiency, speedup_curve, SpeedupPoint};

@@ -18,10 +18,8 @@
 //! Ranges are represented by their midpoints; the stochastic availability
 //! model supplies the run-to-run variation the ranges reflect.
 
-use serde::{Deserialize, Serialize};
-
 /// One class of identical machines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineClass {
     /// How many machines of this class the pool has.
     pub count: usize,
@@ -37,7 +35,7 @@ pub struct MachineClass {
 }
 
 /// A pool of machines: the flattened list of classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachinePool {
     pub classes: Vec<MachineClass>,
 }

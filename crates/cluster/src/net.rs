@@ -1,8 +1,9 @@
 //! TCP deployment of the DataManager ⇄ client protocol.
 //!
 //! This is the configuration the paper actually ran: "All the clients
-//! connected to a dedicated server." [`serve`] runs the DataManager on a
-//! TCP listener; [`run_client`] is the client loop a worker machine runs.
+//! connected to a dedicated server." [`serve_with_options`] runs the
+//! DataManager on a TCP listener; [`run_client`] is the client loop a
+//! worker machine runs.
 //! Both ends are constructed with the same [`Simulation`] (the original
 //! shipped the `Algorithm` bytecode; we ship the experiment definition
 //! out-of-band, which is the idiomatic Rust equivalent).
@@ -36,9 +37,8 @@
 
 use crate::datamanager::DataManager;
 use crate::protocol::SimTask;
-use crate::protocol::WorkerStats;
 use crate::wire::{self, WireError};
-use lumen_core::engine::{NoProgress, Progress};
+use lumen_core::engine::{run_task, Progress, WorkerAccount};
 use lumen_core::{Simulation, SimulationResult};
 use lumen_net::{EventLoop, Flow, Handler, Ops, Token};
 use mcrng::StreamFactory;
@@ -301,40 +301,12 @@ impl ServeOptions {
 #[derive(Debug)]
 pub struct NetReport {
     pub result: SimulationResult,
-    pub worker_stats: Vec<WorkerStats>,
+    pub worker_stats: Vec<WorkerAccount>,
     pub requeues: u64,
     /// Connections actually served over the run's lifetime: every client
     /// that completed the HELLO handshake, late joiners included,
     /// never-connected slots excluded.
     pub clients_served: usize,
-}
-
-/// Serve one distributed simulation on `listener`: hand out `n` photons
-/// in `tasks` batches to the clients that connect, merge their tallies,
-/// and shut everyone down when complete. `min_clients` gates the first
-/// assignment; the pool is elastic after that. Default lease/grace
-/// timeouts — use [`serve_with_options`] to tune them.
-pub fn serve(
-    listener: TcpListener,
-    sim: &Simulation,
-    n: u64,
-    tasks: u64,
-    min_clients: usize,
-) -> Result<NetReport, NetError> {
-    serve_with_progress(listener, sim, n, tasks, min_clients, &NoProgress)
-}
-
-/// [`serve`], streaming completion and retry events to `progress`.
-pub fn serve_with_progress(
-    listener: TcpListener,
-    sim: &Simulation,
-    n: u64,
-    tasks: u64,
-    min_clients: usize,
-    progress: &dyn Progress,
-) -> Result<NetReport, NetError> {
-    let options = ServeOptions::default().with_min_clients(min_clients);
-    serve_with_options(listener, sim, n, tasks, options, progress)
 }
 
 /// One connection's protocol state — the explicit state machine the
@@ -650,7 +622,9 @@ impl Handler for ClusterServer<'_> {
     }
 }
 
-/// [`serve`] with explicit [`ServeOptions`] — the full elastic runtime.
+/// Serve one distributed simulation on `listener`: hand out `n` photons
+/// in `tasks` batches to the clients that connect, merge their tallies,
+/// and shut everyone down when complete — the full elastic runtime.
 ///
 /// Invariants this function maintains:
 ///
@@ -738,12 +712,7 @@ pub fn run_client(addr: &str, sim: &Simulation, seed: u64) -> Result<u64, NetErr
             KIND_SHUTDOWN => return Ok(completed),
             KIND_ASSIGN => {
                 let task = wire::decode_task(&payload)?;
-                let mut tally = sim.new_tally();
-                let mut rng = factory.stream(task.task_id);
-                sim.run_stream(task.photons, &mut rng, &mut tally, None);
-                if let Some(a) = tally.archive.as_mut() {
-                    a.stamp_task(task.task_id);
-                }
+                let tally = run_task(sim, &factory, task.task_id, task.photons, None);
                 write_frame(&mut stream, KIND_COMPLETE, &wire::encode_tally(&tally))?;
                 completed += 1;
             }
@@ -755,10 +724,21 @@ pub fn run_client(addr: &str, sim: &Simulation, seed: u64) -> Result<u64, NetErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumen_core::engine::{Backend, Rayon, Scenario};
+    use lumen_core::engine::{Backend, NoProgress, Rayon, Scenario};
     use lumen_core::{Detector, Source};
     use lumen_tissue::presets::semi_infinite_phantom;
     use std::thread;
+
+    fn serve(
+        listener: TcpListener,
+        sim: &Simulation,
+        n: u64,
+        tasks: u64,
+        min_clients: usize,
+    ) -> Result<NetReport, NetError> {
+        let options = ServeOptions::default().with_min_clients(min_clients);
+        serve_with_options(listener, sim, n, tasks, options, &NoProgress)
+    }
 
     fn sim() -> Simulation {
         Simulation::new(
@@ -939,12 +919,7 @@ mod tests {
                 break;
             }
             let task = wire::decode_task(&payload).unwrap();
-            let mut tally = s.new_tally();
-            let mut rng = factory.stream(task.task_id);
-            s.run_stream(task.photons, &mut rng, &mut tally, None);
-            if let Some(a) = tally.archive.as_mut() {
-                a.stamp_task(task.task_id);
-            }
+            let tally = run_task(&s, &factory, task.task_id, task.photons, None);
             write_frame(&mut stream, KIND_COMPLETE, &wire::encode_tally(&tally)).unwrap();
         }
         let report = server.join().expect("server thread").expect("serve ok");

@@ -7,10 +7,8 @@
 //! 3 GHz P4 and "processes the returned results" one at a time, which is
 //! the main efficiency loss at large worker counts.
 
-use serde::{Deserialize, Serialize};
-
 /// Simple latency/bandwidth + server-merge-cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way message latency (s).
     pub latency_s: f64,

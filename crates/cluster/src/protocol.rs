@@ -1,79 +1,17 @@
-//! The DataManager ⇄ client wire protocol.
+//! The unit the DataManager hands out.
 //!
-//! The original platform shipped Java objects over TCP; we ship serde-able
-//! structs over crossbeam channels. Every message the original protocol
-//! needs is here: clients *request* work, the server *assigns* a task or
-//! tells the client to *shut down*, clients *return* results or report
-//! *failure* (a non-dedicated PC being reclaimed by its owner mid-task).
-
-use lumen_core::tally::Tally;
-use serde::{Deserialize, Serialize};
+//! The original platform shipped Java objects over TCP. Here a task is a
+//! plain value: in process a worker takes it from the lock-guarded
+//! [`crate::DataManager`] directly, and across machines [`crate::wire`]
+//! encodes it into the frames of [`crate::net`] (request, assign,
+//! complete, shutdown).
 
 /// One unit of assignable work: a photon batch with its RNG stream index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimTask {
     /// Unique, dense task identifier (also the RNG stream index, which is
     /// what makes re-execution after a failure give identical photons).
     pub task_id: u64,
     /// Photons in this batch.
     pub photons: u64,
-}
-
-/// Client → server messages.
-#[derive(Debug)]
-pub enum ClientMessage {
-    /// "I am idle; give me work." Carries the worker id.
-    RequestTask { worker: usize },
-    /// Completed task with its private tally.
-    TaskComplete { worker: usize, task: SimTask, tally: Box<Tally> },
-    /// The task could not be completed (machine reclaimed / crashed);
-    /// the server must re-queue it.
-    TaskFailed { worker: usize, task: SimTask },
-}
-
-/// Server → client messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerMessage {
-    /// A batch to simulate.
-    Assign(SimTask),
-    /// No more work; terminate the worker loop.
-    Shutdown,
-}
-
-/// Per-worker execution statistics the server keeps.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct WorkerStats {
-    /// Tasks completed by this worker.
-    pub tasks_completed: u64,
-    /// Photons simulated by this worker.
-    pub photons: u64,
-    /// Tasks this worker failed (for failure-injection experiments).
-    pub tasks_failed: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn task_is_copy_and_ordered_by_id() {
-        let t = SimTask { task_id: 3, photons: 100 };
-        let u = t; // Copy
-        assert_eq!(t, u);
-    }
-
-    #[test]
-    fn server_message_equality() {
-        let t = SimTask { task_id: 1, photons: 10 };
-        assert_eq!(ServerMessage::Assign(t), ServerMessage::Assign(t));
-        assert_ne!(ServerMessage::Assign(t), ServerMessage::Shutdown);
-    }
-
-    #[test]
-    fn worker_stats_default_is_zero() {
-        let s = WorkerStats::default();
-        assert_eq!(s.tasks_completed, 0);
-        assert_eq!(s.photons, 0);
-        assert_eq!(s.tasks_failed, 0);
-    }
 }

@@ -7,10 +7,9 @@ use crate::availability::AvailabilityModel;
 use crate::des::{ClusterSim, JobSpec};
 use crate::machine::homogeneous_pool;
 use crate::network::NetworkModel;
-use serde::{Deserialize, Serialize};
 
 /// One point on the speedup curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Number of processors `k`.
     pub k: usize,

@@ -1,18 +1,18 @@
 //! Binary wire format for the DataManager ⇄ client protocol.
 //!
 //! The original platform shipped Java-serialized objects over TCP sockets.
-//! The in-process executor uses channels and needs no serialization, but a
-//! multi-machine deployment does — so the protocol's encoding substrate is
-//! implemented here from scratch: a compact little-endian format with a
-//! magic header and version byte, covering tasks, worker stats, and full
-//! tallies (including optional grids). No external serialization crate is
-//! needed.
+//! In-process workers share the DataManager behind a lock and need no
+//! serialization, but a multi-machine deployment does — so the protocol's
+//! encoding substrate is implemented here from scratch: a compact
+//! little-endian format with a magic header and version byte, covering
+//! tasks, scenarios, path archives and full tallies (including optional
+//! grids). No external serialization crate is needed.
 //!
 //! Format: all integers little-endian; `u64` lengths prefix sequences;
 //! `Option<T>` is a presence byte then the payload; floats are IEEE-754
 //! bit patterns.
 
-use crate::protocol::{SimTask, WorkerStats};
+use crate::protocol::SimTask;
 use lumen_core::archive::{PathArchive, RecordOptions, CLASS_TRANSMITTED};
 use lumen_core::engine::Scenario;
 use lumen_core::radial::{CylinderGrid, RadialProfile, RadialSpec};
@@ -254,27 +254,6 @@ pub fn decode_task(bytes: &[u8]) -> Result<SimTask, WireError> {
     let task = SimTask { task_id: d.get_u64()?, photons: d.get_u64()? };
     d.finish()?;
     Ok(task)
-}
-
-/// Encode worker statistics.
-pub fn encode_worker_stats(stats: &WorkerStats) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u64(stats.tasks_completed);
-    e.put_u64(stats.photons);
-    e.put_u64(stats.tasks_failed);
-    e.finish()
-}
-
-/// Decode worker statistics.
-pub fn decode_worker_stats(bytes: &[u8]) -> Result<WorkerStats, WireError> {
-    let mut d = Decoder::new(bytes)?;
-    let stats = WorkerStats {
-        tasks_completed: d.get_u64()?,
-        photons: d.get_u64()?,
-        tasks_failed: d.get_u64()?,
-    };
-    d.finish()?;
-    Ok(stats)
 }
 
 /// Encode the scalar portion of a tally (counts, weights, per-layer sums,
@@ -1018,12 +997,6 @@ mod tests {
     fn task_round_trip() {
         let t = SimTask { task_id: 42, photons: 1_000_000 };
         assert_eq!(decode_task(&encode_task(&t)).unwrap(), t);
-    }
-
-    #[test]
-    fn stats_round_trip() {
-        let s = WorkerStats { tasks_completed: 7, photons: 175_000, tasks_failed: 2 };
-        assert_eq!(decode_worker_stats(&encode_worker_stats(&s)).unwrap(), s);
     }
 
     #[test]

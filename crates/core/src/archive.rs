@@ -61,7 +61,6 @@ use crate::radial::RadialSpec;
 use crate::results::SimulationResult;
 use crate::tally::Tally;
 use lumen_photon::OpticalProperties;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Archive entry class: top-surface escape outside the detector aperture.
@@ -85,7 +84,7 @@ pub const TASK_UNSTAMPED: u64 = u64::MAX;
 
 /// Knobs for archive recording, carried in
 /// [`SimulationOptions::archive`](crate::SimulationOptions).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordOptions {
     /// Keep only detected packets. The full archive replays every weighted
     /// tally (R(r), diffuse reflectance, transmittance); a detected-only
@@ -106,7 +105,7 @@ pub struct RecordOptions {
 /// bit.
 ///
 /// [`regions`]: PathArchive::regions
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathArchive {
     /// Number of geometry regions (stride of the per-region arrays).
     pub regions: usize,

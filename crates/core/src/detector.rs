@@ -14,10 +14,9 @@
 
 use crate::error::ConfigError;
 use lumen_photon::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Acceptance window on photon pathlength (mm), simulating time gating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateWindow {
     /// Minimum accepted pathlength (mm).
     pub min_mm: f64,
@@ -68,7 +67,7 @@ impl Default for GateWindow {
 ///   statistical efficiency (MCML's radially-binned reflectance uses the
 ///   same trick); use it for penetration/pathlength statistics at large
 ///   separations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detector {
     /// Source–detector separation along +x (mm).
     pub separation: f64,

@@ -37,15 +37,13 @@
 //! instead of panicking on ad-hoc strings.
 
 use crate::detector::Detector;
-use crate::parallel::batch_sizes;
 use crate::results::SimulationResult;
-use crate::sim::{PathRecord, Simulation, SimulationOptions};
+use crate::sim::{validate_parts, PathRecord, Simulation, SimulationOptions};
 use crate::source::Source;
 use crate::tally::Tally;
 use lumen_tissue::{Geometry, GeometryError};
 use mcrng::StreamFactory;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -111,7 +109,7 @@ impl From<crate::error::ConfigError> for EngineError {
 /// The CLI's `key = value` config format maps onto this struct 1:1, and
 /// `lumen_cluster::wire` gives it a binary encoding for multi-machine
 /// deployments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The tissue model — layered stack or voxel grid.
     pub tissue: Geometry,
@@ -142,7 +140,8 @@ pub struct Scenario {
 impl Scenario {
     /// Default photon budget (override with [`Scenario::with_photons`]).
     pub const DEFAULT_PHOTONS: u64 = 100_000;
-    /// Default task count, matching the old `ParallelConfig::new`.
+    /// Default task count: enough batches to load-balance, few enough
+    /// that the merge cost is negligible.
     pub const DEFAULT_TASKS: u64 = 64;
     /// Default seed, matching the CLI default.
     pub const DEFAULT_SEED: u64 = 42;
@@ -228,7 +227,8 @@ impl Scenario {
                 "task_offset + tasks overflows the stream index space".into(),
             ));
         }
-        self.simulation().validate().map_err(EngineError::from)
+        validate_parts(&self.tissue, &self.source, &self.detector, &self.options)
+            .map_err(EngineError::from)
     }
 
     /// The per-task batch sizes this scenario decomposes into.
@@ -240,6 +240,15 @@ impl Scenario {
     pub fn run_on(&self, backend: &dyn Backend) -> Result<RunReport, EngineError> {
         backend.run(self)
     }
+}
+
+/// Split `total` photons into `tasks` near-equal batch sizes (empty
+/// batches dropped) — the decomposition every backend shares.
+pub fn batch_sizes(total: u64, tasks: u64) -> Vec<u64> {
+    let tasks = tasks.max(1);
+    let base = total / tasks;
+    let extra = total % tasks;
+    (0..tasks).map(|i| base + u64::from(i < extra)).filter(|&n| n > 0).collect()
 }
 
 /// Observer for long-running executions.
@@ -275,7 +284,7 @@ impl Progress for NoProgress {}
 
 /// Per-worker accounting carried by every [`RunReport`] — the paper's
 /// "which machine did how much" table, normalised across backends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerAccount {
     /// Tasks completed by this worker.
     pub tasks_completed: u64,
@@ -285,10 +294,8 @@ pub struct WorkerAccount {
     pub photons: u64,
 }
 
-/// The unified outcome of running a [`Scenario`] on any [`Backend`] —
-/// one report type where the seed API had `SimulationResult`,
-/// `DistributedReport`, and `NetReport`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The unified outcome of running a [`Scenario`] on any [`Backend`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The merged physics: tally plus recorded sample paths.
     pub result: SimulationResult,
@@ -373,22 +380,81 @@ fn merge_in_task_order(
     SimulationResult::new(tally, paths)
 }
 
-/// Run one task's batch into a fresh tally.
-fn run_one_task(
+/// Run one task: `photons` photons from RNG stream `task_id` of `factory`
+/// into a fresh tally, its archive entries (if any) stamped with the task
+/// id. This is the unit of work of every backend — the in-process drivers,
+/// a `ThreadedCluster` worker and a TCP client all call it — and the reason
+/// a re-executed task reproduces its photons exactly.
+pub fn run_task(
     sim: &Simulation,
     factory: &StreamFactory,
-    task_idx: u64,
-    batch: u64,
-) -> (Tally, Vec<PathRecord>) {
-    let mut rng = factory.stream(task_idx);
+    task_id: u64,
+    photons: u64,
+    paths_out: Option<&mut Vec<PathRecord>>,
+) -> Tally {
+    let mut rng = factory.stream(task_id);
     let mut tally = sim.new_tally();
-    let mut paths: Vec<PathRecord> = Vec::new();
-    let want_paths = sim.options.record_paths > 0;
-    sim.run_stream(batch, &mut rng, &mut tally, if want_paths { Some(&mut paths) } else { None });
+    sim.run_stream(photons, &mut rng, &mut tally, paths_out);
     if let Some(a) = tally.archive.as_mut() {
-        a.stamp_task(task_idx);
+        a.stamp_task(task_id);
     }
-    (tally, paths)
+    tally
+}
+
+/// The in-process driver behind [`Sequential`] and [`Rayon`]: trace every
+/// batch — on the calling thread, or on the current rayon pool when
+/// `parallel` — and merge in task order.
+fn run_in_process(
+    name: &'static str,
+    parallel: bool,
+    scenario: &Scenario,
+    progress: &dyn Progress,
+) -> Result<RunReport, EngineError> {
+    let started = Instant::now();
+    let sim = scenario.simulation();
+    let factory = StreamFactory::new(scenario.seed);
+    let sizes = scenario.batches();
+    let want_paths = sim.options.record_paths > 0;
+
+    // The counter and the callback share one lock so observers see a
+    // strictly monotonic photon count in call order, as the Progress
+    // contract promises. Batch completions are coarse-grained, so the
+    // critical section is negligible next to the transport work.
+    let done = Mutex::new(0u64);
+    let trace = |(task_idx, &batch): (usize, &u64)| {
+        let mut paths = Vec::new();
+        let tally = run_task(
+            &sim,
+            &factory,
+            scenario.task_offset + task_idx as u64,
+            batch,
+            want_paths.then_some(&mut paths),
+        );
+        let mut done = done.lock().expect("progress lock");
+        *done += batch;
+        progress.on_photons(*done, scenario.photons);
+        (tally, paths)
+    };
+    let per_task: Vec<(Tally, Vec<PathRecord>)> = if parallel {
+        sizes.par_iter().enumerate().map(trace).collect()
+    } else {
+        sizes.iter().enumerate().map(trace).collect()
+    };
+
+    let tasks_completed = per_task.len() as u64;
+    let result = merge_in_task_order(&sim, per_task);
+    Ok(RunReport {
+        workers: vec![WorkerAccount {
+            tasks_completed,
+            tasks_failed: 0,
+            photons: result.launched(),
+        }],
+        result,
+        requeues: 0,
+        wall_seconds: started.elapsed().as_secs_f64(),
+        virtual_seconds: None,
+        backend: name.to_string(),
+    })
 }
 
 /// Single-threaded in-process backend: the scenario's tasks run one after
@@ -407,38 +473,7 @@ impl Backend for Sequential {
         progress: &dyn Progress,
     ) -> Result<RunReport, EngineError> {
         scenario.validate()?;
-        let started = Instant::now();
-        let sim = scenario.simulation();
-        let factory = StreamFactory::new(scenario.seed);
-        let sizes = scenario.batches();
-
-        let mut done = 0u64;
-        let per_task: Vec<(Tally, Vec<PathRecord>)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(task_idx, &batch)| {
-                let out =
-                    run_one_task(&sim, &factory, scenario.task_offset + task_idx as u64, batch);
-                done += batch;
-                progress.on_photons(done, scenario.photons);
-                out
-            })
-            .collect();
-
-        let tasks_completed = per_task.len() as u64;
-        let result = merge_in_task_order(&sim, per_task);
-        Ok(RunReport {
-            workers: vec![WorkerAccount {
-                tasks_completed,
-                tasks_failed: 0,
-                photons: result.launched(),
-            }],
-            result,
-            requeues: 0,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            virtual_seconds: None,
-            backend: self.name().to_string(),
-        })
+        run_in_process(self.name(), false, scenario, progress)
     }
 }
 
@@ -456,52 +491,6 @@ impl Rayon {
     pub fn with_threads(threads: usize) -> Self {
         Self { threads: Some(threads) }
     }
-
-    fn run_on_current_pool(
-        &self,
-        scenario: &Scenario,
-        progress: &dyn Progress,
-    ) -> Result<RunReport, EngineError> {
-        let started = Instant::now();
-        let sim = scenario.simulation();
-        let factory = StreamFactory::new(scenario.seed);
-        let sizes = scenario.batches();
-
-        // The counter and the callback share one lock so observers see a
-        // strictly monotonic photon count in call order, as the Progress
-        // contract promises. Batch completions are coarse-grained, so the
-        // critical section is negligible next to the transport work.
-        let done = Mutex::new(0u64);
-        let per_task: Vec<(Tally, Vec<PathRecord>)> = sizes
-            .par_iter()
-            .enumerate()
-            .map(|(task_idx, &batch)| {
-                let out =
-                    run_one_task(&sim, &factory, scenario.task_offset + task_idx as u64, batch);
-                {
-                    let mut done = done.lock().expect("progress lock");
-                    *done += batch;
-                    progress.on_photons(*done, scenario.photons);
-                }
-                out
-            })
-            .collect();
-
-        let tasks_completed = per_task.len() as u64;
-        let result = merge_in_task_order(&sim, per_task);
-        Ok(RunReport {
-            workers: vec![WorkerAccount {
-                tasks_completed,
-                tasks_failed: 0,
-                photons: result.launched(),
-            }],
-            result,
-            requeues: 0,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            virtual_seconds: None,
-            backend: self.name().to_string(),
-        })
-    }
 }
 
 impl Backend for Rayon {
@@ -515,15 +504,14 @@ impl Backend for Rayon {
         progress: &dyn Progress,
     ) -> Result<RunReport, EngineError> {
         scenario.validate()?;
+        let run = || run_in_process(self.name(), true, scenario, progress);
         match self.threads {
-            None => self.run_on_current_pool(scenario, progress),
-            Some(k) => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(k)
-                    .build()
-                    .map_err(|e| EngineError::backend(self.name(), e.to_string()))?;
-                pool.install(|| self.run_on_current_pool(scenario, progress))
-            }
+            None => run(),
+            Some(k) => rayon::ThreadPoolBuilder::new()
+                .num_threads(k)
+                .build()
+                .map_err(|e| EngineError::backend(self.name(), e.to_string()))?
+                .install(run),
         }
     }
 }
@@ -601,6 +589,27 @@ mod tests {
         let legacy = s.simulation().run(3_000, 9);
         let report = Sequential.run(&s).unwrap();
         assert_eq!(legacy.tally, report.result.tally);
+    }
+
+    #[test]
+    fn task_split_preserves_statistics() {
+        // Different task counts give different draws but the same physics;
+        // reflectance must agree within MC error.
+        let s = scenario().with_photons(40_000).with_seed(3);
+        let a = Rayon::default().run(&s.clone().with_tasks(4)).unwrap();
+        let b = Rayon::default().run(&s.with_tasks(32)).unwrap();
+        assert_eq!(a.launched(), 40_000);
+        assert_eq!(b.launched(), 40_000);
+        let (ra, rb) = (a.diffuse_reflectance(), b.diffuse_reflectance());
+        assert!((ra - rb).abs() / ra < 0.05, "{ra} vs {rb}");
+    }
+
+    #[test]
+    fn path_recording_respects_cap_across_tasks() {
+        let mut s = scenario().with_photons(30_000).with_seed(2);
+        s.options.record_paths = 3;
+        let r = Rayon::default().run(&s).unwrap();
+        assert!(r.sample_paths.len() <= 3);
     }
 
     #[test]

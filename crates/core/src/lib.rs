@@ -37,16 +37,15 @@
 //! master/worker cluster, TCP deployment, and discrete-event simulator in
 //! `lumen-cluster`. Every backend returns the same [`engine::RunReport`]
 //! with bit-identical tallies for the same scenario, which is the paper's
-//! reproducibility claim expressed as a type. The old free functions
-//! ([`Simulation::run`], the deprecated [`parallel::run_parallel`]) remain
-//! as thin shims.
+//! reproducibility claim expressed as a type. [`engine::run_task`] is the
+//! unit of work they all share, and [`Simulation::run`] is the one-task
+//! convenience driver.
 
 pub mod archive;
 pub mod detector;
 pub mod engine;
 pub mod error;
 pub(crate) mod kernel;
-pub mod parallel;
 pub mod radial;
 pub mod results;
 pub mod sim;
@@ -65,9 +64,6 @@ pub use lumen_tissue::{
     Geometry, GeometryError, LayeredTissue, OpticalProperties as TissueOptics, TissueGeometry,
     VoxelMaterial, VoxelTissue,
 };
-#[allow(deprecated)]
-pub use parallel::run_parallel;
-pub use parallel::ParallelConfig;
 pub use radial::{CylinderGrid, RadialProfile, RadialSpec};
 pub use results::SimulationResult;
 pub use sim::{Precision, Simulation, SimulationOptions};

@@ -15,10 +15,8 @@
 //! normalised per unit area (dividing by the annular bin area), which is
 //! what `R(r)` means physically.
 
-use serde::{Deserialize, Serialize};
-
 /// Uniform radial binning over `[0, r_max)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadialSpec {
     /// Number of radial bins.
     pub nr: usize,
@@ -70,7 +68,7 @@ impl RadialSpec {
 }
 
 /// Radially binned surface weight (diffuse reflectance or transmittance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadialProfile {
     pub spec: RadialSpec,
     /// Raw escaped weight per bin.
@@ -125,7 +123,7 @@ impl RadialProfile {
 }
 
 /// Cylindrical (r, z) accumulation grid for absorbed weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CylinderGrid {
     pub radial: RadialSpec,
     /// Number of depth bins over `[0, z_max)`.

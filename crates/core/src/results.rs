@@ -2,10 +2,9 @@
 
 use crate::sim::PathRecord;
 use crate::tally::Tally;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a completed simulation (sequential or merged parallel).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Raw accumulators.
     pub tally: Tally,

@@ -32,10 +32,9 @@ use crate::tally::{GridSpec, Tally};
 use lumen_photon::{BoundaryMode, Fate, RouletteConfig, Vec3};
 use lumen_tissue::{Geometry, TissueGeometry};
 use mcrng::{McRng, StreamFactory};
-use serde::{Deserialize, Serialize};
 
 /// A recorded trajectory of one detected photon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathRecord {
     /// Trajectory vertices from launch to exit (mm).
     pub vertices: Vec<Vec3>,
@@ -66,7 +65,7 @@ pub struct PathRecord {
 /// canonical scenario identity: it is wire-encoded (format v6) and folded
 /// into the service result-cache key, so a `Fast` result can never satisfy
 /// an `Exact` query or vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Bit-pinned scalar reference kernel (the default).
     #[default]
@@ -76,7 +75,7 @@ pub enum Precision {
 }
 
 /// Engine knobs beyond geometry/source/detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOptions {
     /// How interface physics is resolved (see module docs).
     pub boundary_mode: BoundaryMode,
@@ -147,7 +146,7 @@ impl Default for SimulationOptions {
 /// // Same seed, same everything:
 /// assert_eq!(sim.run(5_000, 42).tally, result.tally);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Simulation {
     /// The tissue model — layered or voxelized (see
     /// [`lumen_tissue::Geometry`]); the stepping loop is generic over
@@ -197,6 +196,77 @@ impl Scratch {
     }
 }
 
+/// The one configuration check, by reference: [`Simulation::validate`] and
+/// `engine::Scenario::validate` both call it on their own fields, so
+/// neither clones a geometry (a voxel grid can be 2^26 cells) to read it.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
+pub(crate) fn validate_parts(
+    tissue: &Geometry,
+    source: &Source,
+    detector: &Detector,
+    options: &SimulationOptions,
+) -> Result<(), ConfigError> {
+    let component =
+        |what: &'static str| move |reason: String| ConfigError::Component { what, reason };
+    source.validate().map_err(component("source"))?;
+    detector.validate().map_err(component("detector"))?;
+    options.roulette.validate().map_err(component("roulette"))?;
+    if let Some(g) = &options.path_grid {
+        g.validate()?;
+    }
+    if let Some(g) = &options.absorption_grid {
+        g.validate()?;
+    }
+    if let Some((max_mm, bins)) = &options.path_histogram {
+        if !(*max_mm > 0.0) || *bins == 0 {
+            return Err(ConfigError::BadHistogram { max_mm: *max_mm, bins: *bins });
+        }
+    }
+    if let Some(r) = &options.reflectance_profile {
+        r.validate().map_err(component("reflectance profile"))?;
+    }
+    if let Some((r, nz, z_max)) = &options.absorption_rz {
+        r.validate().map_err(component("absorption_rz radial binning"))?;
+        if *nz == 0 || !(*z_max > 0.0) {
+            return Err(ConfigError::BadDepthBinning { nz: *nz, z_max: *z_max });
+        }
+    }
+    if options.max_interactions == 0 {
+        return Err(ConfigError::ZeroInteractionCap);
+    }
+    if options.archive.is_some() && options.boundary_mode == BoundaryMode::Classical {
+        return Err(ConfigError::Component {
+            what: "archive",
+            reason: "path archives require probabilistic boundary mode (classical mode \
+                     splits one packet across several escape events)"
+                .into(),
+        });
+    }
+    if options.precision == Precision::Fast {
+        let fast_rejects = |what: &'static str, why: &str| ConfigError::Component {
+            what,
+            reason: format!("the fast precision tier does not support {why}; use exact"),
+        };
+        if options.boundary_mode == BoundaryMode::Classical {
+            return Err(fast_rejects(
+                "precision",
+                "classical boundary splitting (whole-packet probabilistic mode only)",
+            ));
+        }
+        if options.path_grid.is_some() {
+            return Err(fast_rejects("precision", "trajectory visit grids (path_grid)"));
+        }
+        if options.record_paths > 0 {
+            return Err(fast_rejects("precision", "trajectory recording (record_paths)"));
+        }
+        if options.archive.is_some() {
+            return Err(fast_rejects("precision", "perturbation-MC path archives"));
+        }
+    }
+    tissue.validate()?;
+    Ok(())
+}
+
 impl Simulation {
     /// Build a simulation with default options. Accepts a bare
     /// [`lumen_tissue::LayeredTissue`] or [`lumen_tissue::VoxelTissue`] as
@@ -212,67 +282,8 @@ impl Simulation {
     }
 
     /// Validate the full configuration.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let component =
-            |what: &'static str| move |reason: String| ConfigError::Component { what, reason };
-        self.source.validate().map_err(component("source"))?;
-        self.detector.validate().map_err(component("detector"))?;
-        self.options.roulette.validate().map_err(component("roulette"))?;
-        if let Some(g) = &self.options.path_grid {
-            g.validate()?;
-        }
-        if let Some(g) = &self.options.absorption_grid {
-            g.validate()?;
-        }
-        if let Some((max_mm, bins)) = &self.options.path_histogram {
-            if !(*max_mm > 0.0) || *bins == 0 {
-                return Err(ConfigError::BadHistogram { max_mm: *max_mm, bins: *bins });
-            }
-        }
-        if let Some(r) = &self.options.reflectance_profile {
-            r.validate().map_err(component("reflectance profile"))?;
-        }
-        if let Some((r, nz, z_max)) = &self.options.absorption_rz {
-            r.validate().map_err(component("absorption_rz radial binning"))?;
-            if *nz == 0 || !(*z_max > 0.0) {
-                return Err(ConfigError::BadDepthBinning { nz: *nz, z_max: *z_max });
-            }
-        }
-        if self.options.max_interactions == 0 {
-            return Err(ConfigError::ZeroInteractionCap);
-        }
-        if self.options.archive.is_some() && self.options.boundary_mode == BoundaryMode::Classical {
-            return Err(ConfigError::Component {
-                what: "archive",
-                reason: "path archives require probabilistic boundary mode (classical mode \
-                         splits one packet across several escape events)"
-                    .into(),
-            });
-        }
-        if self.options.precision == Precision::Fast {
-            let fast_rejects = |what: &'static str, why: &str| ConfigError::Component {
-                what,
-                reason: format!("the fast precision tier does not support {why}; use exact"),
-            };
-            if self.options.boundary_mode == BoundaryMode::Classical {
-                return Err(fast_rejects(
-                    "precision",
-                    "classical boundary splitting (whole-packet probabilistic mode only)",
-                ));
-            }
-            if self.options.path_grid.is_some() {
-                return Err(fast_rejects("precision", "trajectory visit grids (path_grid)"));
-            }
-            if self.options.record_paths > 0 {
-                return Err(fast_rejects("precision", "trajectory recording (record_paths)"));
-            }
-            if self.options.archive.is_some() {
-                return Err(fast_rejects("precision", "perturbation-MC path archives"));
-            }
-        }
-        self.tissue.validate()?;
-        Ok(())
+        validate_parts(&self.tissue, &self.source, &self.detector, &self.options)
     }
 
     /// A tally shaped for this simulation: one slot per geometry region

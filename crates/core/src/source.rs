@@ -18,10 +18,9 @@
 use lumen_photon::{fresnel_reflectance, Fate, Photon, Vec3};
 use lumen_tissue::TissueGeometry;
 use mcrng::{gaussian_pair, uniform_disc, McRng};
-use serde::{Deserialize, Serialize};
 
 /// Source footprint on the tissue surface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Source {
     /// Idealised laser: all photons at the origin.
     Delta,

@@ -13,10 +13,9 @@
 use crate::error::ConfigError;
 use crate::radial::{CylinderGrid, RadialProfile, RadialSpec};
 use lumen_photon::{Fate, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Voxelisation of the volume of interest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     /// Voxel counts along x, y, z.
     pub nx: usize,
@@ -129,7 +128,7 @@ impl GridSpec {
 }
 
 /// Dense voxel accumulator for path-visit weight (or absorbed weight).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisitGrid {
     pub spec: GridSpec,
     data: Vec<f64>,
@@ -225,7 +224,7 @@ impl VisitGrid {
 /// Lives in the tally (not the analysis crate) so workers can accumulate
 /// and merge it like every other tally; `lumen-analysis` converts it into
 /// a temporal point-spread function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathHistogram {
     /// Upper edge of the binned range (mm); lower edge is 0.
     pub max_mm: f64,
@@ -279,7 +278,7 @@ impl PathHistogram {
 ///
 /// Weights are normalised per launched photon when converted into a
 /// [`crate::results::SimulationResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tally {
     /// Photons launched.
     pub launched: u64,

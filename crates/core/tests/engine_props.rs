@@ -2,8 +2,8 @@
 //! API: whatever the budget and task count, the batch split must preserve
 //! the photon total, stay near-equal, and never emit empty batches.
 
+use lumen_core::engine::batch_sizes;
 use lumen_core::engine::{Backend, Scenario, Sequential};
-use lumen_core::parallel::batch_sizes;
 use lumen_core::{Detector, Source};
 use lumen_tissue::presets::semi_infinite_phantom;
 use proptest::prelude::*;

@@ -19,10 +19,9 @@
 
 use crate::vec3::{Axis, Vec3};
 use mcrng::McRng;
-use serde::{Deserialize, Serialize};
 
 /// How boundary interactions are resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoundaryMode {
     /// All-or-nothing reflection with probability `R` (MCML default).
     #[default]

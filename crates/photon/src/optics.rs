@@ -6,10 +6,8 @@
 //! recovers `μs` for a chosen anisotropy `g`, which is how the presets in
 //! `lumen-tissue` encode Table 1.
 
-use serde::{Deserialize, Serialize};
-
 /// Absorption/scattering description of one homogeneous medium.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpticalProperties {
     /// Absorption coefficient μa (mm⁻¹).
     pub mu_a: f64,
@@ -137,7 +135,7 @@ impl OpticalProperties {
 /// rather than multiplying by `inv_mu_t`, because `x / mu_t` and
 /// `x * (1/mu_t)` round differently; `inv_mu_t` is for consumers that want
 /// the mean free path itself (flops calibration, diffusion estimates).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DerivedOptics {
     /// Absorption coefficient μa (mm⁻¹).
     pub mu_a: f64,

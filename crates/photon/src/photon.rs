@@ -5,10 +5,9 @@
 //! instead of the packet being absorbed outright.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Why a photon's random walk ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fate {
     /// Still propagating.
     Alive,
@@ -39,7 +38,7 @@ impl Fate {
 }
 
 /// A photon packet: position, direction, weight, and trip bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Photon {
     /// Position (mm). Tissue occupies z ≥ 0; the surface is z = 0.
     pub pos: Vec3,

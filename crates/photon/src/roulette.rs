@@ -9,10 +9,9 @@
 
 use crate::photon::{Fate, Photon};
 use mcrng::McRng;
-use serde::{Deserialize, Serialize};
 
 /// Roulette parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouletteConfig {
     /// Weight below which roulette is played.
     pub threshold: f64,

@@ -3,7 +3,6 @@
 //! `Vec3` is `Copy`, 24 bytes, and all operations are `#[inline]`; photon
 //! state updates are the innermost loop of the whole system.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A coordinate axis — the normal direction of an axis-aligned interface.
@@ -11,7 +10,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// The layered geometry only ever presents z-normal boundaries, but voxelized
 /// geometries expose x- and y-normal voxel faces to the transport loop, so
 /// boundary physics is parameterised by the normal axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Axis {
     X,
     Y,
@@ -21,7 +20,7 @@ pub enum Axis {
 }
 
 /// A 3-component double-precision vector (position or direction).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,

@@ -18,7 +18,6 @@ use crate::error::GeometryError;
 use crate::model::{BoundaryHit, LayeredTissue};
 use crate::voxel::VoxelTissue;
 use lumen_photon::{DerivedOptics, OpticalProperties, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Geometric queries the transport loop needs, answered by any tissue
 /// model.
@@ -146,7 +145,7 @@ impl TissueGeometry for LayeredTissue {
 /// `Scenario::new(tissue, ...)` accept `impl Into<Geometry>`.
 ///
 /// [`Scenario`]: ../lumen_core/engine/struct.Scenario.html
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Geometry {
     /// 1-D stack of horizontal slabs (the paper's head models).
     Layered(LayeredTissue),

@@ -1,14 +1,13 @@
 //! A single horizontal tissue slab.
 
 use lumen_photon::OpticalProperties;
-use serde::{Deserialize, Serialize};
 
 /// One homogeneous slab of the layered medium.
 ///
 /// Layers span `[z_top, z_bottom)` in mm, with z increasing into the
 /// tissue. A semi-infinite bottom layer has `z_bottom = f64::INFINITY`
 /// (Table 1 gives no thickness for white matter).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Human-readable tissue name ("Scalp", "CSF", ...).
     pub name: String,

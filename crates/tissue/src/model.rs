@@ -3,7 +3,6 @@
 use crate::error::GeometryError;
 use crate::layer::Layer;
 use lumen_photon::{Axis, DerivedOptics, OpticalProperties, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Which boundary a travelling photon will meet first inside its region.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,7 +22,7 @@ pub struct BoundaryHit {
 
 /// A stack of horizontal tissue layers occupying z ≥ 0, with an ambient
 /// medium (typically air, n = 1) above the surface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayeredTissue {
     layers: Vec<Layer>,
     /// Refractive index of the medium above z = 0 (air by default).

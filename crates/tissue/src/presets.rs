@@ -20,7 +20,6 @@ use crate::error::GeometryError;
 use crate::model::LayeredTissue;
 use crate::voxel::{VoxelMaterial, VoxelTissue};
 use lumen_photon::{OpticalProperties, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Standard tissue refractive index in the NIR.
 pub const TISSUE_N: f64 = 1.4;
@@ -56,7 +55,7 @@ pub fn white_matter_optics() -> OpticalProperties {
 }
 
 /// Layer thicknesses for the adult-head stack (mm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdultHeadConfig {
     pub scalp_mm: f64,
     pub skull_mm: f64,

@@ -18,10 +18,9 @@ use crate::error::GeometryError;
 use crate::geometry::TissueGeometry;
 use crate::model::BoundaryHit;
 use lumen_photon::{Axis, DerivedOptics, OpticalProperties, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// One palette entry: a named homogeneous material.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoxelMaterial {
     /// Human-readable name ("Grey matter", "Tumour", ...).
     pub name: String,
@@ -53,7 +52,7 @@ pub fn checked_cell_count(nx: usize, ny: usize, nz: usize) -> Option<usize> {
 const FACE_EPS: f64 = 1e-9;
 
 /// A dense voxel grid of materials occupying `z ∈ [0, nz·dz)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoxelTissue {
     nx: usize,
     ny: usize,

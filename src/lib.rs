@@ -7,12 +7,13 @@
 //!   layered tissue — [`mcrng`] (deterministic splittable RNG streams),
 //!   [`photon`] (hop/drop/spin/boundary/roulette physics), [`tissue`]
 //!   (layered geometry and head-model presets), [`core`] (the simulation
-//!   loop, tallies, and the shared-memory parallel driver), and
+//!   loop, tallies, the one task runner and the in-process backends), and
 //!   [`analysis`] (figures, profiles, statistics); and
 //! * a **non-dedicated master/worker platform** — [`cluster`] — that runs
-//!   the same physics through a real threaded executor, over TCP, or under
-//!   a discrete-event simulator that regenerates the paper's speedup
-//!   curves for machine pools you don't own.
+//!   the same physics through one DataManager, shared by worker threads
+//!   or served over TCP, or under a discrete-event simulator that
+//!   regenerates the paper's speedup curves for machine pools you don't
+//!   own.
 //!
 //! ## Quickstart
 //!

@@ -18,7 +18,7 @@ fn facade_reexports_resolve() {
     let _cluster = lumen::cluster::ThreadedCluster::new(2);
     let _plan = lumen::cluster::FailurePlan::Reliable;
     let _err: Option<lumen::core::EngineError> = None;
-    let _dcfg = lumen::cluster::executor::DistributedConfig::new(7, 2);
+    let _task = lumen::cluster::protocol::SimTask { task_id: 7, photons: 2 };
 }
 
 fn tiny_scenario() -> Scenario {
@@ -50,33 +50,27 @@ fn execution_backends_agree_bit_for_bit() {
     assert_eq!(par.result.tally, dist.result.tally);
 }
 
-/// The seed-era surface still compiles and agrees with the engine; the
-/// shims stay until a major version removes them.
+/// The building blocks the backends are made of are public and compose by
+/// hand: one `DataManager`, `run_task` per assignment, results in any
+/// order — the engine's tally, bit for bit.
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_work() {
-    use lumen::core::{run_parallel, ParallelConfig, Simulation};
-    let sim = Simulation::new(
-        semi_infinite_phantom(0.1, 10.0, 0.0, 1.0),
-        Source::Delta,
-        Detector::new(2.0, 0.5),
-    );
-    let n = 4_000;
-    let old = run_parallel(&sim, n, ParallelConfig { seed: 11, tasks: 8 });
-    let old_dist = lumen::cluster::executor::run_distributed(
-        &sim,
-        n,
-        lumen::cluster::executor::DistributedConfig {
-            seed: 11,
-            tasks: 8,
-            workers: 3,
-            failure_rate: 0.0,
-            task_offset: 0,
-        },
-    );
-    assert_eq!(old.tally, old_dist.result.tally);
-
-    let scenario = Scenario::from_simulation(&sim, n, 11).with_tasks(8);
-    let new = Rayon::default().run(&scenario).expect("valid scenario");
-    assert_eq!(old.tally, new.result.tally, "shim and engine must agree");
+fn run_task_through_a_datamanager_matches_the_engine() {
+    use lumen::cluster::DataManager;
+    use lumen::core::engine::run_task;
+    let s = tiny_scenario().with_photons(4_000).with_seed(11);
+    let sim = s.simulation();
+    let factory = lumen::mcrng::StreamFactory::new(s.seed);
+    let mut dm = DataManager::new(s.photons, s.tasks, sim.new_tally(), 1);
+    let mut tasks = Vec::new();
+    while let Some(task) = dm.assign() {
+        tasks.push(task);
+    }
+    for task in tasks.into_iter().rev() {
+        let tally = run_task(&sim, &factory, task.task_id, task.photons, None);
+        assert!(dm.complete(0, task, &tally));
+    }
+    let (tally, workers, requeues) = dm.into_results();
+    assert_eq!((workers[0].photons, workers[0].tasks_completed, requeues), (4_000, 8, 0));
+    let engine = Rayon::default().run(&s).expect("valid scenario");
+    assert_eq!(tally, engine.result.tally);
 }
