@@ -6,12 +6,12 @@
 //! workers share one behind a lock, the TCP server's event loop owns one.
 //! It owns the queue of outstanding tasks, hands them out on request
 //! (demand-driven self-scheduling), re-queues failed tasks, and merges
-//! returned tallies.
+//! returned tallies — in task order, as they arrive.
 
 use crate::protocol::SimTask;
 use lumen_core::engine::{batch_sizes, WorkerAccount};
 use lumen_core::tally::Tally;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Server state for one distributed simulation.
 #[derive(Debug)]
@@ -19,20 +19,24 @@ pub struct DataManager {
     queue: VecDeque<SimTask>,
     /// Tasks handed out but not yet completed (leases).
     outstanding: Vec<SimTask>,
-    /// Per-task tallies, indexed by task id. Kept separate until the end so
-    /// the final merge runs in task order — float accumulation order (and
-    /// hence the result, bit for bit) is then independent of which worker
-    /// finished first.
-    completed: Vec<Option<Tally>>,
-    /// Template for the aggregate tally.
-    template: Tally,
+    /// The left fold, in task order, of the first `folded` tasks' tallies
+    /// onto the template. Float accumulation order (and hence the result,
+    /// bit for bit) is that of a sequential run whichever worker finished
+    /// first: a returned tally merges the moment it is the next in task
+    /// order, and only then.
+    aggregate: Tally,
+    /// Tasks merged into `aggregate`: exactly slots `0..folded`.
+    folded: u64,
+    /// Tallies that arrived ahead of a predecessor, by slot (all
+    /// `> folded`), waiting for the prefix to reach them. The one place a
+    /// returned tally is copied, and empty whenever tasks complete in order.
+    parked: BTreeMap<u64, Tally>,
     /// Per-worker accounting.
     stats: Vec<WorkerAccount>,
     tasks_total: usize,
-    tasks_done: usize,
     requeues: u64,
-    /// First task id handed out (see [`DataManager::with_offset`]);
-    /// `completed` slot `j` holds task `task_offset + j`.
+    /// First task id handed out (see [`DataManager::with_offset`]); slot
+    /// `j` is task `task_offset + j`.
     task_offset: u64,
 }
 
@@ -64,12 +68,12 @@ impl DataManager {
             .collect();
         Self {
             tasks_total: queue.len(),
-            completed: (0..queue.len()).map(|_| None).collect(),
             queue,
             outstanding: Vec::new(),
-            template,
+            aggregate: template,
+            folded: 0,
+            parked: BTreeMap::new(),
             stats: vec![WorkerAccount::default(); n_workers],
-            tasks_done: 0,
             requeues: 0,
             task_offset,
         }
@@ -91,24 +95,32 @@ impl DataManager {
         self.stats.len() - 1
     }
 
-    /// Process a completed task's tally. Returns `false` (without
+    /// Process a completed task's tally: merge it if it is the next in
+    /// task order (and then every parked successor the longer prefix
+    /// reaches), park a copy if it arrived early. Returns `false` (without
     /// merging) if the task was already completed — a duplicate must
     /// never double-count photons, and the server's event loop must never
     /// panic over a misbehaving peer.
     pub fn complete(&mut self, worker: usize, task: SimTask, tally: &Tally) -> bool {
         self.release_lease(task);
-        let Some(slot) = task
-            .task_id
-            .checked_sub(self.task_offset)
-            .and_then(|i| self.completed.get_mut(i as usize))
+        let Some(slot) =
+            task.task_id.checked_sub(self.task_offset).filter(|&i| i < self.tasks_total as u64)
         else {
             return false; // task id outside this run: drop, don't panic
         };
-        if slot.is_some() {
+        if slot < self.folded || self.parked.contains_key(&slot) {
             return false;
         }
-        *slot = Some(tally.clone());
-        self.tasks_done += 1;
+        if slot == self.folded {
+            self.aggregate.merge(tally);
+            self.folded += 1;
+            while let Some(next) = self.parked.remove(&self.folded) {
+                self.aggregate.merge(&next);
+                self.folded += 1;
+            }
+        } else {
+            self.parked.insert(slot, tally.clone());
+        }
         if let Some(s) = self.stats.get_mut(worker) {
             s.tasks_completed += 1;
             s.photons += task.photons;
@@ -134,7 +146,8 @@ impl DataManager {
 
     /// All tasks completed?
     pub fn finished(&self) -> bool {
-        self.tasks_done == self.tasks_total
+        // Once every task is in, the prefix has drained the parked set.
+        self.folded == self.tasks_total as u64
     }
 
     /// True when no work remains to hand out (but leases may be live).
@@ -152,16 +165,12 @@ impl DataManager {
         self.requeues
     }
 
-    /// Consume the manager, yielding the merged tally, the per-worker
-    /// accounts and the requeue count. Tallies merge in task-id order for
-    /// bit-level reproducibility.
+    /// Consume the manager, yielding the merged tally (the task-order fold
+    /// [`DataManager::complete`] maintains), the per-worker accounts and
+    /// the requeue count.
     pub fn into_results(self) -> (Tally, Vec<WorkerAccount>, u64) {
         assert!(self.finished(), "into_results before all tasks completed");
-        let mut aggregate = self.template;
-        for tally in self.completed.into_iter().flatten() {
-            aggregate.merge(&tally);
-        }
-        (aggregate, self.stats, self.requeues)
+        (self.aggregate, self.stats, self.requeues)
     }
 }
 
@@ -291,5 +300,88 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[1].tasks_completed, 1);
         assert_eq!(stats[0].tasks_completed, 0);
+    }
+
+    /// Five tallies whose float sums depend on the order they are added in.
+    fn float_tallies() -> Vec<Tally> {
+        [1e16, 1.0, -1e16, 0.1, 3.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let mut t = worker_tally(10);
+                t.detected_weight = w;
+                t.specular_weight = 0.1 * (i + 1) as f64;
+                t.absorbed_by_layer[0] = 1.0 / (i + 3) as f64;
+                t.detected_depth_max = i as f64;
+                t
+            })
+            .collect()
+    }
+
+    fn fold<'a>(tallies: impl IntoIterator<Item = &'a Tally>) -> Vec<u8> {
+        let mut aggregate = template();
+        tallies.into_iter().for_each(|t| aggregate.merge(t));
+        crate::wire::encode_tally(&aggregate)
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        permutations(n - 1)
+            .into_iter()
+            .flat_map(|p| {
+                (0..n).map(move |at| {
+                    let mut q = p.clone();
+                    q.insert(at, n - 1);
+                    q
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn result_is_the_task_order_fold_whatever_order_tasks_complete_in() {
+        let tallies = float_tallies();
+        let expected = fold(&tallies);
+        assert_ne!(expected, fold(tallies.iter().rev()), "the fold must depend on its order");
+        let orders = permutations(tallies.len());
+        assert_eq!(orders.len(), 120);
+        for (k, order) in orders.iter().enumerate() {
+            let mut dm = DataManager::with_offset(50, 5, 7, template(), 2);
+            let mut tasks: Vec<SimTask> = std::iter::from_fn(|| dm.assign()).collect();
+            for (step, &slot) in order.iter().enumerate() {
+                if step == k % 5 {
+                    // A lease lost and re-run in the middle of it all.
+                    dm.fail(1, tasks[slot]);
+                    tasks[slot] = dm.assign().expect("the failed task re-queues");
+                    assert_eq!(tasks[slot].task_id, 7 + slot as u64);
+                }
+                assert!(dm.complete(0, tasks[slot], &tallies[slot]));
+                // Nothing merges twice and nothing outside the run merges.
+                assert!(!dm.complete(1, tasks[slot], &tallies[slot]));
+                assert!(!dm.complete(1, SimTask { task_id: 6, photons: 10 }, &tallies[0]));
+                assert!(!dm.complete(1, SimTask { task_id: 12, photons: 10 }, &tallies[0]));
+                // Task 0 is never parked, so at most tasks - 1 are; and
+                // what is parked is exactly what the prefix has not reached.
+                assert!(dm.parked.len() < tallies.len(), "{order:?}");
+                assert_eq!(dm.folded as usize + dm.parked.len(), step + 1, "{order:?}");
+                assert_eq!(dm.finished(), step + 1 == tallies.len());
+            }
+            assert!(dm.parked.is_empty());
+            let (tally, stats, requeues) = dm.into_results();
+            assert_eq!(crate::wire::encode_tally(&tally), expected, "{order:?}");
+            assert_eq!((stats[0].tasks_completed, stats[1].tasks_failed, requeues), (5, 1, 1));
+        }
+    }
+
+    #[test]
+    fn in_order_completion_parks_nothing() {
+        let mut dm = DataManager::new(50, 5, template(), 1);
+        while let Some(t) = dm.assign() {
+            assert!(dm.complete(0, t, &worker_tally(t.photons)));
+            assert!(dm.parked.is_empty());
+        }
+        assert!(dm.finished());
     }
 }

@@ -173,10 +173,10 @@ pub fn read_frame(stream: &mut TcpStream) -> Result<(u8, Vec<u8>), NetError> {
     if len == 0 || len > MAX_FRAME {
         return Err(NetError::BadFrame(len));
     }
-    let mut buf = vec![0u8; len as usize];
-    stream.read_exact(&mut buf)?;
-    let kind = buf[0];
-    let payload = buf.split_off(1);
+    let mut payload = vec![0u8; len as usize];
+    stream.read_exact(&mut payload)?;
+    // Shift the kind byte out in place: no second buffer for the payload.
+    let kind = payload.remove(0);
     Ok((kind, payload))
 }
 

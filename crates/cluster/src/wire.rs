@@ -10,7 +10,11 @@
 //!
 //! Format: all integers little-endian; `u64` lengths prefix sequences;
 //! `Option<T>` is a presence byte then the payload; floats are IEEE-754
-//! bit patterns.
+//! bit patterns. The dense `f64` storage of a tally's grids and profiles
+//! is the one exception to "length then elements": its cell count is
+//! already fixed by the binning that precedes it, and it is written as
+//! zero-run-length runs ([`Encoder::put_sparse_f64`]), so a tally costs
+//! what the task deposited rather than what the grid could hold.
 
 use crate::protocol::SimTask;
 use lumen_core::archive::{PathArchive, RecordOptions, CLASS_TRANSMITTED};
@@ -25,11 +29,14 @@ use lumen_tissue::{Geometry, Layer, LayeredTissue, VoxelMaterial, VoxelTissue};
 
 /// Magic bytes identifying a lumen wire message.
 pub const MAGIC: [u8; 4] = *b"LMN1";
-/// Wire format version. v6 added the engine `precision` tier byte to
-/// encoded simulation options: the fast tier is not bit-compatible with
-/// the exact tier, so the tier must travel with the scenario (and hence
-/// reach the canonical scenario hash — a `Fast` result can never satisfy
-/// an `Exact` query). v5 added the scenario `task_offset` field (RNG
+/// Wire format version. v7 writes the dense `f64` storage of every tally
+/// attachment (path/absorption grids, A(r, z), R(r)) as zero-run-length
+/// runs instead of one value per cell; scalar-only tallies, scenarios and
+/// archives are byte-for-byte what v6 wrote after the header. v6 added the
+/// engine `precision` tier byte to encoded simulation options: the fast
+/// tier is not bit-compatible with the exact tier, so the tier must travel
+/// with the scenario (and hence reach the canonical scenario hash — a
+/// `Fast` result can never satisfy an `Exact` query). v5 added the scenario `task_offset` field (RNG
 /// stream continuation, the basis of the service cache's incremental
 /// top-up) and the service query/reply frames spoken by `lumend`
 /// (`lumen_service`). v4 added path archives: tallies may carry a
@@ -41,7 +48,7 @@ pub const MAGIC: [u8; 4] = *b"LMN1";
 /// typed `VersionMismatch` instead of a confusing mid-run decode error.
 /// v2 added the geometry-kind tag to scenario messages (layered |
 /// voxel); v1 scenarios carried a bare layer stack.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 
 /// Encoding buffer.
 #[derive(Debug, Default)]
@@ -63,11 +70,6 @@ impl Encoder {
         self.buf
     }
 
-    /// Append raw pre-encoded bytes (no header).
-    pub fn buf_extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -82,8 +84,36 @@ impl Encoder {
 
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_f64(v);
+        self.put_f64_run(vs);
+    }
+
+    /// Bare bit patterns, no length: one resize, then a bulk copy.
+    fn put_f64_run(&mut self, vs: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * vs.len(), 0);
+        for (bytes, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            bytes.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    /// Dense `f64` cells as zero-run-length runs: `u64` zero cells skipped,
+    /// `u64` literal count, the literals — repeated until every cell is
+    /// covered (the reader knows the cell count from the binning, so none
+    /// is written). A cell is zero iff `to_bits() == 0`, which keeps
+    /// `-0.0`, subnormals and NaN payloads as literals: the encoding is
+    /// bit-lossless. Runs are maximal, so a cell vector has exactly one
+    /// encoding: 16 bytes over the raw cells when none is zero, 16 bytes
+    /// in all when every one is.
+    pub fn put_sparse_f64(&mut self, cells: &[f64]) {
+        let mut rest = cells;
+        while !rest.is_empty() {
+            let zeros = rest.iter().take_while(|v| v.to_bits() == 0).count();
+            rest = &rest[zeros..];
+            let literals = rest.iter().take_while(|v| v.to_bits() != 0).count();
+            self.put_u64(zeros as u64);
+            self.put_u64(literals as u64);
+            self.put_f64_run(&rest[..literals]);
+            rest = &rest[literals..];
         }
     }
 
@@ -196,7 +226,47 @@ impl<'a> Decoder<'a> {
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
         let n = self.get_u64()?;
         let n = self.checked_len(n, 8)?;
-        (0..n).map(|_| self.get_f64()).collect()
+        Ok(self.take(n * 8)?.chunks_exact(8).map(f64_from_le).collect())
+    }
+
+    /// Read `cells` dense `f64` values written by
+    /// [`Encoder::put_sparse_f64`], straight into the vector that becomes
+    /// the grid's storage. `cells` is the checked product of the decoded
+    /// binning (`None` when it overflowed). A sparse payload says nothing
+    /// about how large its grid is, so the count is held to
+    /// [`MAX_SPEC_CELLS`] before the one allocation this makes. Only the
+    /// canonical encoding is accepted — every run but the first skips at
+    /// least one zero, every run but the last carries at least one
+    /// literal, no literal has all-zero bits — so re-encoding the result
+    /// reproduces the input bytes.
+    pub fn get_sparse_f64(&mut self, cells: Option<usize>) -> Result<Vec<f64>, WireError> {
+        let n = checked_cells(cells)?;
+        let mut data = vec![0.0; n];
+        let mut pos = 0;
+        while pos < n {
+            let zeros = self.get_u64()?;
+            let literals = self.get_u64()?;
+            let left = (n - pos) as u64;
+            if zeros > left {
+                return Err(WireError::BadLength(zeros));
+            }
+            if literals > left - zeros {
+                return Err(WireError::BadLength(literals));
+            }
+            if (zeros == 0 && pos > 0) || (literals == 0 && zeros < left) {
+                return Err(WireError::Invalid("empty run inside a sparse array".into()));
+            }
+            pos += zeros as usize;
+            let raw = self.take(self.checked_len(literals, 8)? * 8)?;
+            for (cell, bytes) in data[pos..].iter_mut().zip(raw.chunks_exact(8)) {
+                *cell = f64_from_le(bytes);
+                if cell.to_bits() == 0 {
+                    return Err(WireError::Invalid("zero literal in a sparse array".into()));
+                }
+            }
+            pos += literals as usize;
+        }
+        Ok(data)
     }
 
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
@@ -240,6 +310,10 @@ impl<'a> Decoder<'a> {
     }
 }
 
+fn f64_from_le(bytes: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+}
+
 /// Encode a task assignment.
 pub fn encode_task(task: &SimTask) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -261,6 +335,11 @@ pub fn decode_task(bytes: &[u8]) -> Result<SimTask, WireError> {
 /// of their size; here the scalar message is what every task returns.
 pub fn encode_tally_scalars(t: &Tally) -> Vec<u8> {
     let mut e = Encoder::new();
+    put_tally_scalars(&mut e, t);
+    e.finish()
+}
+
+fn put_tally_scalars(e: &mut Encoder, t: &Tally) {
     e.put_u64(t.launched);
     e.put_u64(t.detected);
     e.put_u64(t.reflected);
@@ -283,7 +362,6 @@ pub fn encode_tally_scalars(t: &Tally) -> Vec<u8> {
     e.put_u64_slice(&t.detected_reached_layer);
     e.put_f64_slice(&t.detected_partial_path);
     e.put_u64(t.detected_scatter_sum);
-    e.finish()
 }
 
 /// Decode a scalar tally (grids absent).
@@ -366,62 +444,37 @@ fn get_grid_spec(d: &mut Decoder) -> Result<GridSpec, WireError> {
     let nx = d.get_u64()? as usize;
     let ny = d.get_u64()? as usize;
     let nz = d.get_u64()? as usize;
-    // Bound before the data vec is even read: a grid cannot have more
-    // voxels than remaining bytes / 8.
-    if nx.checked_mul(ny).and_then(|v| v.checked_mul(nz)).is_none() {
-        return Err(WireError::BadLength(u64::MAX));
-    }
     let min = get_vec3(d)?;
     let max = get_vec3(d)?;
     Ok(GridSpec { nx, ny, nz, min, max })
 }
 
+/// A binning the core constructors refuse (empty, degenerate, non-finite).
+fn invalid(e: lumen_core::ConfigError) -> WireError {
+    WireError::Invalid(e.to_string())
+}
+
 fn put_visit_grid(e: &mut Encoder, g: &VisitGrid) {
     put_grid_spec(e, &g.spec);
-    e.put_f64_slice(g.data());
+    e.put_sparse_f64(g.data());
 }
 
 fn get_visit_grid(d: &mut Decoder) -> Result<VisitGrid, WireError> {
     let spec = get_grid_spec(d)?;
-    let data = d.get_f64_vec()?;
-    if data.len() != spec.len() {
-        return Err(WireError::BadLength(data.len() as u64));
-    }
-    let mut g = VisitGrid::new(spec);
-    for (i, v) in data.into_iter().enumerate() {
-        // Rebuild by depositing at voxel centres: exact because centres
-        // index back to their own voxel.
-        if v != 0.0 {
-            g.deposit(spec.centre_of(i), v);
-        }
-    }
-    Ok(g)
+    VisitGrid::from_data(spec, d.get_sparse_f64(spec.checked_len())?).map_err(invalid)
 }
 
 fn put_radial_profile(e: &mut Encoder, p: &RadialProfile) {
     e.put_u64(p.spec.nr as u64);
     e.put_f64(p.spec.r_max);
-    e.put_f64_slice(p.weights());
+    e.put_sparse_f64(p.weights());
     e.put_f64(p.overflow);
 }
 
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
 fn get_radial_profile(d: &mut Decoder) -> Result<RadialProfile, WireError> {
-    let nr = d.get_u64()? as usize;
-    let r_max = d.get_f64()?;
-    let weights = d.get_f64_vec()?;
-    if weights.len() != nr || !(r_max > 0.0) || nr == 0 {
-        return Err(WireError::BadLength(weights.len() as u64));
-    }
-    let spec = RadialSpec { nr, r_max };
-    let mut p = RadialProfile::new(spec);
-    for (i, w) in weights.into_iter().enumerate() {
-        if w != 0.0 {
-            p.record(spec.r_of(i), w);
-        }
-    }
-    p.overflow = d.get_f64()?;
-    Ok(p)
+    let spec = RadialSpec { nr: d.get_u64()? as usize, r_max: d.get_f64()? };
+    let weights = d.get_sparse_f64(Some(spec.nr))?;
+    RadialProfile::from_weights(spec, weights, d.get_f64()?).map_err(invalid)
 }
 
 fn put_path_histogram(e: &mut Encoder, h: &PathHistogram) {
@@ -448,40 +501,16 @@ fn put_cylinder(e: &mut Encoder, g: &CylinderGrid) {
     e.put_f64(g.radial.r_max);
     e.put_u64(g.nz as u64);
     e.put_f64(g.z_max);
-    let mut flat = Vec::with_capacity(g.radial.nr * g.nz);
-    for iz in 0..g.nz {
-        for ir in 0..g.radial.nr {
-            flat.push(g.at(ir, iz));
-        }
-    }
-    e.put_f64_slice(&flat);
+    e.put_sparse_f64(g.data());
     e.put_f64(g.overflow);
 }
 
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
 fn get_cylinder(d: &mut Decoder) -> Result<CylinderGrid, WireError> {
-    let nr = d.get_u64()? as usize;
-    let r_max = d.get_f64()?;
+    let radial = RadialSpec { nr: d.get_u64()? as usize, r_max: d.get_f64()? };
     let nz = d.get_u64()? as usize;
     let z_max = d.get_f64()?;
-    let flat = d.get_f64_vec()?;
-    if nr == 0 || nz == 0 || !(r_max > 0.0) || !(z_max > 0.0) || flat.len() != nr * nz {
-        return Err(WireError::BadLength(flat.len() as u64));
-    }
-    let radial = RadialSpec { nr, r_max };
-    let mut g = CylinderGrid::new(radial, nz, z_max);
-    for iz in 0..nz {
-        for ir in 0..nr {
-            let v = flat[iz * nr + ir];
-            if v != 0.0 {
-                let r = radial.r_of(ir);
-                let z = (iz as f64 + 0.5) * z_max / nz as f64;
-                g.deposit(r, z, v);
-            }
-        }
-    }
-    g.overflow = d.get_f64()?;
-    Ok(g)
+    let data = d.get_sparse_f64(radial.nr.checked_mul(nz))?;
+    CylinderGrid::from_data(radial, nz, z_max, data, d.get_f64()?).map_err(invalid)
 }
 
 fn put_option<T>(e: &mut Encoder, opt: Option<&T>, put: impl FnOnce(&mut Encoder, &T)) {
@@ -507,11 +536,8 @@ fn get_option<T>(
 /// Encode a complete tally, grids and all — what a worker returns over
 /// the network.
 pub fn encode_tally(t: &Tally) -> Vec<u8> {
-    // Scalars first (re-using the scalar layout, minus header duplication).
-    let scalars = encode_tally_scalars(t);
     let mut e = Encoder::new();
-    // Embed the scalar body (skip its header).
-    e.buf_extend(&scalars[5..]);
+    put_tally_scalars(&mut e, t);
     put_option(&mut e, t.path_grid.as_ref(), put_visit_grid);
     put_option(&mut e, t.absorption_grid.as_ref(), put_visit_grid);
     put_option(&mut e, t.path_histogram.as_ref(), put_path_histogram);
@@ -519,6 +545,45 @@ pub fn encode_tally(t: &Tally) -> Vec<u8> {
     put_option(&mut e, t.absorption_rz.as_ref(), put_cylinder);
     put_option(&mut e, t.archive.as_ref(), put_archive);
     e.finish()
+}
+
+/// Bytes `t` occupies with every cell of every attachment written out: its
+/// scalar encoding plus, per grid or profile, the binning fields, a count
+/// and 8 bytes a cell — the v6 length of [`encode_tally`], computed
+/// without encoding anything. This is what a holder of the decoded tally
+/// should charge for it: the encoded length says how much a task
+/// deposited, not how much memory its grids hold. For a tally without
+/// grids or profiles the two are equal.
+pub fn tally_dense_len(t: &Tally) -> usize {
+    const WORD: usize = 8;
+    // A length-prefixed sequence of `n` elements.
+    let seq = |n: usize, elem: usize| WORD + n * elem;
+    let option = |body: Option<usize>| 1 + body.unwrap_or(0);
+    let grid = |g: &VisitGrid| 9 * WORD + seq(g.data().len(), WORD);
+    // Header, then 9 counts, 4 weights, 5 path/depth moments and the
+    // scatter sum around the three per-layer sequences.
+    MAGIC.len()
+        + 1
+        + 19 * WORD
+        + seq(t.absorbed_by_layer.len(), WORD)
+        + seq(t.detected_reached_layer.len(), WORD)
+        + seq(t.detected_partial_path.len(), WORD)
+        + option(t.path_grid.as_ref().map(grid))
+        + option(t.absorption_grid.as_ref().map(grid))
+        + option(t.path_histogram.as_ref().map(|h| 2 * WORD + seq(h.counts.len(), WORD)))
+        + option(t.reflectance_r.as_ref().map(|p| 3 * WORD + seq(p.weights().len(), WORD)))
+        + option(t.absorption_rz.as_ref().map(|g| 5 * WORD + seq(g.data().len(), WORD)))
+        + option(t.archive.as_ref().map(|a| {
+            let (n, per_region) = (a.class.len(), a.partial_path.len());
+            // regions, the detected-only byte, launched, specular weight.
+            3 * WORD + 1 + a.base.len() * 4 * WORD
+                + seq(n, 1) // class
+                + 5 * seq(n, WORD) // task, exit weight/radius, pathlength, max depth
+                + seq(n, 4) // scatters
+                + seq(per_region, WORD) // partial path
+                + seq(per_region, 4) // collisions
+                + seq(per_region, 1) // reached
+        }))
 }
 
 /// Decode a complete tally.
@@ -853,13 +918,13 @@ fn get_detector(d: &mut Decoder) -> Result<Detector, WireError> {
     })
 }
 
-/// Upper bound on cells in any decoded *scenario* tally spec (grid voxels,
-/// histogram bins, radial bins). Tally payloads are implicitly bounded by
-/// their data arrays (`checked_len` against the remaining bytes), but a
-/// scenario carries bare specs with no data behind them — without a cap, a
-/// ~300-byte hostile message could request a 2M³-voxel grid and abort the
-/// process on allocation when the scenario is run. 2²⁴ cells (128 MiB of
-/// f64) is ~134× the paper's 50³ granularity.
+/// Upper bound on cells in any decoded tally spec (grid voxels, histogram
+/// bins, radial bins). A scenario carries bare specs with no data behind
+/// them, and a tally's sparse grids ([`Decoder::get_sparse_f64`]) may
+/// cover any number of cells in 16 bytes — without a cap, a ~100-byte
+/// hostile message could request a 2M³-voxel grid and abort the process on
+/// allocation. 2²⁴ cells (128 MiB of f64) is ~134× the paper's 50³
+/// granularity.
 pub const MAX_SPEC_CELLS: u64 = 1 << 24;
 
 fn checked_cells(cells: Option<usize>) -> Result<usize, WireError> {
@@ -872,7 +937,7 @@ fn checked_cells(cells: Option<usize>) -> Result<usize, WireError> {
 
 fn get_bounded_grid_spec(d: &mut Decoder) -> Result<GridSpec, WireError> {
     let spec = get_grid_spec(d)?;
-    checked_cells(spec.nx.checked_mul(spec.ny).and_then(|v| v.checked_mul(spec.nz)))?;
+    checked_cells(spec.checked_len())?;
     Ok(spec)
 }
 
@@ -1189,11 +1254,9 @@ mod tests {
         assert_eq!(decoded.options.archive, None);
     }
 
-    #[test]
-    fn full_tally_round_trip_with_all_grids() {
-        use lumen_core::radial::RadialSpec;
-        use lumen_core::tally::GridSpec;
-        use lumen_core::Vec3;
+    /// A tally carrying every attachment, each with a few deposits (so its
+    /// dense arrays are sparse) and an overflow.
+    fn full_tally() -> Tally {
         let spec = GridSpec::cubic(5, Vec3::new(-1.0, -1.0, 0.0), Vec3::new(1.0, 1.0, 2.0));
         let mut t = Tally::new(2, Some(spec), Some(spec))
             .with_path_histogram(100.0, 8)
@@ -1210,10 +1273,16 @@ mod tests {
         t.reflectance_r.as_mut().unwrap().record(1.1, 0.25);
         t.reflectance_r.as_mut().unwrap().record(9.0, 0.5); // overflow
         t.absorption_rz.as_mut().unwrap().deposit(0.6, 2.2, 0.125);
+        t
+    }
 
+    #[test]
+    fn full_tally_round_trip_with_all_grids() {
+        let t = full_tally();
         let bytes = encode_tally(&t);
         let decoded = decode_tally(&bytes).unwrap();
         assert_eq!(decoded, t);
+        assert_eq!(encode_tally(&decoded), bytes);
     }
 
     #[test]
@@ -1225,11 +1294,244 @@ mod tests {
     }
 
     #[test]
-    fn full_tally_rejects_truncation() {
-        let mut t = Tally::new(1, None, None);
-        t.launched = 10;
-        let bytes = encode_tally(&t);
-        assert!(decode_tally(&bytes[..bytes.len() - 1]).is_err());
+    fn full_tally_rejects_truncation_at_every_prefix() {
+        let bytes = encode_tally(&full_tally());
+        for cut in 0..bytes.len() {
+            assert!(decode_tally(&bytes[..cut]).is_err(), "cut at {cut} should fail");
+        }
+        let mut long = bytes;
+        long.push(0);
+        assert_eq!(decode_tally(&long), Err(WireError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn scalar_tally_keeps_its_v6_length() {
+        // 5 header bytes, 19 fixed words, three per-layer sequences (count
+        // + one word a layer), six absent-attachment bytes: what v6 wrote
+        // for the five-layer adult head (`cluster.wire.tally_bytes.scalar`).
+        let t = Tally::new(5, None, None);
+        assert_eq!(5 + 19 * 8 + 3 * (8 + 5 * 8) + 6, 307);
+        assert_eq!(encode_tally(&t).len(), 307);
+        assert_eq!(tally_dense_len(&t), 307);
+    }
+
+    #[test]
+    fn sparse_array_costs_sixteen_bytes_empty_and_sixteen_over_dense() {
+        let len = |cells: &[f64]| {
+            let mut e = Encoder::new();
+            e.put_sparse_f64(cells);
+            e.finish().len() - 5
+        };
+        assert_eq!(len(&[0.0; 1000]), 16);
+        assert_eq!(len(&[1.0; 1000]), 16 + 8 * 1000);
+        // zeros, a literal run, trailing zeros: two run headers.
+        let mut cells = [0.0; 1000];
+        cells[10..13].copy_from_slice(&[1.0, -0.0, f64::NAN]);
+        assert_eq!(len(&cells), 2 * 16 + 3 * 8);
+        // The paper's 50^3 grid with nothing in it: ~100 bytes of tally
+        // attachment, not a megabyte.
+        let spec = GridSpec::cubic(50, Vec3::new(-6.0, -6.0, 0.0), Vec3::new(12.0, 6.0, 9.0));
+        let with = Tally::new(1, Some(spec), None);
+        let without = encode_tally(&Tally::new(1, None, None)).len();
+        assert_eq!(encode_tally(&with).len() - without, 9 * 8 + 16);
+        // Its resident footprint is what v6 shipped for it.
+        assert_eq!(tally_dense_len(&with), 1_000_291);
+    }
+
+    #[test]
+    fn dense_length_is_the_encoded_length_with_every_cell_written_out() {
+        // No dense f64 attachment: equal to the byte, archive and
+        // histogram included.
+        let mut t = Tally::new(2, None, None).with_archive(sample_archive());
+        t = t.with_path_histogram(100.0, 8);
+        assert_eq!(tally_dense_len(&t), encode_tally(&t).len());
+        // Every cell of all four dense attachments a literal: one 16-byte
+        // run header each where the dense layout has an 8-byte count.
+        let full = full_tally();
+        let ones = |n: usize| vec![1.0; n];
+        let mut t = full.clone();
+        let spec = full.path_grid.as_ref().unwrap().spec;
+        t.path_grid = Some(VisitGrid::from_data(spec, ones(125)).unwrap());
+        t.absorption_grid = t.path_grid.clone();
+        let radial = full.reflectance_r.as_ref().unwrap().spec;
+        t.reflectance_r = Some(RadialProfile::from_weights(radial, ones(6), 0.0).unwrap());
+        let rz = full.absorption_rz.as_ref().unwrap();
+        t.absorption_rz =
+            Some(CylinderGrid::from_data(rz.radial, rz.nz, rz.z_max, ones(12), 0.0).unwrap());
+        assert_eq!(tally_dense_len(&t) + 4 * 8, encode_tally(&t).len());
+        // And the footprint does not depend on what the cells hold.
+        assert_eq!(tally_dense_len(&t), tally_dense_len(&full));
+    }
+
+    /// Decode `n` cells from hand-written runs.
+    fn sparse_from(
+        n: Option<usize>,
+        runs: impl FnOnce(&mut Encoder),
+    ) -> Result<Vec<f64>, WireError> {
+        let mut e = Encoder::new();
+        runs(&mut e);
+        let bytes = e.finish();
+        let mut d = Decoder::new(&bytes)?;
+        let cells = d.get_sparse_f64(n)?;
+        d.finish()?;
+        Ok(cells)
+    }
+
+    fn run(e: &mut Encoder, zeros: u64, literals: &[f64]) {
+        e.put_u64(zeros);
+        e.put_u64(literals.len() as u64);
+        literals.iter().for_each(|&v| e.put_f64(v));
+    }
+
+    #[test]
+    fn sparse_array_cell_count_is_capped_before_allocation() {
+        let over = MAX_SPEC_CELLS + 1;
+        let claim = |n| sparse_from(n, |e| run(e, over, &[]));
+        assert_eq!(claim(Some(over as usize)), Err(WireError::BadLength(over)));
+        assert_eq!(claim(None), Err(WireError::BadLength(u64::MAX)));
+        // The cap itself is a legal (if large) grid: 16 bytes in, 128 MiB
+        // of untouched zero pages out.
+        let at_cap = sparse_from(Some(MAX_SPEC_CELLS as usize), |e| run(e, MAX_SPEC_CELLS, &[]));
+        assert_eq!(at_cap.map(|cells| cells.len()), Ok(MAX_SPEC_CELLS as usize));
+    }
+
+    #[test]
+    fn hostile_tally_cannot_claim_a_huge_grid_in_a_few_hundred_bytes() {
+        // Every dense attachment, claimed at one cell over the cap (or at
+        // a product that overflows) and "covered" by a single zero run.
+        let over = MAX_SPEC_CELLS + 1;
+        // `absent` attachments, then one whose binning claims `cells`.
+        let claim = |absent: usize, cells: u64, binning: &dyn Fn(&mut Encoder)| {
+            let mut e = Encoder::new();
+            put_tally_scalars(&mut e, &Tally::new(1, None, None));
+            (0..absent).for_each(|_| e.put_u8(0));
+            e.put_u8(1);
+            binning(&mut e);
+            run(&mut e, cells, &[]);
+            let bytes = e.finish();
+            assert!(bytes.len() < 300, "{} bytes", bytes.len());
+            let got = decode_tally(&bytes);
+            assert!(matches!(got, Err(WireError::BadLength(_))), "attachment {absent}: {got:?}");
+        };
+        let (min, max) = (Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
+        claim(0, over, &|e| {
+            put_grid_spec(e, &GridSpec { nx: over as usize, ny: 1, nz: 1, min, max })
+        });
+        claim(1, over, &|e| {
+            put_grid_spec(e, &GridSpec { nx: 1, ny: over as usize, nz: 1, min, max })
+        });
+        claim(3, over, &|e| {
+            e.put_u64(over); // radial bins
+            e.put_f64(1.0);
+        });
+        claim(4, 1 << 40, &|e| {
+            for _ in 0..2 {
+                e.put_u64(1 << 40); // 2^40 radial bins x 2^40 depth bins
+                e.put_f64(1.0);
+            }
+        });
+    }
+
+    #[test]
+    fn sparse_runs_that_overflow_or_overrun_are_rejected() {
+        let n = Some(10);
+        // Skip past the end; literals past the end; both at once with
+        // counts whose sum wraps a u64.
+        assert_eq!(sparse_from(n, |e| run(e, 11, &[])), Err(WireError::BadLength(11)));
+        assert_eq!(sparse_from(n, |e| run(e, 8, &[1.0; 3])), Err(WireError::BadLength(3)));
+        for (zeros, literals) in [(u64::MAX, u64::MAX), (5, u64::MAX - 2), (u64::MAX - 2, 5)] {
+            let got = sparse_from(n, |e| {
+                e.put_u64(zeros);
+                e.put_u64(literals);
+            });
+            assert!(matches!(got, Err(WireError::BadLength(_))), "({zeros}, {literals}): {got:?}");
+        }
+        // A second run that overruns what the first left.
+        let got = sparse_from(n, |e| {
+            run(e, 2, &[1.0; 4]);
+            run(e, 3, &[1.0; 2]);
+        });
+        assert_eq!(got, Err(WireError::BadLength(2)));
+        // A literal count the cells allow but the message does not hold.
+        let got = sparse_from(n, |e| {
+            e.put_u64(0);
+            e.put_u64(10);
+            (0..3).for_each(|_| e.put_f64(1.0));
+        });
+        assert_eq!(got, Err(WireError::BadLength(10)));
+        // Too few runs: the cells are not covered.
+        assert_eq!(sparse_from(n, |e| run(e, 2, &[1.0; 4])), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn non_canonical_sparse_arrays_are_rejected() {
+        let n = Some(6);
+        let invalid = |got: Result<Vec<f64>, WireError>| matches!(got, Err(WireError::Invalid(_)));
+        // An empty run up front; a literal run split in two (a zero-length
+        // skip mid-stream); a zero run split in two (a zero-length literal
+        // run mid-stream); a literal that is all-zero bits.
+        assert!(invalid(sparse_from(n, |e| {
+            run(e, 0, &[]);
+            run(e, 6, &[]);
+        })));
+        assert!(invalid(sparse_from(n, |e| {
+            run(e, 0, &[1.0; 3]);
+            run(e, 0, &[1.0; 3]);
+        })));
+        assert!(invalid(sparse_from(n, |e| {
+            run(e, 2, &[]);
+            run(e, 2, &[1.0; 2]);
+        })));
+        assert!(invalid(sparse_from(n, |e| run(e, 2, &[1.0, 0.0, 1.0, 1.0]))));
+        // The canonical spellings of the same arrays are fine, and -0.0 is
+        // a literal like any other.
+        assert_eq!(sparse_from(n, |e| run(e, 6, &[])), Ok(vec![0.0; 6]));
+        assert_eq!(sparse_from(n, |e| run(e, 0, &[1.0; 6])), Ok(vec![1.0; 6]));
+        let cells = sparse_from(n, |e| run(e, 5, &[-0.0])).unwrap();
+        assert_eq!(cells[5].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn hostile_binning_is_an_error_not_a_panic() {
+        // Binnings the core constructors assert on: each must come back as
+        // a typed error from the validated `from_data` path.
+        let spec = GridSpec::cubic(2, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
+        let degenerate = GridSpec { max: Vec3::ZERO, ..spec };
+        let not_a_number = GridSpec { min: Vec3::new(f64::NAN, 0.0, 0.0), ..spec };
+        for bad in [GridSpec { nx: 0, ..spec }, degenerate, not_a_number] {
+            let mut e = Encoder::new();
+            put_tally_scalars(&mut e, &Tally::new(1, None, None));
+            e.put_u8(1);
+            put_grid_spec(&mut e, &bad);
+            if bad.nx > 0 {
+                run(&mut e, 8, &[]);
+            }
+            (0..5).for_each(|_| e.put_u8(0));
+            assert!(matches!(decode_tally(&e.finish()), Err(WireError::Invalid(_))), "{bad:?}");
+        }
+        for (nr, r_max, nz, z_max) in [
+            (0u64, 1.0, 2u64, 1.0),
+            (2, f64::INFINITY, 2, 1.0),
+            (2, -1.0, 2, 1.0),
+            (2, 1.0, 0, 1.0),
+            (2, 1.0, 2, f64::NAN),
+        ] {
+            let mut e = Encoder::new();
+            put_tally_scalars(&mut e, &Tally::new(1, None, None));
+            (0..4).for_each(|_| e.put_u8(0));
+            e.put_u8(1);
+            e.put_u64(nr);
+            e.put_f64(r_max);
+            e.put_u64(nz);
+            e.put_f64(z_max);
+            if nr * nz > 0 {
+                run(&mut e, nr * nz, &[]);
+            }
+            e.put_f64(0.0); // overflow
+            e.put_u8(0); // no archive
+            let got = decode_tally(&e.finish());
+            assert!(matches!(got, Err(WireError::Invalid(_))), "({nr}, {r_max}, {nz}, {z_max})");
+        }
     }
 
     #[test]
@@ -1559,6 +1861,88 @@ mod tests {
             t.detected_reached_layer = vec![0; weights.len()];
             let decoded = decode_tally_scalars(&encode_tally_scalars(&t)).unwrap();
             prop_assert_eq!(decoded, t);
+        }
+    }
+
+    /// Sixty cells from raw draws: `mode` 0 leaves every cell zero, 1 fills
+    /// one in eight, 2 fills all, 3 alternates; a filled cell takes one of
+    /// the bit patterns a lossy codec would mangle, never all-zero bits.
+    fn cells_from(mode: u8, raw: &[u64]) -> Vec<f64> {
+        raw.iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                let filled = match mode % 4 {
+                    0 => false,
+                    1 => r % 8 == 0,
+                    2 => true,
+                    _ => i % 2 == 0,
+                };
+                let bits = match (r >> 3) % 5 {
+                    _ if !filled => 0,
+                    0 => (-0.0f64).to_bits(),
+                    1 => (r >> 12) | 1,                         // subnormal
+                    2 => 0x7ff0_0000_0000_0000 | (r >> 12) | 1, // NaN, any payload
+                    3 => r | 1,                                 // any bits at all
+                    _ => 1.5f64.to_bits(),
+                };
+                f64::from_bits(bits)
+            })
+            .collect()
+    }
+
+    fn bits(cells: &[f64]) -> Vec<u64> {
+        cells.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn dense_attachments_round_trip_bit_for_bit_and_re_encode_identically(
+            modes in any::<[u8; 4]>(),
+            raw in proptest::collection::vec(any::<u64>(), 240),
+            overflow in any::<u64>(),
+        ) {
+            let cells: Vec<Vec<f64>> =
+                (0..4).map(|k| cells_from(modes[k], &raw[60 * k..60 * (k + 1)])).collect();
+            let spec = GridSpec {
+                nx: 3, ny: 4, nz: 5, min: Vec3::new(-1.0, -1.0, 0.0), max: Vec3::new(1.0, 1.0, 2.0),
+            };
+            let overflow = f64::from_bits(overflow);
+            let mut t = Tally::new(1, None, None);
+            t.path_grid = Some(VisitGrid::from_data(spec, cells[0].clone()).unwrap());
+            t.absorption_grid = Some(VisitGrid::from_data(spec, cells[1].clone()).unwrap());
+            let radial = RadialSpec { nr: 60, r_max: 3.0 };
+            t.reflectance_r =
+                Some(RadialProfile::from_weights(radial, cells[2].clone(), overflow).unwrap());
+            let radial = RadialSpec { nr: 6, r_max: 2.0 };
+            t.absorption_rz =
+                Some(CylinderGrid::from_data(radial, 10, 6.0, cells[3].clone(), overflow).unwrap());
+
+            let bytes = encode_tally(&t);
+            let back = decode_tally(&bytes).unwrap();
+            prop_assert_eq!(bits(back.path_grid.as_ref().unwrap().data()), bits(&cells[0]));
+            prop_assert_eq!(bits(back.absorption_grid.as_ref().unwrap().data()), bits(&cells[1]));
+            let profile = back.reflectance_r.as_ref().unwrap();
+            prop_assert_eq!(bits(profile.weights()), bits(&cells[2]));
+            prop_assert_eq!(profile.overflow.to_bits(), overflow.to_bits());
+            let rz = back.absorption_rz.as_ref().unwrap();
+            prop_assert_eq!(bits(rz.data()), bits(&cells[3]));
+            prop_assert_eq!(rz.overflow.to_bits(), overflow.to_bits());
+            prop_assert_eq!(encode_tally(&back), bytes);
+        }
+
+        #[test]
+        fn sparse_array_round_trips_at_any_length(
+            mode in any::<u8>(),
+            raw in proptest::collection::vec(any::<u64>(), 1..200),
+        ) {
+            let cells = cells_from(mode, &raw);
+            let mut e = Encoder::new();
+            e.put_sparse_f64(&cells);
+            let bytes = e.finish();
+            let mut d = Decoder::new(&bytes).unwrap();
+            let back = d.get_sparse_f64(Some(cells.len())).unwrap();
+            prop_assert!(d.finish().is_ok());
+            prop_assert_eq!(bits(&back), bits(&cells));
         }
     }
 }

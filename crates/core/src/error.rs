@@ -44,6 +44,14 @@ pub enum ConfigError {
         /// Offending maximum depth (mm).
         z_max: f64,
     },
+    /// A grid or profile was handed storage that does not hold exactly one
+    /// value per cell.
+    CellCount {
+        /// Cells the binning describes.
+        expected: usize,
+        /// Values supplied.
+        got: usize,
+    },
     /// `max_interactions` must be positive (0 would retire every photon
     /// before its first step).
     ZeroInteractionCap,
@@ -74,6 +82,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadDepthBinning { nz, z_max } => {
                 write!(f, "absorption_rz needs positive depth binning, got ({nz}, {z_max} mm)")
+            }
+            ConfigError::CellCount { expected, got } => {
+                write!(f, "storage holds {got} values for {expected} cells")
             }
             ConfigError::ZeroInteractionCap => write!(f, "max_interactions must be positive"),
             ConfigError::Component { what, reason } => write!(f, "invalid {what}: {reason}"),

@@ -15,6 +15,8 @@
 //! normalised per unit area (dividing by the annular bin area), which is
 //! what `R(r)` means physically.
 
+use crate::error::ConfigError;
+
 /// Uniform radial binning over `[0, r_max)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadialSpec {
@@ -67,6 +69,10 @@ impl RadialSpec {
     }
 }
 
+fn radial_binning(reason: String) -> ConfigError {
+    ConfigError::Component { what: "radial binning", reason }
+}
+
 /// Radially binned surface weight (diffuse reflectance or transmittance).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadialProfile {
@@ -80,8 +86,23 @@ pub struct RadialProfile {
 impl RadialProfile {
     /// Empty profile.
     pub fn new(spec: RadialSpec) -> Self {
-        spec.validate().expect("invalid radial spec");
-        Self { spec, weight: vec![0.0; spec.nr], overflow: 0.0 }
+        Self::from_weights(spec, vec![0.0; spec.nr], 0.0).expect("invalid radial spec")
+    }
+
+    /// A profile over `spec` that takes `weight` (one value per bin) as its
+    /// storage — how a decoder rebuilds a profile without re-recording bin
+    /// by bin. An invalid spec or a miscounted vector is an error, never a
+    /// panic.
+    pub fn from_weights(
+        spec: RadialSpec,
+        weight: Vec<f64>,
+        overflow: f64,
+    ) -> Result<Self, ConfigError> {
+        spec.validate().map_err(radial_binning)?;
+        if weight.len() != spec.nr {
+            return Err(ConfigError::CellCount { expected: spec.nr, got: weight.len() });
+        }
+        Ok(Self { spec, weight, overflow })
     }
 
     /// Record weight `w` escaping at radius `r`.
@@ -139,9 +160,32 @@ pub struct CylinderGrid {
 impl CylinderGrid {
     /// Empty grid.
     pub fn new(radial: RadialSpec, nz: usize, z_max: f64) -> Self {
-        radial.validate().expect("invalid radial spec");
-        assert!(nz > 0 && z_max > 0.0, "invalid depth binning");
-        Self { radial, nz, z_max, data: vec![0.0; radial.nr * nz], overflow: 0.0 }
+        Self::from_data(radial, nz, z_max, vec![0.0; radial.nr * nz], 0.0)
+            .expect("invalid cylinder binning")
+    }
+
+    /// A grid that takes `data` (row-major `[iz][ir]`, one value per cell)
+    /// as its storage — how a decoder rebuilds a grid without re-depositing
+    /// cell by cell. Invalid binning or a miscounted vector is an error,
+    /// never a panic.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
+    pub fn from_data(
+        radial: RadialSpec,
+        nz: usize,
+        z_max: f64,
+        data: Vec<f64>,
+        overflow: f64,
+    ) -> Result<Self, ConfigError> {
+        radial.validate().map_err(radial_binning)?;
+        if nz == 0 || !(z_max > 0.0) {
+            return Err(ConfigError::BadDepthBinning { nz, z_max });
+        }
+        let cells = radial.nr.checked_mul(nz);
+        if cells != Some(data.len()) {
+            let expected = cells.unwrap_or(usize::MAX);
+            return Err(ConfigError::CellCount { expected, got: data.len() });
+        }
+        Ok(Self { radial, nz, z_max, data, overflow })
     }
 
     /// Deposit weight `w` at radius `r`, depth `z`.
@@ -157,6 +201,11 @@ impl CylinderGrid {
             Some(ir) => self.data[iz * self.radial.nr + ir] += w,
             None => self.overflow += w,
         }
+    }
+
+    /// Raw cell values, row-major `[iz][ir]`.
+    pub fn data(&self) -> &[f64] {
+        &self.data
     }
 
     /// Value at `(ir, iz)`.
@@ -254,6 +303,36 @@ mod tests {
         let mut a = RadialProfile::new(spec());
         let b = RadialProfile::new(RadialSpec { nr: 5, r_max: 5.0 });
         a.merge(&b);
+    }
+
+    #[test]
+    fn constructors_from_storage_validate_binning_and_cell_count() {
+        let p = RadialProfile::from_weights(spec(), vec![1.0; 10], 0.5).unwrap();
+        assert_eq!((p.weights()[9], p.overflow), (1.0, 0.5));
+        assert_eq!(
+            RadialProfile::from_weights(spec(), vec![1.0; 9], 0.0),
+            Err(ConfigError::CellCount { expected: 10, got: 9 })
+        );
+        let endless = RadialSpec { nr: 10, r_max: f64::INFINITY };
+        assert!(matches!(
+            RadialProfile::from_weights(endless, vec![0.0; 10], 0.0),
+            Err(ConfigError::Component { .. })
+        ));
+
+        let data: Vec<f64> = (0..40).map(f64::from).collect();
+        let g = CylinderGrid::from_data(spec(), 4, 8.0, data.clone(), 0.25).unwrap();
+        assert_eq!(g.data(), data);
+        assert_eq!((g.at(3, 2), g.overflow), (23.0, 0.25));
+        assert_eq!(
+            CylinderGrid::from_data(spec(), 4, 8.0, vec![0.0; 41], 0.0),
+            Err(ConfigError::CellCount { expected: 40, got: 41 })
+        );
+        for (nz, z_max) in [(0, 8.0), (4, 0.0), (4, f64::NAN)] {
+            assert!(matches!(
+                CylinderGrid::from_data(spec(), nz, z_max, vec![0.0; 10 * nz], 0.0),
+                Err(ConfigError::BadDepthBinning { .. })
+            ));
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub struct PathRecord {
 ///   (validated by tally-level z-tests in `fast_tier_validation`).
 ///
 /// Because the tiers are not bit-compatible, `precision` is part of the
-/// canonical scenario identity: it is wire-encoded (format v6) and folded
+/// canonical scenario identity: it is wire-encoded (since format v6) and folded
 /// into the service result-cache key, so a `Fast` result can never satisfy
 /// an `Exact` query or vice versa.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

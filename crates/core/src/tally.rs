@@ -50,6 +50,12 @@ impl GridSpec {
         self.nx * self.ny * self.nz
     }
 
+    /// [`Self::len`] for a spec that has not been validated (one decoded
+    /// from a peer, say): `None` when the product overflows.
+    pub fn checked_len(&self) -> Option<usize> {
+        self.nx.checked_mul(self.ny)?.checked_mul(self.nz)
+    }
+
     /// True when the grid has no voxels (impossible after validation).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -145,14 +151,28 @@ pub struct VisitGrid {
 impl VisitGrid {
     /// An empty grid over `spec`.
     pub fn new(spec: GridSpec) -> Self {
-        spec.validate().expect("invalid grid spec");
+        Self::from_data(spec, vec![0.0; spec.len()]).expect("invalid grid spec")
+    }
+
+    /// A grid over `spec` that takes `data` as its storage (one value per
+    /// voxel, z-major as defined by [`GridSpec::index_of`]) — how a decoder
+    /// rebuilds a grid without re-depositing cell by cell. Nothing about
+    /// the inputs is trusted: an invalid spec or a miscounted vector is an
+    /// error, never a panic.
+    pub fn from_data(spec: GridSpec, data: Vec<f64>) -> Result<Self, ConfigError> {
+        spec.validate()?;
+        let cells = spec.checked_len();
+        if cells != Some(data.len()) {
+            let expected = cells.unwrap_or(usize::MAX);
+            return Err(ConfigError::CellCount { expected, got: data.len() });
+        }
         let vs = spec.voxel_size();
-        Self {
+        Ok(Self {
             spec,
-            data: vec![0.0; spec.len()],
+            data,
             inv_vs: spec.inv_voxel_size(),
             half_min_edge: 0.5 * vs.x.min(vs.y).min(vs.z),
-        }
+        })
     }
 
     /// Deposit `w` at point `p` (ignored outside the grid).
@@ -557,6 +577,34 @@ mod tests {
         let idx = g.spec.index_of(p).unwrap();
         assert!((g.value(idx) - 1.5).abs() < 1e-12);
         assert!((g.total() - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_data_takes_the_storage_and_rejects_what_new_would_panic_on() {
+        let mut data = vec![0.0; spec().len()];
+        data[7] = -0.0;
+        data[8] = 2.5;
+        let g = VisitGrid::from_data(spec(), data.clone()).unwrap();
+        assert_eq!(g.data()[7].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(g.value(8), 2.5);
+        // Same derived state as `new`: deposits land in the same voxels.
+        let (mut a, mut b) = (VisitGrid::new(spec()), VisitGrid::from_data(spec(), data).unwrap());
+        a.deposit(spec().centre_of(8), 2.5);
+        b.deposit(spec().centre_of(7), 1.0);
+        assert_eq!(a.value(8), b.value(8));
+        assert_eq!(b.value(7), 1.0);
+
+        assert_eq!(
+            VisitGrid::from_data(spec(), vec![0.0; 999]),
+            Err(ConfigError::CellCount { expected: 1000, got: 999 })
+        );
+        let empty = GridSpec { nx: 0, ..spec() };
+        assert_eq!(VisitGrid::from_data(empty, Vec::new()), Err(ConfigError::EmptyGrid));
+        let huge = GridSpec { nx: usize::MAX, ny: 2, ..spec() };
+        assert!(matches!(
+            VisitGrid::from_data(huge, Vec::new()),
+            Err(ConfigError::CellCount { got: 0, .. })
+        ));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! since wire v3, factored here so the poll loop's incremental decoder
 //! and the blocking helpers can never drift apart.
 
-/// Largest accepted frame (64 MiB) — a 50³ grid of f64 is ~1 MB, so this
-/// leaves ample headroom while bounding a hostile length prefix.
+/// Largest accepted frame (64 MiB) — a fully populated 50³ grid of f64 is
+/// ~1 MB, so this leaves ample headroom while bounding a hostile length
+/// prefix.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
 /// Frame-layer violations (distinct from transport I/O errors).

@@ -7,10 +7,13 @@
 //! `0 .. chunks * chunk_tasks` of the scenario's seed — so a top-up can
 //! continue on fresh streams with no bookkeeping beyond the chunk count.
 //!
-//! Entry sizes are measured with the wire encoding of the tally (the
-//! same bytes a reply ships), so the byte budget tracks real memory
-//! footprint including optional grids and histograms, not a struct size
-//! guess. Eviction is strict LRU, with one exception: the entry being
+//! An entry is charged its tally's dense footprint
+//! ([`wire::tally_dense_len`]: the scalar encoding plus 8 bytes for every
+//! cell of every attached grid, profile and histogram), so the byte budget
+//! tracks what the entry holds in memory — not a struct size guess, and
+//! not the encoded length: the wire run-length compresses grids, and an
+//! all-zero 50³ grid that ships in 100 bytes still occupies a megabyte
+//! here. Eviction is strict LRU, with one exception: the entry being
 //! inserted or refreshed is never evicted by its own insertion, so a
 //! single result larger than the whole budget still caches (and evicts
 //! everything else).
@@ -33,7 +36,7 @@ pub struct CacheEntry {
     /// Internal task split of each chunk — with `chunks`, the seed
     /// ledger: streams `0 .. chunks * chunk_tasks` are consumed.
     pub chunk_tasks: u64,
-    /// Measured wire size of the tally plus key overhead.
+    /// Dense footprint of the tally plus key overhead.
     pub bytes: usize,
 }
 
@@ -56,7 +59,7 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// An empty cache holding at most `max_bytes` of encoded tallies.
+    /// An empty cache holding at most `max_bytes` of tallies.
     pub fn new(max_bytes: usize) -> Self {
         Self { map: HashMap::new(), lru: Vec::new(), total_bytes: 0, max_bytes, evictions: 0 }
     }
@@ -80,7 +83,7 @@ impl ResultCache {
         chunk_photons: u64,
         chunk_tasks: u64,
     ) {
-        let bytes = wire::encode_tally(&tally).len() + std::mem::size_of::<ScenarioKey>();
+        let bytes = wire::tally_dense_len(&tally) + std::mem::size_of::<ScenarioKey>();
         if let Some(old) = self.map.remove(&key) {
             self.total_bytes -= old.bytes;
         }
@@ -111,7 +114,7 @@ impl ResultCache {
         self.map.is_empty()
     }
 
-    /// Bytes currently held (wire-encoded tallies plus key overhead).
+    /// Bytes currently held (dense tally footprints plus key overhead).
     pub fn total_bytes(&self) -> usize {
         self.total_bytes
     }
@@ -151,6 +154,22 @@ mod tests {
         assert!(cache.get(&key(2)).is_none(), "LRU entry evicted");
         assert!(cache.get(&key(3)).is_some());
         assert_eq!(cache.evictions(), 1);
+    }
+
+    #[test]
+    fn an_entry_is_charged_its_dense_footprint_not_its_encoded_length() {
+        use lumen_core::tally::GridSpec;
+        use lumen_core::Vec3;
+        let spec = GridSpec::cubic(50, Vec3::new(-6.0, -6.0, 0.0), Vec3::new(12.0, 6.0, 9.0));
+        let empty_grid = Tally::new(1, Some(spec), None);
+        assert!(wire::encode_tally(&empty_grid).len() < 1024, "an all-zero grid ships small");
+        let mut cache = ResultCache::new(usize::MAX);
+        cache.insert(key(1), empty_grid, 1, 100, 4);
+        assert!(cache.total_bytes() >= 50 * 50 * 50 * 8, "but holds a megabyte of cells");
+        // Without attachments the charge is the encoded length, to the
+        // byte: eviction scripts are sized from that number.
+        cache.insert(key(2), tally(), 1, 100, 4);
+        assert_eq!(cache.get(&key(2)).unwrap().bytes, wire::encode_tally(&tally()).len() + 32);
     }
 
     #[test]
