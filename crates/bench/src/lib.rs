@@ -1,15 +1,15 @@
 //! # lumen-bench — experiment harness
 //!
-//! Shared scenario builders used by both the experiment binaries
-//! (`src/bin/*`, one per table/figure of the paper) and the Criterion
-//! benches (`benches/*`). Keeping the scenario definitions here guarantees
-//! the binaries and the benches measure the same configurations.
+//! Shared scenario builders used by the experiment binaries (`src/bin/*`,
+//! one per table/figure, study and ablation of the paper). Performance is
+//! not recorded here: the repository's one measuring instrument is
+//! `lumen-benchmark` under `benchmark/` (see `docs/PERFORMANCE.md`).
 
 use lumen_core::engine::{Backend, Rayon, Scenario};
 use lumen_core::{
     Detector, GridSpec, Simulation, SimulationOptions, SimulationResult, Source, Vec3,
 };
-use lumen_tissue::presets::{adult_head, homogeneous_white_matter, voxelized, AdultHeadConfig};
+use lumen_tissue::presets::{adult_head, homogeneous_white_matter, AdultHeadConfig};
 
 /// The Fig 3 scenario: laser (delta) source into homogeneous white matter,
 /// detector at `separation` mm, path grid at the paper's 50³ granularity.
@@ -78,40 +78,6 @@ pub fn run_scenario_tasks(
 /// tables to stdout).
 pub fn row(cells: &[String]) -> String {
     cells.join(" | ")
-}
-
-/// The preset matrix the `throughput` binary measures — one layered head (the BENCH trajectory's
-/// reference scenario, see `docs/PERFORMANCE.md`), one homogeneous slab
-/// dominated by the scattering kernels, and one voxel grid exercising the
-/// DDA traversal. Budgets and seeds are fixed here so every recorded
-/// `BENCH_throughput.json` point measures the same work.
-pub fn throughput_presets() -> Vec<(&'static str, Scenario)> {
-    vec![
-        (
-            "adult_head_default",
-            Scenario::new(
-                adult_head(AdultHeadConfig::default()),
-                Source::Delta,
-                Detector::new(20.0, 2.0),
-            )
-            .with_seed(42),
-        ),
-        (
-            "white_matter",
-            Scenario::new(homogeneous_white_matter(), Source::Delta, Detector::new(2.0, 1.0))
-                .with_seed(3),
-        ),
-        (
-            "voxel_head",
-            Scenario::new(
-                voxelized(&adult_head(AdultHeadConfig::default()), 1.0, 8.0, 25.0)
-                    .expect("head voxelizes"),
-                Source::Delta,
-                Detector::new(4.0, 1.0),
-            )
-            .with_seed(42),
-        ),
-    ]
 }
 
 /// Look up a named scenario — the out-of-band experiment agreement the

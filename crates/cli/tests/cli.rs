@@ -85,7 +85,7 @@ fn unknown_key_is_a_named_error() {
 
 #[test]
 fn backends_give_identical_physics_reports() {
-    // The acceptance criterion end-to-end: the same config through
+    // The acceptance test end-to-end: the same config through
     // `backend = sequential`, `rayon`, and `cluster` prints identical
     // physics (only the timing line may differ).
     let dir = std::env::temp_dir().join("lumen_cli_test");

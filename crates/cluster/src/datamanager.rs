@@ -95,6 +95,15 @@ impl DataManager {
         self.stats.len() - 1
     }
 
+    /// Whether `tally` has the shape of this run's template, i.e. whether
+    /// [`DataManager::complete`] can merge it. A worker sharing the
+    /// manager's `Simulation` always returns one that does; a tally decoded
+    /// from a peer (which may have been started on another scenario) must
+    /// be asked, because merging a mismatch panics.
+    pub fn accepts(&self, tally: &Tally) -> bool {
+        self.aggregate.same_shape(tally)
+    }
+
     /// Process a completed task's tally: merge it if it is the next in
     /// task order (and then every parked successor the longer prefix
     /// reaches), park a copy if it arrived early. Returns `false` (without

@@ -30,8 +30,9 @@
 //! kind byte and a [`crate::wire`]-encoded payload. A connection opens
 //! with a [`KIND_HELLO`] exchange carrying the wire-format version
 //! ([`wire::VERSION`]); mismatched peers are rejected with
-//! [`NetError::VersionMismatch`]. Unknown kinds and malformed payloads
-//! terminate that client's connection; the DataManager re-queues whatever
+//! [`NetError::VersionMismatch`]. Unknown kinds, malformed payloads and
+//! tallies shaped for a different scenario than the server's terminate
+//! that client's connection; the DataManager re-queues whatever
 //! task the lost client held, exactly as the paper's platform survives
 //! reclaimed PCs.
 
@@ -517,7 +518,7 @@ impl Handler for ClusterServer<'_> {
             },
             Client::Leased { worker, task, .. } => match kind {
                 KIND_COMPLETE => match wire::decode_tally(&payload) {
-                    Ok(tally) => {
+                    Ok(tally) if self.dm.accepts(&tally) => {
                         self.dm.complete(worker, task, &tally);
                         self.photons_done += task.photons;
                         self.progress.on_photons(self.photons_done, self.photons_total);
@@ -529,8 +530,10 @@ impl Handler for ClusterServer<'_> {
                             self.begin_drain(ops, now);
                         }
                     }
-                    // Malformed tally: surrender the lease, cut the peer.
-                    Err(_) => self.depart(ops, token, now),
+                    // Malformed tally, or a well-formed one of another
+                    // shape (a client started on a different scenario):
+                    // surrender the lease, cut the peer.
+                    _ => self.depart(ops, token, now),
                 },
                 KIND_PING => {
                     ops.send(token, KIND_PING, &payload);

@@ -330,15 +330,8 @@ pub fn decode_task(bytes: &[u8]) -> Result<SimTask, WireError> {
     Ok(task)
 }
 
-/// Encode the scalar portion of a tally (counts, weights, per-layer sums,
-/// path/depth moments). Grids ride separately in a real deployment because
-/// of their size; here the scalar message is what every task returns.
-pub fn encode_tally_scalars(t: &Tally) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_tally_scalars(&mut e, t);
-    e.finish()
-}
-
+/// The scalar portion of a tally (counts, weights, per-layer sums,
+/// path/depth moments) — the head of every [`encode_tally`] message.
 fn put_tally_scalars(e: &mut Encoder, t: &Tally) {
     e.put_u64(t.launched);
     e.put_u64(t.detected);
@@ -362,64 +355,6 @@ fn put_tally_scalars(e: &mut Encoder, t: &Tally) {
     e.put_u64_slice(&t.detected_reached_layer);
     e.put_f64_slice(&t.detected_partial_path);
     e.put_u64(t.detected_scatter_sum);
-}
-
-/// Decode a scalar tally (grids absent).
-pub fn decode_tally_scalars(bytes: &[u8]) -> Result<Tally, WireError> {
-    let mut d = Decoder::new(bytes)?;
-    let t = decode_tally_scalars_body(&mut d)?;
-    d.finish()?;
-    Ok(t)
-}
-
-fn decode_tally_scalars_body(d: &mut Decoder) -> Result<Tally, WireError> {
-    let launched = d.get_u64()?;
-    let detected = d.get_u64()?;
-    let reflected = d.get_u64()?;
-    let transmitted = d.get_u64()?;
-    let roulette_killed = d.get_u64()?;
-    let fully_absorbed = d.get_u64()?;
-    let expired = d.get_u64()?;
-    let gate_rejected = d.get_u64()?;
-    let na_rejected = d.get_u64()?;
-    let specular_weight = d.get_f64()?;
-    let detected_weight = d.get_f64()?;
-    let reflected_weight = d.get_f64()?;
-    let transmitted_weight = d.get_f64()?;
-    let absorbed_by_layer = d.get_f64_vec()?;
-    let detected_path_sum = d.get_f64()?;
-    let detected_path_sq_sum = d.get_f64()?;
-    let detected_weight_path_sum = d.get_f64()?;
-    let detected_depth_sum = d.get_f64()?;
-    let detected_depth_max = d.get_f64()?;
-    let detected_reached_layer = d.get_u64_vec()?;
-    let detected_partial_path = d.get_f64_vec()?;
-    let detected_scatter_sum = d.get_u64()?;
-
-    let mut t = Tally::new(absorbed_by_layer.len(), None, None);
-    t.launched = launched;
-    t.detected = detected;
-    t.reflected = reflected;
-    t.transmitted = transmitted;
-    t.roulette_killed = roulette_killed;
-    t.fully_absorbed = fully_absorbed;
-    t.expired = expired;
-    t.gate_rejected = gate_rejected;
-    t.na_rejected = na_rejected;
-    t.specular_weight = specular_weight;
-    t.detected_weight = detected_weight;
-    t.reflected_weight = reflected_weight;
-    t.transmitted_weight = transmitted_weight;
-    t.absorbed_by_layer = absorbed_by_layer;
-    t.detected_path_sum = detected_path_sum;
-    t.detected_path_sq_sum = detected_path_sq_sum;
-    t.detected_weight_path_sum = detected_weight_path_sum;
-    t.detected_depth_sum = detected_depth_sum;
-    t.detected_depth_max = detected_depth_max;
-    t.detected_reached_layer = detected_reached_layer;
-    t.detected_partial_path = detected_partial_path;
-    t.detected_scatter_sum = detected_scatter_sum;
-    Ok(t)
 }
 
 fn put_vec3(e: &mut Encoder, v: Vec3) {
@@ -589,15 +524,45 @@ pub fn tally_dense_len(t: &Tally) -> usize {
 /// Decode a complete tally.
 pub fn decode_tally(bytes: &[u8]) -> Result<Tally, WireError> {
     let mut d = Decoder::new(bytes)?;
-    let mut t = decode_tally_scalars_body(&mut d)?;
-    t.path_grid = get_option(&mut d, get_visit_grid)?;
-    t.absorption_grid = get_option(&mut d, get_visit_grid)?;
-    t.path_histogram = get_option(&mut d, get_path_histogram)?;
-    t.reflectance_r = get_option(&mut d, get_radial_profile)?;
-    t.absorption_rz = get_option(&mut d, get_cylinder)?;
-    t.archive = get_option(&mut d, get_archive)?;
+    let t = get_tally(&mut d)?;
     d.finish()?;
     Ok(t)
+}
+
+/// Every field is read straight into place: a struct expression evaluates
+/// its fields in the order written, which here is the wire order of
+/// [`encode_tally`].
+fn get_tally(d: &mut Decoder) -> Result<Tally, WireError> {
+    Ok(Tally {
+        launched: d.get_u64()?,
+        detected: d.get_u64()?,
+        reflected: d.get_u64()?,
+        transmitted: d.get_u64()?,
+        roulette_killed: d.get_u64()?,
+        fully_absorbed: d.get_u64()?,
+        expired: d.get_u64()?,
+        gate_rejected: d.get_u64()?,
+        na_rejected: d.get_u64()?,
+        specular_weight: d.get_f64()?,
+        detected_weight: d.get_f64()?,
+        reflected_weight: d.get_f64()?,
+        transmitted_weight: d.get_f64()?,
+        absorbed_by_layer: d.get_f64_vec()?,
+        detected_path_sum: d.get_f64()?,
+        detected_path_sq_sum: d.get_f64()?,
+        detected_weight_path_sum: d.get_f64()?,
+        detected_depth_sum: d.get_f64()?,
+        detected_depth_max: d.get_f64()?,
+        detected_reached_layer: d.get_u64_vec()?,
+        detected_partial_path: d.get_f64_vec()?,
+        detected_scatter_sum: d.get_u64()?,
+        path_grid: get_option(d, get_visit_grid)?,
+        absorption_grid: get_option(d, get_visit_grid)?,
+        path_histogram: get_option(d, get_path_histogram)?,
+        reflectance_r: get_option(d, get_radial_profile)?,
+        absorption_rz: get_option(d, get_cylinder)?,
+        archive: get_option(d, get_archive)?,
+    })
 }
 
 // --- Path archive encoding -----------------------------------------------
@@ -607,7 +572,7 @@ pub fn decode_tally(bytes: &[u8]) -> Result<Tally, WireError> {
 // sequences; on decode every column length is cross-checked against the
 // entry count so a hostile peer cannot desynchronise the columns, and the
 // physical fields are validated (classes in range, weights and pathlengths
-// finite and non-negative) before a `PathArchive` is built.
+// finite and non-negative) before a `PathArchive` leaves the decoder.
 
 /// Region cap for archives arriving over the wire. Generous — the paper's
 /// head models have ≤ 6 regions and a 50³ voxel model a few thousand —
@@ -635,83 +600,69 @@ fn put_archive(e: &mut Encoder, a: &PathArchive) {
     e.put_bytes(&a.reached);
 }
 
-fn finite_nonneg(vs: &[f64], what: &str) -> Result<(), WireError> {
-    if vs.iter().any(|v| !v.is_finite() || *v < 0.0) {
-        return Err(WireError::Invalid(format!("archive {what} must be finite and non-negative")));
-    }
-    Ok(())
-}
-
-fn expect_len(got: usize, want: usize, what: &str) -> Result<(), WireError> {
-    if got != want {
-        return Err(WireError::Invalid(format!(
-            "archive {what} column has {got} values, expected {want}"
-        )));
-    }
-    Ok(())
-}
-
 fn get_archive(d: &mut Decoder) -> Result<PathArchive, WireError> {
     let regions = d.get_u64()?;
     if regions == 0 || regions > MAX_ARCHIVE_REGIONS {
         return Err(WireError::BadLength(regions));
     }
     let regions = regions as usize;
-    let detected_only = d.get_u8()? != 0;
-    let base: Vec<OpticalProperties> =
-        (0..regions).map(|_| get_optics(d)).collect::<Result<_, _>>()?;
-    let launched = d.get_u64()?;
-    let specular_weight = d.get_f64()?;
-    finite_nonneg(&[specular_weight], "specular weight")?;
+    // Read in wire order straight into place (every column's allocation is
+    // bounded by the bytes that remain), then cross-check before it leaves.
+    let a = PathArchive {
+        regions,
+        detected_only: d.get_u8()? != 0,
+        base: (0..regions).map(|_| get_optics(d)).collect::<Result<_, _>>()?,
+        launched: d.get_u64()?,
+        specular_weight: d.get_f64()?,
+        class: d.get_bytes()?,
+        task: d.get_u64_vec()?,
+        exit_weight: d.get_f64_vec()?,
+        exit_radius: d.get_f64_vec()?,
+        pathlength: d.get_f64_vec()?,
+        max_depth: d.get_f64_vec()?,
+        scatters: d.get_u32_vec()?,
+        partial_path: d.get_f64_vec()?,
+        collisions: d.get_u32_vec()?,
+        reached: d.get_bytes()?,
+    };
 
-    let class = d.get_bytes()?;
-    let n = class.len();
-    if let Some(bad) = class.iter().find(|&&c| c > CLASS_TRANSMITTED) {
+    let n = a.class.len();
+    let per_region = n.checked_mul(regions).ok_or(WireError::BadLength(n as u64))?;
+    if let Some(bad) = a.class.iter().find(|&&c| c > CLASS_TRANSMITTED) {
         return Err(WireError::Invalid(format!("archive entry class {bad} out of range")));
     }
-    let per_region = n.checked_mul(regions).ok_or(WireError::BadLength(n as u64))?;
-
-    let task = d.get_u64_vec()?;
-    expect_len(task.len(), n, "task")?;
-    let exit_weight = d.get_f64_vec()?;
-    expect_len(exit_weight.len(), n, "exit weight")?;
-    finite_nonneg(&exit_weight, "exit weight")?;
-    let exit_radius = d.get_f64_vec()?;
-    expect_len(exit_radius.len(), n, "exit radius")?;
-    finite_nonneg(&exit_radius, "exit radius")?;
-    let pathlength = d.get_f64_vec()?;
-    expect_len(pathlength.len(), n, "pathlength")?;
-    finite_nonneg(&pathlength, "pathlength")?;
-    let max_depth = d.get_f64_vec()?;
-    expect_len(max_depth.len(), n, "max depth")?;
-    finite_nonneg(&max_depth, "max depth")?;
-    let scatters = d.get_u32_vec()?;
-    expect_len(scatters.len(), n, "scatters")?;
-    let partial_path = d.get_f64_vec()?;
-    expect_len(partial_path.len(), per_region, "partial path")?;
-    finite_nonneg(&partial_path, "partial path")?;
-    let collisions = d.get_u32_vec()?;
-    expect_len(collisions.len(), per_region, "collisions")?;
-    let reached = d.get_bytes()?;
-    expect_len(reached.len(), per_region, "reached")?;
-
-    Ok(PathArchive {
-        regions,
-        detected_only,
-        base,
-        launched,
-        specular_weight,
-        class,
-        task,
-        exit_weight,
-        exit_radius,
-        pathlength,
-        max_depth,
-        scatters,
-        partial_path,
-        collisions,
-        reached,
-    })
+    for (got, want, what) in [
+        (a.task.len(), n, "task"),
+        (a.exit_weight.len(), n, "exit weight"),
+        (a.exit_radius.len(), n, "exit radius"),
+        (a.pathlength.len(), n, "pathlength"),
+        (a.max_depth.len(), n, "max depth"),
+        (a.scatters.len(), n, "scatters"),
+        (a.partial_path.len(), per_region, "partial path"),
+        (a.collisions.len(), per_region, "collisions"),
+        (a.reached.len(), per_region, "reached"),
+    ] {
+        if got != want {
+            return Err(WireError::Invalid(format!(
+                "archive {what} column has {got} values, expected {want}"
+            )));
+        }
+    }
+    for (vs, what) in [
+        (&[a.specular_weight][..], "specular weight"),
+        (&a.exit_weight, "exit weight"),
+        (&a.exit_radius, "exit radius"),
+        (&a.pathlength, "pathlength"),
+        (&a.max_depth, "max depth"),
+        (&a.partial_path, "partial path"),
+    ] {
+        if vs.iter().any(|v| !v.is_finite() || *v < 0.0) {
+            return Err(WireError::Invalid(format!(
+                "archive {what} must be finite and non-negative"
+            )));
+        }
+    }
+    Ok(a)
 }
 
 /// Encode a standalone path archive — the on-disk format behind the
@@ -1077,7 +1028,7 @@ mod tests {
         t.detected_path_sum = 512.0;
         t.detected_reached_layer = vec![10, 4, 1];
         t.detected_scatter_sum = 12345;
-        let decoded = decode_tally_scalars(&encode_tally_scalars(&t)).unwrap();
+        let decoded = decode_tally(&encode_tally(&t)).unwrap();
         assert_eq!(decoded, t);
     }
 
@@ -1118,7 +1069,7 @@ mod tests {
         }
         e.put_u64(1 << 60); // absurd layer count
         let bytes = e.finish();
-        match decode_tally_scalars(&bytes) {
+        match decode_tally(&bytes) {
             Err(WireError::BadLength(n)) => assert_eq!(n, 1 << 60),
             other => panic!("expected BadLength, got {other:?}"),
         }
@@ -1549,9 +1500,9 @@ mod tests {
         assert_eq!(decoded, s);
     }
 
-    #[test]
-    fn scenario_round_trip_with_every_option() {
-        use lumen_core::radial::RadialSpec;
+    /// The layered head with every optional field of the detector and the
+    /// options set but the archive (which classical boundaries exclude).
+    fn every_option_scenario() -> Scenario {
         use lumen_tissue::presets::{adult_head, AdultHeadConfig};
         let mut options = SimulationOptions {
             boundary_mode: BoundaryMode::Classical,
@@ -1567,7 +1518,7 @@ mod tests {
         options.reflectance_profile = Some(RadialSpec { nr: 25, r_max: 12.5 });
         options.absorption_rz = Some((RadialSpec { nr: 8, r_max: 4.0 }, 16, 32.0));
         options.record_paths = 7;
-        let s = Scenario::new(
+        Scenario::new(
             adult_head(AdultHeadConfig::default()),
             Source::Gaussian { radius: 1.5 },
             Detector::ring(30.0, 2.0)
@@ -1577,7 +1528,13 @@ mod tests {
         .with_options(options)
         .with_photons(1_000_000)
         .with_tasks(64)
-        .with_seed(2006);
+        .with_seed(2006)
+        .with_task_offset(192)
+    }
+
+    #[test]
+    fn scenario_round_trip_with_every_option() {
+        let s = every_option_scenario();
         let bytes = encode_scenario(&s);
         let decoded = decode_scenario(&bytes).unwrap();
         assert_eq!(decoded, s);
@@ -1723,6 +1680,33 @@ mod tests {
     }
 
     #[test]
+    fn v7_bytes_are_pinned() {
+        // The byte oracle for the format itself: a layered and a voxel
+        // scenario with every option set, and a tally with all six
+        // attachments. A codec refactor must leave these digests alone; a
+        // deliberate layout change bumps `VERSION` and re-pins them.
+        use lumen_core::sha256;
+        let layered = every_option_scenario();
+        let mut voxel = Scenario { tissue: voxel_scenario().tissue, ..layered.clone() };
+        voxel.options.boundary_mode = BoundaryMode::Probabilistic;
+        voxel.options.archive = Some(RecordOptions { detected_only: true });
+        for (scenario, digest) in [
+            (&layered, "947ffb7be77a6009631cc5ebfe1d94acf460a56e2dabefe2a270033d95e2a1c2"),
+            (&voxel, "802ff6769bb79eb94eed8551f9bf58376a4f0de0d541e97050e3052b31299964"),
+        ] {
+            let bytes = encode_scenario(scenario);
+            assert_eq!(sha256::hex(&bytes), digest);
+            assert_eq!(encode_scenario(&decode_scenario(&bytes).unwrap()), bytes);
+        }
+        let bytes = encode_tally(&full_tally().with_archive(sample_archive()));
+        assert_eq!(
+            sha256::hex(&bytes),
+            "b1d1e444634fcfbcf60151b4fd11a7d9f96edfce4614cf08d596976f77273260"
+        );
+        assert_eq!(encode_tally(&decode_tally(&bytes).unwrap()), bytes);
+    }
+
+    #[test]
     fn voxel_scenario_round_trip() {
         let s = voxel_scenario();
         let decoded = decode_scenario(&encode_scenario(&s)).unwrap();
@@ -1859,7 +1843,7 @@ mod tests {
             t.detected = detected;
             t.absorbed_by_layer = weights.clone();
             t.detected_reached_layer = vec![0; weights.len()];
-            let decoded = decode_tally_scalars(&encode_tally_scalars(&t)).unwrap();
+            let decoded = decode_tally(&encode_tally(&t)).unwrap();
             prop_assert_eq!(decoded, t);
         }
     }

@@ -1,7 +1,8 @@
 //! Chaos suite for the elastic TCP runtime — the paper's *non-dedicated
 //! cluster* conditions, reproduced deliberately: clients join late, stall
-//! past their lease, announce the wrong protocol version, die while
-//! parked or while holding work, or never show up at all.
+//! past their lease, announce the wrong protocol version, return tallies
+//! of another scenario's shape, die while parked or while holding work, or
+//! never show up at all.
 //!
 //! Every test asserts one of exactly two outcomes: a tally **bit-identical
 //! to `Sequential`** for the same `Scenario` (requeue determinism: the
@@ -17,6 +18,7 @@ use lumen_cluster::net::{
 use lumen_cluster::wire;
 use lumen_cluster::{serve_with_options, NetError, NetReport, ServeOptions, Tcp};
 use lumen_core::engine::{Backend, Scenario, Sequential};
+use lumen_core::tally::{PathHistogram, Tally};
 use lumen_core::{Detector, Simulation, Source};
 use lumen_tissue::presets::semi_infinite_phantom;
 use mcrng::StreamFactory;
@@ -60,7 +62,7 @@ fn sim() -> Simulation {
     )
 }
 
-fn sequential_tally(s: &Simulation, n: u64, seed: u64, tasks: u64) -> lumen_core::tally::Tally {
+fn sequential_tally(s: &Simulation, n: u64, seed: u64, tasks: u64) -> Tally {
     let scenario = Scenario::from_simulation(s, n, seed).with_tasks(tasks);
     Sequential.run(&scenario).expect("valid scenario").result.tally.clone()
 }
@@ -380,6 +382,38 @@ fn stale_completion_after_revocation_never_double_counts() {
         assert_eq!(report.result.launched(), n, "every photon exactly once");
         assert_eq!(report.result.tally, sequential_tally(&s, n, seed, tasks));
         assert!(report.requeues >= 1);
+    });
+}
+
+#[test]
+fn wrong_shaped_completion_is_requeued_not_a_server_panic() {
+    watchdog("wrong_shape", Duration::from_secs(60), || {
+        // The scenario is agreed out of band, so a client started on a
+        // different one is an ordinary misconfiguration: its tallies decode
+        // fine but cannot be merged. The server must treat them like a
+        // malformed tally — lease surrendered, peer cut — not panic in
+        // `Tally::merge`.
+        let mut s = sim();
+        s.options.path_histogram = Some((200.0, 16));
+        let (n, tasks, seed) = (2_000, 4, 13);
+        let (addr, server) = serve_on(&s, n, tasks, ServeOptions::default());
+
+        let other_layers = Tally::new(2, None, None).with_path_histogram(200.0, 16);
+        let mut other_binning = s.new_tally();
+        other_binning.path_histogram = Some(PathHistogram::new(200.0, 8));
+        for wrong in [&other_layers, &other_binning] {
+            let mut rogue = ManualClient::joined(&addr);
+            rogue.take_task();
+            write_frame(&mut rogue.stream, KIND_COMPLETE, &wire::encode_tally(wrong))
+                .expect("complete");
+            assert!(read_frame(&mut rogue.stream).is_err(), "the rogue must be disconnected");
+        }
+
+        let honest = spawn_client(&addr, &s, seed);
+        let report = server.join().expect("server thread").expect("serve ok");
+        assert_eq!(honest.join().expect("honest client"), tasks);
+        assert_eq!(report.requeues, 2, "each rejected tally surrenders its lease");
+        assert_eq!(report.result.tally, sequential_tally(&s, n, seed, tasks));
     });
 }
 

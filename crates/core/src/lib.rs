@@ -48,6 +48,7 @@ pub mod error;
 pub(crate) mod kernel;
 pub mod radial;
 pub mod results;
+pub mod sha256;
 pub mod sim;
 pub mod source;
 pub mod tally;

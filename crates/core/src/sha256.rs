@@ -1,11 +1,12 @@
 //! Self-contained SHA-256 (FIPS 180-4).
 //!
-//! The service's cache keys are content hashes of canonicalized scenario
-//! encodings, and the workspace builds fully offline — so the digest is
-//! implemented here rather than pulled from crates.io. The golden-tally
-//! harness in `lumen-core` carries the same construction for pinning
-//! distribution arrays; this is the production copy, with the standard
-//! known-answer vectors as tests.
+//! The workspace builds fully offline, so the digest is implemented here
+//! rather than pulled from crates.io — once, in the lowest crate its users
+//! share: the service's cache keys are content hashes of canonicalized
+//! scenario encodings (`lumen_service::scenario_key`), the golden-tally
+//! harness pins every distribution array by its digest, and the wire
+//! format's byte-pin test holds digests of whole encodings. The standard
+//! known-answer vectors are the tests.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -71,13 +72,14 @@ pub fn digest(data: &[u8]) -> [u8; 32] {
     out
 }
 
+/// Lowercase hex of the SHA-256 digest of `data`.
+pub fn hex(data: &[u8]) -> String {
+    digest(data).iter().map(|b| format!("{b:02x}")).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(data: &[u8]) -> String {
-        digest(data).iter().map(|b| format!("{b:02x}")).collect()
-    }
 
     #[test]
     fn known_answers() {

@@ -442,6 +442,26 @@ impl Tally {
         self.absorbed_by_layer.iter().sum()
     }
 
+    /// Whether `other` has this tally's shape — the same layer count and
+    /// the same attachments over the same binning — which is exactly what
+    /// [`Tally::merge`] asserts. A tally built here always does; one that
+    /// arrived from a peer must be asked before it is merged.
+    pub fn same_shape(&self, other: &Tally) -> bool {
+        fn same<T, K: PartialEq>(a: &Option<T>, b: &Option<T>, key: impl Fn(&T) -> K) -> bool {
+            a.as_ref().map(&key) == b.as_ref().map(&key)
+        }
+        self.absorbed_by_layer.len() == other.absorbed_by_layer.len()
+            && self.detected_reached_layer.len() == other.detected_reached_layer.len()
+            && self.detected_partial_path.len() == other.detected_partial_path.len()
+            && same(&self.path_grid, &other.path_grid, |g| g.spec)
+            && same(&self.absorption_grid, &other.absorption_grid, |g| g.spec)
+            && same(&self.path_histogram, &other.path_histogram, |h| (h.max_mm, h.counts.len()))
+            && same(&self.reflectance_r, &other.reflectance_r, |p| p.spec)
+            && same(&self.absorption_rz, &other.absorption_rz, |g| (g.radial, g.nz, g.z_max))
+            && same(&self.archive, &other.archive, |a| (a.regions, a.detected_only))
+            && self.archive.as_ref().map(|a| &a.base) == other.archive.as_ref().map(|a| &a.base)
+    }
+
     /// Merge a worker tally into this aggregate — the DataManager's
     /// "processes the returned results" step.
     pub fn merge(&mut self, other: &Tally) {
@@ -656,6 +676,50 @@ mod tests {
         assert!((a.absorbed_by_layer[0] - 1.5).abs() < 1e-12);
         assert!((a.absorbed_by_layer[1] - 0.25).abs() < 1e-12);
         assert!((a.path_grid.as_ref().unwrap().total() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn same_shape_is_merges_precondition() {
+        use crate::archive::{PathArchive, RecordOptions};
+        const RADIAL: RadialSpec = RadialSpec { nr: 4, r_max: 2.0 };
+        const WIDER: RadialSpec = RadialSpec { nr: 4, r_max: 3.0 };
+        fn full() -> Tally {
+            let optics = lumen_photon::OpticalProperties::new(0.05, 10.0, 0.9, 1.4);
+            Tally::new(2, Some(spec()), Some(spec()))
+                .with_path_histogram(100.0, 8)
+                .with_reflectance_profile(RADIAL)
+                .with_absorption_rz(RADIAL, 3, 6.0)
+                .with_archive(PathArchive::new(2, vec![optics; 2], RecordOptions::default()))
+        }
+        let base = full();
+        // Contents never matter, only the binning.
+        let mut filled = full();
+        filled.launched = 9;
+        filled.path_grid.as_mut().unwrap().deposit(Vec3::new(0.0, 0.0, 5.0), 1.0);
+        assert!(base.same_shape(&filled) && filled.same_shape(&base));
+
+        let mismatches: [fn(&mut Tally); 12] = [
+            |t| t.absorbed_by_layer.push(0.0),
+            |t| t.detected_reached_layer.truncate(1),
+            |t| t.detected_partial_path.clear(),
+            |t| t.path_grid = None,
+            |t| {
+                let coarse = GridSpec::cubic(5, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
+                t.absorption_grid = Some(VisitGrid::new(coarse));
+            },
+            |t| t.path_histogram = Some(PathHistogram::new(100.0, 9)),
+            |t| t.path_histogram = Some(PathHistogram::new(50.0, 8)),
+            |t| t.reflectance_r = Some(RadialProfile::new(WIDER)),
+            |t| t.absorption_rz = Some(CylinderGrid::new(WIDER, 3, 6.0)),
+            |t| t.absorption_rz = Some(CylinderGrid::new(RADIAL, 4, 6.0)),
+            |t| t.archive = None,
+            |t| t.archive.as_mut().unwrap().detected_only = true,
+        ];
+        for (i, mutate) in mismatches.iter().enumerate() {
+            let mut other = full();
+            mutate(&mut other);
+            assert!(!base.same_shape(&other) && !other.same_shape(&base), "mismatch {i}");
+        }
     }
 
     #[test]

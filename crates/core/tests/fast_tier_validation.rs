@@ -17,8 +17,9 @@ use lumen_core::{
 use lumen_tissue::presets::{adult_head, homogeneous_white_matter, voxelized, AdultHeadConfig};
 use ztest::{z_bounded_weight, z_two_proportions, z_welch_from_moments, Z_GATE};
 
-/// The presets the throughput bench runs, at budgets small enough for the
-/// fast test loop but large enough that a biased kernel trips the gate.
+/// The presets `lumen-benchmark` times the kernels on, at budgets small
+/// enough for the fast test loop but large enough that a biased kernel
+/// trips the gate.
 fn validation_scenarios() -> Vec<(&'static str, Scenario)> {
     vec![
         (

@@ -17,9 +17,9 @@
 //! — a wire-format revision deliberately invalidates every cached entry,
 //! because old keys may not cover newly expressible fields.
 
-use crate::sha256;
 use lumen_cluster::wire;
 use lumen_core::engine::Scenario;
+use lumen_core::sha256;
 
 /// A canonical scenario hash: 32 bytes of sha256.
 pub type ScenarioKey = [u8; 32];

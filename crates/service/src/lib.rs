@@ -21,9 +21,8 @@
 //!   and the TCP daemon/client speaking them, HELLO-gated exactly like
 //!   the distributed runtime.
 //!
-//! Binaries: `lumend` (the daemon) and `lumen-load` (a load generator
-//! recording cold/warm/top-up latency percentiles to
-//! `BENCH_service.json`).
+//! Binary: `lumend` (the daemon). Its cold/warm/top-up latencies are
+//! measured by `lumen-benchmark`'s `service_mix` workload.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -35,7 +34,6 @@ pub mod hash;
 pub mod proto;
 pub mod server;
 pub mod service;
-pub mod sha256;
 
 pub use cache::{CacheEntry, ResultCache};
 pub use client::ServiceClient;
