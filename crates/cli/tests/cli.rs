@@ -37,6 +37,38 @@ fn example_config_parses_back() {
 }
 
 #[test]
+fn hash_prints_the_pinned_cache_keys() {
+    // The same two scenarios, and the same values, as
+    // `lumen_service::hash`'s `key_values_are_pinned`: the shipped example
+    // (layered) and its head voxelized. The budget is not key-relevant.
+    let dir = std::env::temp_dir().join("lumen_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let example = lumen().arg("example-config").output().expect("run");
+    let layered = String::from_utf8_lossy(&example.stdout).replace("200000", "7");
+    let voxel = "tissue = adult_head\ngeometry = voxelized 1 10 16\nsource = gaussian 0.5\n\
+                 detector = ring 30 2\nphotons = 1000\nseed = 7\n";
+    for (name, text, key) in [
+        (
+            "hash_layered.cfg",
+            layered.as_str(),
+            "d5da176f8de6fca7ddb7d22b21e4533b24d3b9639bcbc1a2399fa42deb9e5b14",
+        ),
+        (
+            "hash_voxel.cfg",
+            voxel,
+            "46fbf245e3c081d5584e369458321502c977132799c72e18208d92baa4e25745",
+        ),
+    ] {
+        let cfg_path = dir.join(name);
+        std::fs::write(&cfg_path, text).unwrap();
+        let out = lumen().arg("hash").arg(&cfg_path).output().expect("run hash");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), key, "{name}");
+        std::fs::remove_file(&cfg_path).ok();
+    }
+}
+
+#[test]
 fn presets_lists_all_models() {
     let out = lumen().arg("presets").output().expect("run");
     assert!(out.status.success());

@@ -973,15 +973,28 @@ fn get_options(d: &mut Decoder) -> Result<SimulationOptions, WireError> {
 /// Encode a full experiment definition — geometry, source, detector,
 /// options, photon budget, task split, and seed.
 pub fn encode_scenario(s: &Scenario) -> Vec<u8> {
+    encode_scenario_as(s, s.photons, s.tasks, s.task_offset)
+}
+
+/// [`encode_scenario`] of `s` with its three *execution* fields written
+/// as `photons = 0`, `tasks = 1`, `task_offset = 0`: the bytes the
+/// service hashes into a cache key, produced from the borrowed scenario
+/// (a voxel geometry is thousands of cells; cloning it to zero three
+/// integers would cost more than encoding it).
+pub fn encode_scenario_normalized(s: &Scenario) -> Vec<u8> {
+    encode_scenario_as(s, 0, 1, 0)
+}
+
+fn encode_scenario_as(s: &Scenario, photons: u64, tasks: u64, task_offset: u64) -> Vec<u8> {
     let mut e = Encoder::new();
     put_geometry(&mut e, &s.tissue);
     put_source(&mut e, &s.source);
     put_detector(&mut e, &s.detector);
     put_options(&mut e, &s.options);
-    e.put_u64(s.photons);
-    e.put_u64(s.tasks);
+    e.put_u64(photons);
+    e.put_u64(tasks);
     e.put_u64(s.seed);
-    e.put_u64(s.task_offset);
+    e.put_u64(task_offset);
     e.finish()
 }
 

@@ -21,7 +21,7 @@
 use crate::hash::ScenarioKey;
 use lumen_cluster::wire;
 use lumen_core::tally::Tally;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One cached result and its upgrade ledger.
 #[derive(Debug, Clone)]
@@ -47,12 +47,23 @@ impl CacheEntry {
     }
 }
 
+/// A stored entry and the tick of its last touch.
+#[derive(Debug)]
+struct Slot {
+    entry: CacheEntry,
+    tick: u64,
+}
+
 /// LRU + byte-budget cache keyed by canonical scenario hash.
 #[derive(Debug)]
 pub struct ResultCache {
-    map: HashMap<ScenarioKey, CacheEntry>,
-    /// Access order, oldest first. Touched on every hit and insert.
-    lru: Vec<ScenarioKey>,
+    map: HashMap<ScenarioKey, Slot>,
+    /// Access order: last-touch tick → key, oldest first. Every hit and
+    /// insert moves its key to a fresh, larger tick, so a touch and an
+    /// eviction are O(log entries) — the service holds its state lock
+    /// across both, on the daemon's poll thread.
+    order: BTreeMap<u64, ScenarioKey>,
+    next_tick: u64,
     total_bytes: usize,
     max_bytes: usize,
     evictions: u64,
@@ -61,15 +72,24 @@ pub struct ResultCache {
 impl ResultCache {
     /// An empty cache holding at most `max_bytes` of tallies.
     pub fn new(max_bytes: usize) -> Self {
-        Self { map: HashMap::new(), lru: Vec::new(), total_bytes: 0, max_bytes, evictions: 0 }
+        Self {
+            map: HashMap::new(),
+            order: BTreeMap::new(),
+            next_tick: 0,
+            total_bytes: 0,
+            max_bytes,
+            evictions: 0,
+        }
     }
 
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &ScenarioKey) -> Option<&CacheEntry> {
-        if self.map.contains_key(key) {
-            self.touch(key);
-        }
-        self.map.get(key)
+        let slot = self.map.get_mut(key)?;
+        self.order.remove(&slot.tick);
+        slot.tick = self.next_tick;
+        self.order.insert(slot.tick, *key);
+        self.next_tick += 1;
+        Some(&slot.entry)
     }
 
     /// Store (or upgrade) the entry for `key`, then evict least-recently
@@ -84,24 +104,23 @@ impl ResultCache {
         chunk_tasks: u64,
     ) {
         let bytes = wire::tally_dense_len(&tally) + std::mem::size_of::<ScenarioKey>();
-        if let Some(old) = self.map.remove(&key) {
-            self.total_bytes -= old.bytes;
+        let entry = CacheEntry { tally, chunks, chunk_photons, chunk_tasks, bytes };
+        if let Some(old) = self.map.insert(key, Slot { entry, tick: self.next_tick }) {
+            self.total_bytes -= old.entry.bytes;
+            self.order.remove(&old.tick);
         }
         self.total_bytes += bytes;
-        self.map.insert(key, CacheEntry { tally, chunks, chunk_photons, chunk_tasks, bytes });
-        self.touch(&key);
-        while self.total_bytes > self.max_bytes && self.lru.len() > 1 {
-            let victim = self.lru.remove(0);
-            if let Some(entry) = self.map.remove(&victim) {
-                self.total_bytes -= entry.bytes;
+        self.order.insert(self.next_tick, key);
+        self.next_tick += 1;
+        // The entry just written holds the largest tick, so stopping at
+        // one survivor is what exempts it.
+        while self.total_bytes > self.max_bytes && self.order.len() > 1 {
+            let Some((_, victim)) = self.order.pop_first() else { break };
+            if let Some(slot) = self.map.remove(&victim) {
+                self.total_bytes -= slot.entry.bytes;
                 self.evictions += 1;
             }
         }
-    }
-
-    fn touch(&mut self, key: &ScenarioKey) {
-        self.lru.retain(|k| k != key);
-        self.lru.push(*key);
     }
 
     /// Number of live entries.
@@ -128,6 +147,71 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The policy as first written, spelled out on a `Vec` in access
+    /// order (oldest first): touch is remove-and-push, the victim is
+    /// element 0, the last survivor is never evicted.
+    #[derive(Default)]
+    struct VecModel {
+        lru: Vec<(ScenarioKey, usize)>,
+        evictions: u64,
+    }
+
+    impl VecModel {
+        fn total(&self) -> usize {
+            self.lru.iter().map(|(_, bytes)| bytes).sum()
+        }
+
+        fn get(&mut self, key: &ScenarioKey) -> bool {
+            let Some(at) = self.lru.iter().position(|(k, _)| k == key) else { return false };
+            let hit = self.lru.remove(at);
+            self.lru.push(hit);
+            true
+        }
+
+        fn insert(&mut self, key: ScenarioKey, bytes: usize, max_bytes: usize) {
+            self.lru.retain(|(k, _)| *k != key);
+            self.lru.push((key, bytes));
+            while self.total() > max_bytes && self.lru.len() > 1 {
+                self.lru.remove(0);
+                self.evictions += 1;
+            }
+        }
+    }
+
+    proptest! {
+        /// Random get/insert traffic over a few keys, entry sizes that
+        /// differ, budgets from "nothing fits" to "everything fits": after
+        /// every step the cache holds the model's keys in the model's
+        /// order — so every hit, every victim and the order victims went
+        /// in are the model's — with the model's byte and eviction counts.
+        #[test]
+        fn order_index_evicts_exactly_like_the_vec_it_replaced(
+            budget_entries in 0usize..6,
+            ops in proptest::collection::vec((any::<bool>(), 0u8..8, 1usize..4), 1..120),
+        ) {
+            let sized = |layers: usize| Tally::new(layers, None, None);
+            let charge = |layers: usize| wire::tally_dense_len(&sized(layers)) + 32;
+            let max_bytes = budget_entries * charge(2);
+            let mut cache = ResultCache::new(max_bytes);
+            let mut model = VecModel::default();
+            for (is_get, tag, layers) in ops {
+                if is_get {
+                    prop_assert_eq!(cache.get(&key(tag)).is_some(), model.get(&key(tag)));
+                } else {
+                    cache.insert(key(tag), sized(layers), 1, 100, 4);
+                    model.insert(key(tag), charge(layers), max_bytes);
+                }
+                let order: Vec<ScenarioKey> = cache.order.values().copied().collect();
+                let expect: Vec<ScenarioKey> = model.lru.iter().map(|(k, _)| *k).collect();
+                prop_assert_eq!(order, expect);
+                prop_assert_eq!(cache.len(), model.lru.len());
+                prop_assert_eq!(cache.total_bytes(), model.total());
+                prop_assert_eq!(cache.evictions(), model.evictions);
+            }
+        }
+    }
 
     fn key(tag: u8) -> ScenarioKey {
         [tag; 32]

@@ -10,8 +10,8 @@
 //! seed: different seeds draw different photon paths and must never share
 //! an entry.
 //!
-//! The key is sha256 over `wire::encode_scenario` of the normalized
-//! scenario (`photons = 0`, `tasks = 1`, `task_offset = 0`). Riding on
+//! The key is sha256 over [`wire::encode_scenario_normalized`] — the wire
+//! encoding with `photons = 0`, `tasks = 1`, `task_offset = 0`. Riding on
 //! the wire codec means the hash covers exactly the fields a peer can
 //! express, and the encoded [`wire::VERSION`] byte is part of the digest
 //! — a wire-format revision deliberately invalidates every cached entry,
@@ -29,11 +29,7 @@ pub type ScenarioKey = [u8; 32];
 /// The photon budget and task decomposition are normalized away (see the
 /// module docs); all physics fields and the seed remain key-relevant.
 pub fn scenario_key(scenario: &Scenario) -> ScenarioKey {
-    let mut normalized = scenario.clone();
-    normalized.photons = 0;
-    normalized.tasks = 1;
-    normalized.task_offset = 0;
-    sha256::digest(&wire::encode_scenario(&normalized))
+    sha256::digest(&wire::encode_scenario_normalized(scenario))
 }
 
 /// Lowercase hex rendering of a key (what `lumen hash` prints).
@@ -45,7 +41,7 @@ pub fn key_hex(key: &ScenarioKey) -> String {
 mod tests {
     use super::*;
     use lumen_core::{Detector, Source};
-    use lumen_tissue::presets::semi_infinite_phantom;
+    use lumen_tissue::presets::{adult_head, semi_infinite_phantom, voxelized, AdultHeadConfig};
 
     fn scenario() -> Scenario {
         Scenario::new(
@@ -74,6 +70,31 @@ mod tests {
         let mut s = scenario();
         s.source = Source::Uniform { radius: 0.3 };
         assert_ne!(scenario_key(&s), base);
+    }
+
+    /// Key *values*, computed before `scenario_key` stopped cloning and
+    /// `sha256::digest` was rewritten: every key a running daemon or a
+    /// `lumen hash` user holds must survive both. A deliberate change of
+    /// the wire layout (`wire::VERSION`) is the only reason to re-pin.
+    #[test]
+    fn key_values_are_pinned() {
+        let detector = Detector::ring(30.0, 2.0);
+        let head = adult_head(AdultHeadConfig::default());
+        let voxel_head = voxelized(&head, 1.0, 10.0, 16.0).expect("voxelizable extent");
+        let layered = Scenario::new(head, Source::Delta, detector).with_seed(42);
+        let voxel = Scenario::new(voxel_head, Source::Gaussian { radius: 0.5 }, detector)
+            .with_seed(7)
+            .with_photons(123_456)
+            .with_tasks(9)
+            .with_task_offset(3);
+        assert_eq!(
+            key_hex(&scenario_key(&layered)),
+            "d5da176f8de6fca7ddb7d22b21e4533b24d3b9639bcbc1a2399fa42deb9e5b14"
+        );
+        assert_eq!(
+            key_hex(&scenario_key(&voxel)),
+            "46fbf245e3c081d5584e369458321502c977132799c72e18208d92baa4e25745"
+        );
     }
 
     #[test]

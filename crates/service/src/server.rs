@@ -8,10 +8,17 @@
 //! own [`wire::VERSION`] before rejecting a mismatch, so an out-of-date
 //! client can diagnose itself.
 //!
-//! Queries are the one thing that must *not* run on the poll thread — a
-//! trace blocks for seconds — so the loop dispatches decoded scenarios
-//! to a small executor pool ([`ServiceOptions::workers`](crate::service::ServiceOptions::workers)
-//! threads) and results come back through a completion channel plus a
+//! The poll thread answers everything that needs no photon: it decodes a
+//! query, validates and hashes it, looks it up, and on a hit encodes and
+//! sends the reply before `on_frame` returns — one socket round trip, no
+//! hand-off, and never queued behind a trace. What it may hold is the
+//! service's state lock, for at most one tally clone (see
+//! `SimulationService::lookup`). A trace is the one thing that must *not*
+//! run there — it blocks for seconds — so a miss goes, with the key the
+//! poll thread already computed, to a small executor pool
+//! ([`ServiceOptions::workers`](crate::service::ServiceOptions::workers)
+//! threads) that claims the key or waits for its holder, traces, stores,
+//! and hands the result back through a completion channel plus a
 //! [`lumen_net::Waker`]. Each dispatched query carries a cancel flag the
 //! loop raises the instant the querying connection dies, so a client
 //! disconnect can burn at most one chunk of worker-pool budget instead
@@ -25,7 +32,7 @@
 //! any connection.
 
 use crate::proto::{self, KIND_ERROR, KIND_QUERY, KIND_RESULT};
-use crate::service::{QueryReply, ServiceError, SimulationService};
+use crate::service::{Prepared, QueryReply, ServiceError, SimulationService};
 use lumen_cluster::net::{KIND_HELLO, KIND_PING};
 use lumen_cluster::wire;
 use lumen_cluster::NetError;
@@ -43,11 +50,13 @@ use std::time::{Duration, Instant};
 /// pre-HELLO or stalls mid-frame past this is cut.
 const STALL_GUARD: Duration = Duration::from_secs(10);
 
-/// One query handed to the executor pool.
+/// One cache miss handed to the executor pool, already validated and
+/// hashed by the poll thread.
 struct Job {
     token: Token,
     generation: u64,
     scenario: Scenario,
+    prepared: Prepared,
     cancel: Arc<AtomicBool>,
 }
 
@@ -71,7 +80,7 @@ pub struct ServiceServer {
 
 impl ServiceServer {
     /// Bind `addr` and start serving `service`: one poll-loop thread for
-    /// all connections, [`ServiceOptions::workers`](crate::service::ServiceOptions::workers)
+    /// all connections and every cache hit, [`ServiceOptions::workers`](crate::service::ServiceOptions::workers)
     /// executor threads for the traces.
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -98,8 +107,14 @@ impl ServiceServer {
         let loop_thread = {
             let stop = Arc::clone(&stop);
             thread::spawn(move || {
-                let mut daemon =
-                    Daemon { peers: HashMap::new(), job_tx, done_rx, next_generation: 0, stop };
+                let mut daemon = Daemon {
+                    service,
+                    peers: HashMap::new(),
+                    job_tx,
+                    done_rx,
+                    next_generation: 0,
+                    stop,
+                };
                 // Loop failures (a dying listener) end the daemon; the
                 // bound `ServiceServer` still shuts down cleanly.
                 let _ = events.run(&mut daemon);
@@ -140,8 +155,8 @@ impl Drop for ServiceServer {
     }
 }
 
-/// Executor thread: pull queries, run them against the shared service
-/// (cancellable), hand results back to the poll loop.
+/// Executor thread: pull misses, trace and store them against the shared
+/// service (cancellable), hand results back to the poll loop.
 fn worker_loop(
     jobs: Arc<Mutex<mpsc::Receiver<Job>>>,
     service: Arc<SimulationService>,
@@ -158,7 +173,7 @@ fn worker_loop(
             },
             Err(_) => return,
         };
-        let result = service.query_with_cancel(&job.scenario, &job.cancel);
+        let result = service.trace_and_store(&job.scenario, &job.prepared, &job.cancel);
         if done_tx
             .send(Completion { token: job.token, generation: job.generation, result })
             .is_err()
@@ -176,14 +191,25 @@ enum Peer {
     Hello { deadline: Instant },
     /// Handshaken and idle.
     Ready,
-    /// A query is with the executor pool. Further queries queue here and
-    /// are answered in order; `cancel` aborts the trace if the
-    /// connection dies first.
+    /// A miss is with the executor pool. Further queries — hits too, so
+    /// replies keep request order — queue here and are answered in
+    /// order; `cancel` aborts the trace if the connection dies first.
     Busy { generation: u64, cancel: Arc<AtomicBool>, queued: VecDeque<Vec<u8>> },
+}
+
+/// What the poll thread made of one query by itself.
+enum Inline {
+    /// The frame that answers it: a typed error for a malformed or
+    /// invalid query, the reply for a hit.
+    Frame(u8, Vec<u8>),
+    /// A miss, validated and hashed, for the executor pool (boxed: a
+    /// scenario is some 600 bytes, and a miss is the rare, slow case).
+    Miss(Box<(Scenario, Prepared)>),
 }
 
 /// The daemon protocol as a [`Handler`] on the shared poll loop.
 struct Daemon {
+    service: Arc<SimulationService>,
     peers: HashMap<Token, Peer>,
     job_tx: mpsc::Sender<Job>,
     done_rx: mpsc::Receiver<Completion>,
@@ -192,9 +218,29 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Decode and dispatch one query, carrying over `queued` follow-ups.
-    /// Malformed payloads are answered inline (typed, connection stays
-    /// open) and the next queued query is tried.
+    /// Everything the poll thread can do with one query by itself:
+    /// decode, validate and hash, look up.
+    fn answer(&self, payload: &[u8]) -> Inline {
+        let scenario = match wire::decode_scenario(payload) {
+            Ok(scenario) => scenario,
+            Err(e) => {
+                let msg = format!("malformed scenario: {e}");
+                return Inline::Frame(KIND_ERROR, proto::encode_error(&msg));
+            }
+        };
+        let prepared = match self.service.prepare(&scenario) {
+            Ok(prepared) => prepared,
+            Err(e) => return Inline::Frame(KIND_ERROR, proto::encode_error(&e.to_string())),
+        };
+        match self.service.lookup(&prepared) {
+            Some(reply) => Inline::Frame(KIND_RESULT, proto::encode_reply(&reply)),
+            None => Inline::Miss(Box::new((scenario, prepared))),
+        }
+    }
+
+    /// Serve one query and then its `queued` follow-ups, inline, up to
+    /// the first cache miss, which is dispatched and parks the connection
+    /// `Busy` with what is still queued. Errors leave the connection open.
     fn start_query(
         &mut self,
         ops: &mut Ops<'_>,
@@ -204,27 +250,26 @@ impl Daemon {
     ) {
         let mut next = Some(payload);
         while let Some(bytes) = next.take() {
-            match wire::decode_scenario(&bytes) {
-                Err(e) => {
-                    let msg = format!("malformed scenario: {e}");
-                    ops.send(token, KIND_ERROR, &proto::encode_error(&msg));
+            let (scenario, prepared) = match self.answer(&bytes) {
+                Inline::Frame(kind, frame) => {
+                    ops.send(token, kind, &frame);
                     next = queued.pop_front();
+                    continue;
                 }
-                Ok(scenario) => {
-                    self.next_generation += 1;
-                    let generation = self.next_generation;
-                    let cancel = Arc::new(AtomicBool::new(false));
-                    let job = Job { token, generation, scenario, cancel: Arc::clone(&cancel) };
-                    if self.job_tx.send(job).is_err() {
-                        // Executor pool gone: the daemon is shutting down.
-                        ops.close(token);
-                        self.peers.remove(&token);
-                        return;
-                    }
-                    self.peers.insert(token, Peer::Busy { generation, cancel, queued });
-                    return;
-                }
+                Inline::Miss(miss) => *miss,
+            };
+            self.next_generation += 1;
+            let generation = self.next_generation;
+            let cancel = Arc::new(AtomicBool::new(false));
+            let job = Job { token, generation, scenario, prepared, cancel: Arc::clone(&cancel) };
+            if self.job_tx.send(job).is_err() {
+                // Executor pool gone: the daemon is shutting down.
+                ops.close(token);
+                self.peers.remove(&token);
+                return;
             }
+            self.peers.insert(token, Peer::Busy { generation, cancel, queued });
+            return;
         }
         self.peers.insert(token, Peer::Ready);
     }

@@ -19,8 +19,10 @@
 //!
 //! # Concurrency
 //!
-//! Requests arrive from many threads (the daemon's executor pool, or
-//! library callers). A per-key in-flight set (mutex + condvar) ensures
+//! Requests arrive from many threads: library callers, and the daemon,
+//! which answers hits on its poll thread (`prepare` + `lookup`, never
+//! blocking on a trace) and sends only misses to its executor pool
+//! (`trace_and_store`). A per-key in-flight set (mutex + condvar) ensures
 //! two clients asking for the same uncached scenario trace it once:
 //! the second blocks until the first stores, then is served warm from
 //! cache. Distinct keys trace concurrently, bounded by a counting
@@ -35,7 +37,7 @@ use crate::hash::{scenario_key, ScenarioKey};
 use lumen_core::engine::{EngineError, Scenario};
 use lumen_core::tally::Tally;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Tuning knobs for [`SimulationService`].
@@ -247,14 +249,28 @@ struct State {
     inflight: HashSet<ScenarioKey>,
 }
 
+/// Monotonic event counters. Each is an independent statistic that
+/// publishes no other data, so `Relaxed` suffices — and a warm hit takes
+/// the state lock and nothing else.
 #[derive(Debug, Default)]
 struct Counts {
-    queries: u64,
-    cold: u64,
-    warm: u64,
-    topup: u64,
-    chunks_traced: u64,
-    cancelled: u64,
+    queries: AtomicU64,
+    cold: AtomicU64,
+    warm: AtomicU64,
+    topup: AtomicU64,
+    chunks_traced: AtomicU64,
+    cancelled: AtomicU64,
+}
+
+/// A query past validation: its cache key and the whole chunks its
+/// budget rounds up to. Only [`SimulationService::prepare`] makes one, so
+/// holding one means the scenario validated and the chunk ledger
+/// (`chunks * chunk_tasks` streams, `chunks * chunk_photons` photons)
+/// fits in `u64`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Prepared {
+    key: ScenarioKey,
+    want_chunks: u64,
 }
 
 /// The persistent simulation service (in-process core; `crate::server`
@@ -266,7 +282,7 @@ pub struct SimulationService {
     state_cv: Condvar,
     permits: Mutex<usize>,
     permits_cv: Condvar,
-    counts: Mutex<Counts>,
+    counts: Counts,
 }
 
 /// RAII worker-pool permit.
@@ -295,7 +311,7 @@ impl SimulationService {
             state_cv: Condvar::new(),
             permits: Mutex::new(options.workers),
             permits_cv: Condvar::new(),
-            counts: Mutex::new(Counts::default()),
+            counts: Counts::default(),
             options,
         })
     }
@@ -321,11 +337,26 @@ impl SimulationService {
     /// chunks with [`ServiceError::Cancelled`] instead of burning
     /// worker-pool budget on an answer nobody will read. Warm cache hits
     /// still serve — only tracing is cancellable work.
+    ///
+    /// This is the composition of the three steps the daemon runs on
+    /// different threads: `prepare` and `lookup` on its poll thread,
+    /// `trace_and_store` on an executor thread, for misses only.
     pub fn query_with_cancel(
         &self,
         scenario: &Scenario,
         cancel: &AtomicBool,
     ) -> Result<QueryReply, ServiceError> {
+        let prepared = self.prepare(scenario)?;
+        match self.lookup(&prepared) {
+            Some(reply) => Ok(reply),
+            None => self.trace_and_store(scenario, &prepared, cancel),
+        }
+    }
+
+    /// Step one: validate the scenario, hash it, and check that its
+    /// budget fits the chunk ledger. Pure CPU on the caller's thread — no
+    /// lock, O(scenario encoding).
+    pub(crate) fn prepare(&self, scenario: &Scenario) -> Result<Prepared, ServiceError> {
         scenario.validate().map_err(|e| ServiceError::InvalidConfig(e.to_string()))?;
         let key = scenario_key(scenario);
         let want_chunks = scenario.photons.div_ceil(self.options.chunk_photons).max(1);
@@ -338,23 +369,51 @@ impl SimulationService {
             .ok_or_else(|| {
                 ServiceError::InvalidConfig("photon budget overflows the chunk ledger".into())
             })?;
+        Ok(Prepared { key, want_chunks })
+    }
 
-        // Claim the key or wait for whoever holds it.
+    /// Step two: answer from cache if the entry covers the budget.
+    ///
+    /// Never blocks on a trace, so the daemon calls it on its poll thread.
+    /// It takes the state lock and nothing else, and every holder of that
+    /// lock does bounded work: a hit clones the cached tally under it —
+    /// O(tally size), a megabyte for a 50³ grid — a miss claiming its key
+    /// clones the prefix it extends, and a finished trace clones its
+    /// result into the cache. Traces and permit waits run unlocked.
+    pub(crate) fn lookup(&self, prepared: &Prepared) -> Option<QueryReply> {
+        self.hit(&mut self.state.lock().expect("service state"), prepared)
+    }
+
+    /// The warm branch, under the caller's state lock.
+    fn hit(&self, st: &mut State, prepared: &Prepared) -> Option<QueryReply> {
+        let entry = st.cache.get(&prepared.key).filter(|e| e.chunks >= prepared.want_chunks)?;
+        let reply = QueryReply {
+            key: prepared.key,
+            tally: entry.tally.clone(),
+            photons_done: entry.photons_done(),
+            served: Served::Warm,
+        };
+        self.note(Served::Warm);
+        Some(reply)
+    }
+
+    /// Step three, for a query `lookup` missed: claim the key (or wait for
+    /// whoever holds it, then look again), trace the missing chunks, store
+    /// and reply. Blocks its thread for as long as the trace takes.
+    pub(crate) fn trace_and_store(
+        &self,
+        scenario: &Scenario,
+        prepared: &Prepared,
+        cancel: &AtomicBool,
+    ) -> Result<QueryReply, ServiceError> {
+        let Prepared { key, want_chunks } = *prepared;
         let (mut acc, have_chunks) = {
             let mut st = self.state.lock().expect("service state");
             loop {
-                if let Some(entry) = st.cache.get(&key) {
-                    if entry.chunks >= want_chunks {
-                        let reply = QueryReply {
-                            key,
-                            tally: entry.tally.clone(),
-                            photons_done: entry.photons_done(),
-                            served: Served::Warm,
-                        };
-                        drop(st);
-                        self.note(Served::Warm);
-                        return Ok(reply);
-                    }
+                // The entry may have arrived since `lookup` missed: from
+                // the holder this query waited for, or any other thread.
+                if let Some(reply) = self.hit(&mut st, prepared) {
+                    return Ok(reply);
                 }
                 if !st.inflight.contains(&key) {
                     st.inflight.insert(key);
@@ -451,36 +510,39 @@ impl SimulationService {
     }
 
     fn note(&self, served: Served) {
-        let mut c = self.counts.lock().expect("service counts");
-        c.queries += 1;
-        match served {
-            Served::Cold => c.cold += 1,
-            Served::Warm => c.warm += 1,
-            Served::TopUp => c.topup += 1,
-        }
+        let c = &self.counts;
+        c.queries.fetch_add(1, Ordering::Relaxed);
+        let kind = match served {
+            Served::Cold => &c.cold,
+            Served::Warm => &c.warm,
+            Served::TopUp => &c.topup,
+        };
+        kind.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One chunk actually traced — counted as the work happens, so the
     /// ledger is accurate even for queries that later cancel or fail.
     fn note_chunk(&self) {
-        self.counts.lock().expect("service counts").chunks_traced += 1;
+        self.counts.chunks_traced.fetch_add(1, Ordering::Relaxed);
     }
 
     fn note_cancelled(&self) {
-        self.counts.lock().expect("service counts").cancelled += 1;
+        self.counts.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot the service counters and cache state.
+    /// Snapshot the service counters and cache state. The counters are
+    /// read one by one, not as a unit: a query that finishes meanwhile
+    /// may show in one and not yet in another.
     pub fn stats(&self) -> ServiceStats {
-        let c = self.counts.lock().expect("service counts");
+        let c = &self.counts;
         let st = self.state.lock().expect("service state");
         ServiceStats {
-            queries: c.queries,
-            cold: c.cold,
-            warm: c.warm,
-            topup: c.topup,
-            chunks_traced: c.chunks_traced,
-            cancelled: c.cancelled,
+            queries: c.queries.load(Ordering::Relaxed),
+            cold: c.cold.load(Ordering::Relaxed),
+            warm: c.warm.load(Ordering::Relaxed),
+            topup: c.topup.load(Ordering::Relaxed),
+            chunks_traced: c.chunks_traced.load(Ordering::Relaxed),
+            cancelled: c.cancelled.load(Ordering::Relaxed),
             evictions: st.cache.evictions(),
             entries: st.cache.len() as u64,
             cached_bytes: st.cache.total_bytes() as u64,

@@ -1,23 +1,26 @@
 //! Transport-core legs for the daemon: dead-client cancellation (a
 //! disconnect mid-trace must stop burning worker-pool budget within one
-//! chunk) and the 100+-concurrent-client scale test the old
-//! thread-per-connection front end could not express. All replies stay
+//! chunk), the 100+-concurrent-client scale test the old
+//! thread-per-connection front end could not express, and the poll
+//! thread's inline hits (never queued behind a trace, never out of
+//! request order on their own connection). All replies stay
 //! byte-deterministic — an answer from a daemon juggling a hundred
 //! sockets is bit-identical to one computed by a private service
 //! instance, and a cancelled fold is discarded whole, never cached.
 
-use lumen_cluster::net::{handshake, write_frame};
+use lumen_cluster::net::{handshake, read_frame, write_frame, write_frame_to, KIND_PING};
 use lumen_cluster::wire;
 use lumen_core::engine::Scenario;
 use lumen_core::{Detector, Source};
-use lumen_service::proto::KIND_QUERY;
+use lumen_service::proto::{self, KIND_ERROR, KIND_QUERY, KIND_RESULT};
 use lumen_service::{Served, ServiceClient, ServiceOptions, ServiceServer, SimulationService};
 use lumen_tissue::presets::semi_infinite_phantom;
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Abort with a named panic (not a CI timeout) if `f` does not finish in
 /// time.
@@ -56,13 +59,17 @@ fn scenario(seed: u64, photons: u64) -> Scenario {
 }
 
 fn service(chunk_photons: u64) -> Arc<SimulationService> {
+    service_with_workers(chunk_photons, 4)
+}
+
+fn service_with_workers(chunk_photons: u64, workers: usize) -> Arc<SimulationService> {
     Arc::new(
         SimulationService::new(
             ServiceOptions::default()
                 .with_backend("sequential")
                 .with_chunk_photons(chunk_photons)
                 .with_chunk_tasks(4)
-                .with_workers(4),
+                .with_workers(workers),
         )
         .expect("valid options"),
     )
@@ -167,6 +174,90 @@ fn hundred_plus_clients_share_one_loop_and_one_trace_per_key() {
         assert_eq!(stats.chunks_traced, KEYS * 2, "load must not cause duplicate tracing");
         assert_eq!(stats.cold, KEYS);
         assert_eq!(stats.warm as usize, CLIENTS - KEYS as usize);
+        server.shutdown();
+    })
+}
+
+#[test]
+fn a_hit_is_not_queued_behind_a_trace() {
+    watchdog("hit beside a trace", LIMIT, || {
+        // One executor thread, and it is about to be busy for a long
+        // time: a hit that needed it would wait the whole trace out.
+        let svc = service_with_workers(10_000, 1);
+        let server = ServiceServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind daemon");
+        let mut b = ServiceClient::connect(server.local_addr()).expect("client B");
+        let primed = b.query(&scenario(2, 10_000)).expect("prime Y");
+        assert_eq!(primed.served, Served::Cold);
+
+        // Connection A: 400 chunks, many seconds of tracing. Wait until
+        // the executor has finished at least one of them, so the trace
+        // is under way — not merely queued — when B asks.
+        let mut a = TcpStream::connect(server.local_addr()).expect("connect A");
+        handshake(&mut a).expect("hello");
+        write_frame(&mut a, KIND_QUERY, &wire::encode_scenario(&scenario(31, 4_000_000)))
+            .expect("send the long cold query");
+        while svc.stats().chunks_traced < 2 {
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        let asked = Instant::now();
+        let reply = b.query(&scenario(2, 10_000)).expect("warm Y beside the trace");
+        let waited = asked.elapsed();
+        let stats = svc.stats();
+        assert_eq!(reply.served, Served::Warm);
+        assert_eq!(reply.tally, primed.tally);
+        assert_eq!((stats.cold, stats.warm), (1, 1), "A must still be outstanding: {stats:?}");
+        assert!(waited < Duration::from_millis(250), "the hit waited {waited:?} behind a trace");
+
+        drop(a); // cancels the trace; shutdown would too
+        server.shutdown();
+    })
+}
+
+#[test]
+fn pipelined_queries_are_answered_in_request_order() {
+    watchdog("pipelined ordering", LIMIT, || {
+        let svc = service(10_000);
+        let server = ServiceServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind daemon");
+        let y = wire::encode_scenario(&scenario(2, 10_000));
+        let primed = ServiceClient::connect(server.local_addr())
+            .and_then(|mut c| c.query(&scenario(2, 10_000)))
+            .expect("prime Y");
+
+        // Five requests in one write: the hits behind the miss must wait
+        // for it (queued while the connection is busy, then served inline
+        // in order), and the malformed one must not break the sequence.
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        handshake(&mut stream).expect("hello");
+        let x = wire::encode_scenario(&scenario(3, 10_000));
+        let mut burst = Vec::new();
+        for payload in [&x[..], &y, &y, &y[..y.len() / 2], &y] {
+            write_frame_to(&mut burst, KIND_QUERY, payload).expect("frame");
+        }
+        stream.write_all(&burst).expect("one write, five queries");
+
+        let mut got = Vec::new();
+        for _ in 0..5 {
+            let (kind, payload) = read_frame(&mut stream).expect("reply");
+            got.push(match kind {
+                KIND_RESULT => {
+                    let reply = proto::decode_reply(&payload).expect("reply decodes");
+                    if reply.served == Served::Warm {
+                        assert_eq!(reply.tally, primed.tally);
+                    }
+                    reply.served.as_str()
+                }
+                KIND_ERROR => "error",
+                other => panic!("unexpected frame kind {other:#x}"),
+            });
+        }
+        assert_eq!(got, ["cold", "warm", "warm", "error", "warm"]);
+        let stats = svc.stats();
+        assert_eq!((stats.cold, stats.warm), (2, 3), "{stats:?}");
+
+        // The typed error left the connection open.
+        write_frame(&mut stream, KIND_PING, b"still here").expect("ping");
+        assert_eq!(read_frame(&mut stream).expect("pong"), (KIND_PING, b"still here".to_vec()));
         server.shutdown();
     })
 }
