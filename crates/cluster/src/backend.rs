@@ -7,7 +7,7 @@
 //!
 //! * [`ThreadedCluster`] — the real master/worker protocol on OS threads
 //!   sharing one lock-guarded [`DataManager`] (demand-driven scheduling,
-//!   leases, failure re-queueing), with optional fault injection via
+//!   failure re-queueing), with optional fault injection via
 //!   [`FailurePlan`];
 //! * [`Tcp`] — the paper's actual deployment: the DataManager on a TCP
 //!   listener, serving however many `net::run_client` processes connect;
@@ -151,7 +151,7 @@ impl Backend for ThreadedCluster {
                             if guard.0.finished() {
                                 return;
                             }
-                            // Queue dry, leases live elsewhere: one of them
+                            // Queue dry, tasks still out elsewhere: one of them
                             // may still come back.
                             guard = changed.wait(guard).expect("a cluster worker panicked");
                         }

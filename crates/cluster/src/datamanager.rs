@@ -4,40 +4,28 @@
 //! client PCs and processes the returned results." This struct is exactly
 //! that, and the only place the requeue logic lives: `ThreadedCluster`
 //! workers share one behind a lock, the TCP server's event loop owns one.
-//! It owns the queue of outstanding tasks, hands them out on request
-//! (demand-driven self-scheduling), re-queues failed tasks, and merges
-//! returned tallies — in task order, as they arrive.
+//! It owns the queue of unassigned tasks, hands them out on request
+//! (demand-driven self-scheduling), re-queues failed tasks, keeps the
+//! per-worker accounts, and hands returned tallies to the task-order
+//! prefix fold, [`TaskFold`]. Who holds an assigned task is the caller's
+//! business: a `ThreadedCluster` worker keeps it on its stack, the TCP
+//! server in its per-client lease with a deadline.
 
 use crate::protocol::SimTask;
-use lumen_core::engine::{batch_sizes, WorkerAccount};
+use lumen_core::engine::{batch_sizes, TaskFold, WorkerAccount};
 use lumen_core::tally::Tally;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Server state for one distributed simulation.
 #[derive(Debug)]
 pub struct DataManager {
     queue: VecDeque<SimTask>,
-    /// Tasks handed out but not yet completed (leases).
-    outstanding: Vec<SimTask>,
-    /// The left fold, in task order, of the first `folded` tasks' tallies
-    /// onto the template. Float accumulation order (and hence the result,
-    /// bit for bit) is that of a sequential run whichever worker finished
-    /// first: a returned tally merges the moment it is the next in task
-    /// order, and only then.
-    aggregate: Tally,
-    /// Tasks merged into `aggregate`: exactly slots `0..folded`.
-    folded: u64,
-    /// Tallies that arrived ahead of a predecessor, by slot (all
-    /// `> folded`), waiting for the prefix to reach them. The one place a
-    /// returned tally is copied, and empty whenever tasks complete in order.
-    parked: BTreeMap<u64, Tally>,
+    /// Returned tallies, merged in task order as they arrive.
+    fold: TaskFold,
     /// Per-worker accounting.
     stats: Vec<WorkerAccount>,
     tasks_total: usize,
     requeues: u64,
-    /// First task id handed out (see [`DataManager::with_offset`]); slot
-    /// `j` is task `task_offset + j`.
-    task_offset: u64,
 }
 
 impl DataManager {
@@ -68,23 +56,18 @@ impl DataManager {
             .collect();
         Self {
             tasks_total: queue.len(),
+            fold: TaskFold::new(template, task_offset, queue.len() as u64),
             queue,
-            outstanding: Vec::new(),
-            aggregate: template,
-            folded: 0,
-            parked: BTreeMap::new(),
             stats: vec![WorkerAccount::default(); n_workers],
             requeues: 0,
-            task_offset,
         }
     }
 
     /// Hand the next task to a requesting worker, or `None` when the queue
-    /// is empty (the worker should be shut down once all leases resolve).
+    /// is empty (the worker should be shut down once every assigned task
+    /// has come back).
     pub fn assign(&mut self) -> Option<SimTask> {
-        let task = self.queue.pop_front()?;
-        self.outstanding.push(task);
-        Some(task)
+        self.queue.pop_front()
     }
 
     /// Register a worker that joined after construction (the elastic TCP
@@ -101,34 +84,18 @@ impl DataManager {
     /// from a peer (which may have been started on another scenario) must
     /// be asked, because merging a mismatch panics.
     pub fn accepts(&self, tally: &Tally) -> bool {
-        self.aggregate.same_shape(tally)
+        self.fold.accepts(tally)
     }
 
-    /// Process a completed task's tally: merge it if it is the next in
-    /// task order (and then every parked successor the longer prefix
-    /// reaches), park a copy if it arrived early. Returns `false` (without
-    /// merging) if the task was already completed — a duplicate must
+    /// Process a completed task's tally: [`TaskFold::push`] merges it if
+    /// it is the next in task order and parks a copy if it arrived early.
+    /// Returns `false` (without merging or accounting) if the task was
+    /// already completed or its id is outside this run — a duplicate must
     /// never double-count photons, and the server's event loop must never
     /// panic over a misbehaving peer.
     pub fn complete(&mut self, worker: usize, task: SimTask, tally: &Tally) -> bool {
-        self.release_lease(task);
-        let Some(slot) =
-            task.task_id.checked_sub(self.task_offset).filter(|&i| i < self.tasks_total as u64)
-        else {
-            return false; // task id outside this run: drop, don't panic
-        };
-        if slot < self.folded || self.parked.contains_key(&slot) {
+        if !self.fold.push(task.task_id, tally) {
             return false;
-        }
-        if slot == self.folded {
-            self.aggregate.merge(tally);
-            self.folded += 1;
-            while let Some(next) = self.parked.remove(&self.folded) {
-                self.aggregate.merge(&next);
-                self.folded += 1;
-            }
-        } else {
-            self.parked.insert(slot, tally.clone());
         }
         if let Some(s) = self.stats.get_mut(worker) {
             s.tasks_completed += 1;
@@ -139,7 +106,6 @@ impl DataManager {
 
     /// Re-queue a failed task (front of queue: it is the oldest work).
     pub fn fail(&mut self, worker: usize, task: SimTask) {
-        self.release_lease(task);
         self.queue.push_front(task);
         self.requeues += 1;
         if let Some(s) = self.stats.get_mut(worker) {
@@ -147,19 +113,13 @@ impl DataManager {
         }
     }
 
-    fn release_lease(&mut self, task: SimTask) {
-        if let Some(i) = self.outstanding.iter().position(|t| t.task_id == task.task_id) {
-            self.outstanding.swap_remove(i);
-        }
-    }
-
     /// All tasks completed?
     pub fn finished(&self) -> bool {
-        // Once every task is in, the prefix has drained the parked set.
-        self.folded == self.tasks_total as u64
+        self.fold.finished()
     }
 
-    /// True when no work remains to hand out (but leases may be live).
+    /// True when no work remains to hand out (but assigned tasks may still
+    /// be out).
     pub fn queue_empty(&self) -> bool {
         self.queue.is_empty()
     }
@@ -175,11 +135,10 @@ impl DataManager {
     }
 
     /// Consume the manager, yielding the merged tally (the task-order fold
-    /// [`DataManager::complete`] maintains), the per-worker accounts and
-    /// the requeue count.
+    /// [`DataManager::complete`] feeds), the per-worker accounts and the
+    /// requeue count.
     pub fn into_results(self) -> (Tally, Vec<WorkerAccount>, u64) {
-        assert!(self.finished(), "into_results before all tasks completed");
-        (self.aggregate, self.stats, self.requeues)
+        (self.fold.into_tally(), self.stats, self.requeues)
     }
 }
 
@@ -371,26 +330,11 @@ mod tests {
                 assert!(!dm.complete(1, tasks[slot], &tallies[slot]));
                 assert!(!dm.complete(1, SimTask { task_id: 6, photons: 10 }, &tallies[0]));
                 assert!(!dm.complete(1, SimTask { task_id: 12, photons: 10 }, &tallies[0]));
-                // Task 0 is never parked, so at most tasks - 1 are; and
-                // what is parked is exactly what the prefix has not reached.
-                assert!(dm.parked.len() < tallies.len(), "{order:?}");
-                assert_eq!(dm.folded as usize + dm.parked.len(), step + 1, "{order:?}");
                 assert_eq!(dm.finished(), step + 1 == tallies.len());
             }
-            assert!(dm.parked.is_empty());
             let (tally, stats, requeues) = dm.into_results();
             assert_eq!(crate::wire::encode_tally(&tally), expected, "{order:?}");
             assert_eq!((stats[0].tasks_completed, stats[1].tasks_failed, requeues), (5, 1, 1));
         }
-    }
-
-    #[test]
-    fn in_order_completion_parks_nothing() {
-        let mut dm = DataManager::new(50, 5, template(), 1);
-        while let Some(t) = dm.assign() {
-            assert!(dm.complete(0, t, &worker_tally(t.photons)));
-            assert!(dm.parked.is_empty());
-        }
-        assert!(dm.finished());
     }
 }

@@ -10,11 +10,16 @@
 //!
 //! 1. **A real master/worker engine** — the [`DataManager`] hands out
 //!    [`protocol::SimTask`]s and the full protocol runs for real:
-//!    demand-driven task requests, task leases, failure re-queueing,
-//!    result merging on the server. [`ThreadedCluster`] runs it with OS
-//!    threads as the clients, sharing the DataManager behind a lock;
-//!    [`net`] runs it over TCP with one event loop owning it. Both execute
-//!    the actual photon transport through `lumen_core::engine::run_task`.
+//!    demand-driven task requests, failure re-queueing, result merging
+//!    on the server. [`ThreadedCluster`] runs it with OS threads as the
+//!    clients, sharing the DataManager behind a lock; [`net`] runs it over
+//!    TCP with one event loop owning it and a deadline lease per client.
+//!    Both execute the actual photon transport through
+//!    `lumen_core::engine::run_task` and merge through the DataManager's
+//!    `lumen_core::engine::TaskFold` — the same task-order prefix fold the
+//!    in-process backends push into, so it holds the aggregate, one tally
+//!    per busy worker, and copies only of tallies that arrived ahead of a
+//!    straggler (up to `tasks - 1` behind a slow task 0).
 //! 2. **A discrete-event simulator** ([`des`]) — models machines by their
 //!    Mflop/s rating (Table 2), non-dedicated background load
 //!    ([`availability`]), and network transfer costs ([`network`]), so the
@@ -34,9 +39,9 @@
 //! implements `lumen_core::engine::Backend` for [`ThreadedCluster`],
 //! [`Tcp`], and [`SimulatedCluster`], so the same
 //! `lumen_core::engine::Scenario` runs unchanged on a single core, the
-//! rayon pool, the threaded master/worker engine, a TCP deployment, or
-//! the simulated machine pool — with bit-identical tallies wherever real
-//! photons are traced.
+//! shared-memory thread backend, the threaded master/worker engine, a TCP
+//! deployment, or the simulated machine pool — with bit-identical tallies
+//! wherever real photons are traced.
 
 pub mod availability;
 pub mod backend;

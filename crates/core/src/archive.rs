@@ -56,11 +56,15 @@
 //! at the recorded properties it equals the detected count exactly; treat
 //! results with `ess ≪ detected` as noise.
 
-use crate::engine::{Backend, EngineError, Progress, RunReport, Scenario, WorkerAccount};
+use crate::engine::{
+    available_threads, for_each_index, Backend, EngineError, Progress, RunReport, Scenario,
+    WorkerAccount,
+};
 use crate::radial::RadialSpec;
 use crate::results::SimulationResult;
 use crate::tally::Tally;
 use lumen_photon::OpticalProperties;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Archive entry class: top-surface escape outside the detector aperture.
@@ -408,7 +412,7 @@ impl PathArchive {
     /// replay reproduces the recording tally's escape-side accumulators
     /// bit for bit: entries replay in the original accumulation order,
     /// grouped into per-task partial sums that merge in task order — the
-    /// same summation tree the engine's `merge_in_task_order` builds, so
+    /// same summation tree the engine's `TaskFold` builds, so
     /// even the float rounding matches.
     pub fn evaluate_shaped(
         &self,
@@ -508,9 +512,9 @@ impl PathArchive {
         Ok(ReweightReport { tally: total, ess, detected_entries, sum_ratio })
     }
 
-    /// Evaluate a whole sweep of queries, fanning out across the rayon
-    /// pool — one [`PathArchive::evaluate`] per query, sharing the
-    /// read-only archive.
+    /// Evaluate a whole sweep of queries, fanning out across one worker
+    /// thread per logical CPU — one [`PathArchive::evaluate`] per query,
+    /// sharing the read-only archive.
     ///
     /// Queries are independent (nothing is accumulated *across* them),
     /// so each report is bit-identical to its sequential
@@ -522,8 +526,15 @@ impl PathArchive {
         &self,
         queries: &[Vec<OpticalProperties>],
     ) -> Vec<Result<ReweightReport, String>> {
-        use rayon::prelude::*;
-        queries.par_iter().map(|query| self.evaluate(query)).collect()
+        let slots: Vec<OnceLock<_>> = queries.iter().map(|_| OnceLock::new()).collect();
+        for_each_index(available_threads().min(queries.len()), queries.len(), |i| {
+            let claimed_once = slots[i].set(self.evaluate(&queries[i])).is_ok();
+            debug_assert!(claimed_once);
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every query index was evaluated"))
+            .collect()
     }
 }
 

@@ -29,12 +29,16 @@
 //! assert_eq!(seq.result.tally, par.result.tally); // bit-identical
 //! ```
 //!
-//! `lumen-core` ships the in-process backends ([`Sequential`], [`Rayon`]);
-//! the distributed ones (`ThreadedCluster`, `Tcp`, `SimulatedCluster`) live
-//! in `lumen-cluster`, which registers them on the same trait — see
-//! `lumen_cluster::backend`. Long runs can observe completion through the
-//! [`Progress`] hook, and all failure paths report a typed [`EngineError`]
-//! instead of panicking on ad-hoc strings.
+//! `lumen-core` ships the in-process backends: [`Sequential`] and
+//! [`Rayon`], the shared-memory thread backend (scoped `std::thread`
+//! workers claiming batches on demand). Both are one driver at different
+//! thread counts, and every backend in the workspace merges through the
+//! one task-order prefix fold defined here, [`TaskFold`] — see it for the
+//! memory a run holds. The distributed ones (`ThreadedCluster`, `Tcp`,
+//! `SimulatedCluster`) live in `lumen-cluster`, which registers them on the
+//! same trait — see `lumen_cluster::backend`. Long runs can observe
+//! completion through the [`Progress`] hook, and all failure paths report a
+//! typed [`EngineError`] instead of panicking on ad-hoc strings.
 
 use crate::detector::Detector;
 use crate::results::SimulationResult;
@@ -43,7 +47,8 @@ use crate::source::Source;
 use crate::tally::Tally;
 use lumen_tissue::{Geometry, GeometryError};
 use mcrng::StreamFactory;
-use rayon::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -361,23 +366,90 @@ pub trait Backend {
     }
 }
 
-/// Merge per-task tallies in task order. Fixing the float accumulation
-/// order is what makes results identical across thread counts, schedules,
-/// and backends (a tree reduction would not be).
-fn merge_in_task_order(
-    sim: &Simulation,
-    per_task: Vec<(Tally, Vec<PathRecord>)>,
-) -> SimulationResult {
-    let cap = sim.options.record_paths;
-    let mut tally = sim.new_tally();
-    let mut paths = Vec::new();
-    for (t, p) in per_task {
-        tally.merge(&t);
-        if paths.len() < cap {
-            paths.extend(p.into_iter().take(cap - paths.len()));
-        }
+/// The task-order prefix fold: the one implementation of "merge returned
+/// tallies in task order" in the workspace. The in-process driver behind
+/// [`Sequential`] and [`Rayon`] pushes into one directly; `lumen-cluster`'s
+/// `DataManager` (and through it `ThreadedCluster` and the TCP server)
+/// delegates to one.
+///
+/// Fixing the float accumulation order is what makes results identical
+/// across thread counts, schedules and backends (a tree reduction would
+/// not be): whichever worker finishes first, a pushed tally merges the
+/// moment it is the next in task order, and only then.
+///
+/// Memory held during a run: the aggregate, one tally per busy worker (the
+/// caller's, borrowed by [`TaskFold::push`]), and a copy of every tally
+/// that arrived ahead of a straggler — nothing when tasks complete in
+/// order, but a slow task 0 can still park up to `tasks - 1` tallies.
+#[derive(Debug)]
+pub struct TaskFold {
+    /// The left fold, in task order, of the first `folded` tasks' tallies
+    /// onto the template.
+    aggregate: Tally,
+    /// Tasks merged into `aggregate`: exactly slots `0..folded`.
+    folded: u64,
+    /// Tallies that arrived ahead of a predecessor, by slot (all
+    /// `> folded`), waiting for the prefix to reach them. The one place a
+    /// returned tally is copied.
+    parked: BTreeMap<u64, Tally>,
+    /// First task id of the run; slot `j` is task `task_offset + j`.
+    task_offset: u64,
+    tasks: u64,
+}
+
+impl TaskFold {
+    /// A fold of `tasks` tallies shaped like `template`, for task ids
+    /// `task_offset..task_offset + tasks`.
+    pub fn new(template: Tally, task_offset: u64, tasks: u64) -> Self {
+        Self { aggregate: template, folded: 0, parked: BTreeMap::new(), task_offset, tasks }
     }
-    SimulationResult::new(tally, paths)
+
+    /// Whether `tally` has the shape of this run's template, i.e. whether
+    /// [`TaskFold::push`] can merge it (merging a mismatch panics).
+    pub fn accepts(&self, tally: &Tally) -> bool {
+        self.aggregate.same_shape(tally)
+    }
+
+    /// Take task `task_id`'s tally: merge it if it is the next in task
+    /// order (and then every parked successor the longer prefix reaches),
+    /// park a copy if it arrived early. Returns `false` (taking nothing)
+    /// for a task already pushed or an id outside the run — a duplicate
+    /// must never double-count photons, and a misbehaving peer must never
+    /// cause a panic.
+    pub fn push(&mut self, task_id: u64, tally: &Tally) -> bool {
+        let Some(slot) = task_id.checked_sub(self.task_offset).filter(|&i| i < self.tasks) else {
+            return false;
+        };
+        if slot < self.folded || self.parked.contains_key(&slot) {
+            return false;
+        }
+        if slot == self.folded {
+            self.aggregate.merge(tally);
+            self.folded += 1;
+            while let Some(next) = self.parked.remove(&self.folded) {
+                self.aggregate.merge(&next);
+                self.folded += 1;
+            }
+        } else {
+            self.parked.insert(slot, tally.clone());
+        }
+        true
+    }
+
+    /// All tasks pushed? (The prefix has then drained the parked set.)
+    pub fn finished(&self) -> bool {
+        self.folded == self.tasks
+    }
+
+    /// Consume the fold, yielding the merged tally.
+    ///
+    /// # Panics
+    /// If not every task has been pushed — a partial tally must never
+    /// pass for a result.
+    pub fn into_tally(self) -> Tally {
+        assert!(self.finished(), "into_tally before all tasks completed");
+        self.aggregate
+    }
 }
 
 /// Run one task: `photons` photons from RNG stream `task_id` of `factory`
@@ -401,12 +473,43 @@ pub fn run_task(
     tally
 }
 
-/// The in-process driver behind [`Sequential`] and [`Rayon`]: trace every
-/// batch — on the calling thread, or on the current rayon pool when
-/// `parallel` — and merge in task order.
+/// Call `work(i)` once for every `i` in `0..items` on `threads` scoped
+/// workers, each claiming the next unclaimed index when it is free
+/// (demand-driven, so an expensive item delays only the worker holding it).
+/// One thread or fewer runs inline on the calling thread, in index order,
+/// with no spawn. Returns once every call has.
+pub(crate) fn for_each_index(threads: usize, items: usize, work: impl Fn(usize) + Sync) {
+    if threads <= 1 {
+        return (0..items).for_each(work);
+    }
+    // Relaxed: the counter hands out indices and publishes nothing else;
+    // what `work` writes is published by its own lock and the scope's join.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items {
+                    break;
+                }
+                work(i);
+            });
+        }
+    });
+}
+
+/// One thread per logical CPU — what a parallel driver uses when the
+/// caller pins nothing.
+pub(crate) fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The in-process driver behind [`Sequential`] and [`Rayon`]: `threads`
+/// workers (clamped to the number of batches) claim batches on demand,
+/// trace each with [`run_task`] and push the tally into one [`TaskFold`].
 fn run_in_process(
     name: &'static str,
-    parallel: bool,
+    threads: usize,
     scenario: &Scenario,
     progress: &dyn Progress,
 ) -> Result<RunReport, EngineError> {
@@ -414,38 +517,37 @@ fn run_in_process(
     let sim = scenario.simulation();
     let factory = StreamFactory::new(scenario.seed);
     let sizes = scenario.batches();
-    let want_paths = sim.options.record_paths > 0;
+    let cap = sim.options.record_paths;
 
-    // The counter and the callback share one lock so observers see a
-    // strictly monotonic photon count in call order, as the Progress
-    // contract promises. Batch completions are coarse-grained, so the
-    // critical section is negligible next to the transport work.
-    let done = Mutex::new(0u64);
-    let trace = |(task_idx, &batch): (usize, &u64)| {
+    // The fold, the photon counter and each task's recorded paths share
+    // one lock, so observers see a strictly monotonic photon count in call
+    // order, as the Progress contract promises. Batch completions are
+    // coarse-grained, so the critical section (one merge) is negligible
+    // next to the transport work.
+    let path_slots: Vec<Vec<PathRecord>> = vec![Vec::new(); sizes.len()];
+    let fold = TaskFold::new(sim.new_tally(), scenario.task_offset, sizes.len() as u64);
+    let state = Mutex::new((fold, 0u64, path_slots));
+    for_each_index(threads.min(sizes.len()), sizes.len(), |slot| {
+        let task_id = scenario.task_offset + slot as u64;
         let mut paths = Vec::new();
-        let tally = run_task(
-            &sim,
-            &factory,
-            scenario.task_offset + task_idx as u64,
-            batch,
-            want_paths.then_some(&mut paths),
-        );
-        let mut done = done.lock().expect("progress lock");
-        *done += batch;
+        let tally = run_task(&sim, &factory, task_id, sizes[slot], (cap > 0).then_some(&mut paths));
+        let mut state = state.lock().expect("an engine worker panicked");
+        let (fold, done, path_slots) = &mut *state;
+        let pushed = fold.push(task_id, &tally);
+        debug_assert!(pushed, "every slot is claimed exactly once");
+        path_slots[slot] = paths;
+        *done += sizes[slot];
         progress.on_photons(*done, scenario.photons);
-        (tally, paths)
-    };
-    let per_task: Vec<(Tally, Vec<PathRecord>)> = if parallel {
-        sizes.par_iter().enumerate().map(trace).collect()
-    } else {
-        sizes.iter().enumerate().map(trace).collect()
-    };
+    });
 
-    let tasks_completed = per_task.len() as u64;
-    let result = merge_in_task_order(&sim, per_task);
+    let (fold, _, path_slots) = state.into_inner().expect("an engine worker panicked");
+    // Sample paths in task order up to the cap, whatever order tasks
+    // completed in.
+    let paths = path_slots.into_iter().flatten().take(cap).collect();
+    let result = SimulationResult::new(fold.into_tally(), paths);
     Ok(RunReport {
         workers: vec![WorkerAccount {
-            tasks_completed,
+            tasks_completed: sizes.len() as u64,
             tasks_failed: 0,
             photons: result.launched(),
         }],
@@ -473,16 +575,20 @@ impl Backend for Sequential {
         progress: &dyn Progress,
     ) -> Result<RunReport, EngineError> {
         scenario.validate()?;
-        run_in_process(self.name(), false, scenario, progress)
+        run_in_process(self.name(), 1, scenario, progress)
     }
 }
 
-/// Shared-memory parallel backend on the rayon thread pool — the
-/// DataManager/client decomposition collapsed into one address space.
+/// Shared-memory thread backend — the DataManager/client decomposition
+/// collapsed into one address space: scoped worker threads claim the
+/// scenario's batches on demand and push their tallies into one
+/// [`TaskFold`]. (The name is historical; it is the `"rayon [threads]"`
+/// backend spec.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Rayon {
-    /// Pin the pool size; `None` uses the global pool (one thread per
-    /// logical CPU). Results do not depend on this — only speed does.
+    /// Pin the worker-thread count (must be >= 1); `None` uses one thread
+    /// per logical CPU. Never more threads than non-empty batches are
+    /// started. Results do not depend on this — only speed does.
     pub threads: Option<usize>,
 }
 
@@ -504,15 +610,11 @@ impl Backend for Rayon {
         progress: &dyn Progress,
     ) -> Result<RunReport, EngineError> {
         scenario.validate()?;
-        let run = || run_in_process(self.name(), true, scenario, progress);
-        match self.threads {
-            None => run(),
-            Some(k) => rayon::ThreadPoolBuilder::new()
-                .num_threads(k)
-                .build()
-                .map_err(|e| EngineError::backend(self.name(), e.to_string()))?
-                .install(run),
+        if self.threads == Some(0) {
+            return Err(EngineError::InvalidConfig("rayon thread count must be >= 1".into()));
         }
+        let threads = self.threads.unwrap_or_else(available_threads);
+        run_in_process(self.name(), threads, scenario, progress)
     }
 }
 
@@ -551,6 +653,7 @@ pub fn from_spec(spec: &str) -> Result<Box<dyn Backend>, EngineError> {
 mod tests {
     use super::*;
     use crate::detector::Detector;
+    use crate::sim::Precision;
     use crate::source::Source;
     use lumen_tissue::presets::semi_infinite_phantom;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -577,10 +680,26 @@ mod tests {
 
     #[test]
     fn pinned_thread_count_does_not_change_results() {
-        let s = scenario();
-        let a = Rayon::with_threads(1).run(&s).unwrap();
-        let b = Rayon::with_threads(2).run(&s).unwrap();
-        assert_eq!(a.result.tally, b.result.tally);
+        // Fewer threads than tasks, more threads than tasks, with and
+        // without path recording, both tiers (fast rejects recording):
+        // tally and sample paths are Sequential's.
+        let fast = SimulationOptions { precision: Precision::Fast, ..Default::default() };
+        let recording = SimulationOptions { record_paths: 3, ..Default::default() };
+        for options in [SimulationOptions::default(), recording, fast] {
+            let s = scenario().with_options(options);
+            let seq = Sequential.run(&s).unwrap();
+            for k in [1, 2, 3, s.tasks as usize + 5] {
+                let par = Rayon::with_threads(k).run(&s).unwrap();
+                assert_eq!(seq.result.tally, par.result.tally, "{k} threads");
+                assert_eq!(seq.result.sample_paths, par.result.sample_paths, "{k} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_pinned_threads_is_invalid() {
+        let err = Rayon { threads: Some(0) }.run(&scenario()).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidConfig(_)));
     }
 
     #[test]
@@ -648,6 +767,23 @@ mod tests {
     }
 
     #[test]
+    fn threaded_progress_is_strictly_increasing_and_ends_at_the_budget() {
+        struct Seen(Mutex<Vec<u64>>);
+        impl Progress for Seen {
+            fn on_photons(&self, completed: u64, total: u64) {
+                assert_eq!(total, 4_000);
+                self.0.lock().unwrap().push(completed);
+            }
+        }
+        let seen = Seen(Mutex::new(Vec::new()));
+        Rayon::with_threads(3).run_with_progress(&scenario(), &seen).unwrap();
+        let seen = seen.0.into_inner().unwrap();
+        assert_eq!(seen.len(), 8, "one call per non-empty batch");
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+        assert_eq!(seen.last(), Some(&4_000));
+    }
+
+    #[test]
     fn zero_tasks_is_invalid() {
         let s = scenario().with_tasks(0);
         assert!(matches!(Sequential.run(&s), Err(EngineError::InvalidConfig(_))));
@@ -687,6 +823,53 @@ mod tests {
         let err = Rayon::default().run(&s).unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)));
         assert!(err.to_string().contains("invalid configuration"));
+    }
+
+    /// Five tallies whose float sums depend on the order they are added in.
+    fn float_tallies() -> Vec<Tally> {
+        [1e16, 1.0, -1e16, 0.1, 3.0]
+            .iter()
+            .map(|&w| {
+                let mut t = Tally::new(1, None, None);
+                t.launched = 10;
+                t.detected_weight = w;
+                t
+            })
+            .collect()
+    }
+
+    #[test]
+    fn task_fold_parks_only_what_the_prefix_has_not_reached() {
+        let tallies = float_tallies();
+        let mut expected = Tally::new(1, None, None);
+        tallies.iter().for_each(|t| expected.merge(t));
+        for order in [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 0, 3, 2, 4]] {
+            let mut fold = TaskFold::new(Tally::new(1, None, None), 7, 5);
+            for (step, &slot) in order.iter().enumerate() {
+                assert!(fold.push(7 + slot as u64, &tallies[slot]));
+                // Nothing is taken twice and nothing outside the run is taken.
+                assert!(!fold.push(7 + slot as u64, &tallies[slot]));
+                assert!(!fold.push(6, &tallies[0]));
+                assert!(!fold.push(12, &tallies[0]));
+                // Task 0 is never parked, so at most tasks - 1 are; and
+                // what is parked is exactly what the prefix has not reached.
+                assert!(fold.parked.len() < tallies.len(), "{order:?}");
+                assert_eq!(fold.folded as usize + fold.parked.len(), step + 1, "{order:?}");
+                assert_eq!(fold.finished(), step + 1 == tallies.len());
+            }
+            assert!(fold.parked.is_empty());
+            assert_eq!(fold.into_tally(), expected, "{order:?}");
+        }
+    }
+
+    #[test]
+    fn task_fold_in_order_completion_parks_nothing() {
+        let mut fold = TaskFold::new(Tally::new(1, None, None), 0, 5);
+        for (task_id, tally) in float_tallies().iter().enumerate() {
+            assert!(fold.push(task_id as u64, tally));
+            assert!(fold.parked.is_empty());
+        }
+        assert!(fold.finished());
     }
 
     #[test]

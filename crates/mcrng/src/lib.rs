@@ -20,10 +20,8 @@
 //!   and half-open floats, exponential step lengths, Henyey–Greenstein
 //!   scattering cosines, and uniform azimuth/disc/Gaussian beam offsets.
 //!
-//! The generators implement [`rand::RngCore`] so they interoperate with the
-//! wider `rand` ecosystem where convenient, but all hot-path sampling goes
-//! through the inherent methods to keep the compiler's inlining decisions
-//! local.
+//! All sampling goes through the generators' inherent methods and the
+//! [`McRng`] trait, which keeps the compiler's inlining decisions local.
 
 pub mod distributions;
 pub mod splitmix;

@@ -51,30 +51,6 @@ impl McRng for SplitMix64 {
     }
 }
 
-impl rand::RngCore for SplitMix64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,16 +88,5 @@ mod tests {
         for &x in &buf {
             assert_eq!(x, b.next());
         }
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_handles_unaligned_tail() {
-        use rand::RngCore;
-        let mut a = SplitMix64::new(5);
-        let mut buf = [0u8; 13];
-        a.fill_bytes(&mut buf);
-        // First 8 bytes must equal the first output in LE order.
-        let mut b = SplitMix64::new(5);
-        assert_eq!(&buf[..8], &b.next().to_le_bytes());
     }
 }

@@ -481,6 +481,12 @@ impl SimulationService {
         let _permit = self.acquire_permit();
         let backend =
             lumen_cluster::backend::from_spec(&self.options.backend_spec).map_err(engine_error)?;
+        // One copy of the scenario (a voxel geometry is thousands of
+        // cells) serves every chunk; only the stream offset moves.
+        let mut piece = scenario
+            .clone()
+            .with_photons(self.options.chunk_photons)
+            .with_tasks(self.options.chunk_tasks);
         for chunk in have..want {
             // Re-check between the cache-claim/permit wait and each
             // backend run: disconnects land mid-trace, not politely
@@ -488,11 +494,7 @@ impl SimulationService {
             if cancel.load(Ordering::Relaxed) {
                 return Err(ServiceError::Cancelled);
             }
-            let piece = scenario
-                .clone()
-                .with_photons(self.options.chunk_photons)
-                .with_tasks(self.options.chunk_tasks)
-                .with_task_offset(chunk * self.options.chunk_tasks);
+            piece.task_offset = chunk * self.options.chunk_tasks;
             let report = backend.run(&piece).map_err(engine_error)?;
             acc.merge(&report.result.tally);
             self.note_chunk();
