@@ -261,6 +261,17 @@ impl PathHistogram {
         Self { max_mm, counts: vec![0; bins], overflow: 0 }
     }
 
+    /// A histogram over `[0, max_mm)` that takes `counts` (one per bin) as
+    /// its storage — how a decoder rebuilds one. A non-positive or NaN
+    /// range or an empty vector is an error, never a panic.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
+    pub fn from_counts(max_mm: f64, counts: Vec<u64>, overflow: u64) -> Result<Self, ConfigError> {
+        if !(max_mm > 0.0) || counts.is_empty() {
+            return Err(ConfigError::BadHistogram { max_mm, bins: counts.len() });
+        }
+        Ok(Self { max_mm, counts, overflow })
+    }
+
     /// Record one detected pathlength.
     #[inline]
     pub fn record(&mut self, pathlength_mm: f64) {
@@ -625,6 +636,24 @@ mod tests {
             VisitGrid::from_data(huge, Vec::new()),
             Err(ConfigError::CellCount { got: 0, .. })
         ));
+    }
+
+    #[test]
+    fn histogram_from_counts_takes_the_storage_and_rejects_what_new_would_panic_on() {
+        let mut recorded = PathHistogram::new(100.0, 4);
+        recorded.record(30.0);
+        recorded.record(250.0);
+        assert_eq!(PathHistogram::from_counts(100.0, vec![0, 1, 0, 0], 1), Ok(recorded));
+        for max_mm in [0.0, -1.0, f64::NAN] {
+            assert!(matches!(
+                PathHistogram::from_counts(max_mm, vec![0; 4], 0),
+                Err(ConfigError::BadHistogram { bins: 4, .. })
+            ));
+        }
+        assert_eq!(
+            PathHistogram::from_counts(100.0, Vec::new(), 0),
+            Err(ConfigError::BadHistogram { max_mm: 100.0, bins: 0 })
+        );
     }
 
     #[test]

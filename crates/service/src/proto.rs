@@ -16,7 +16,7 @@
 //! count up from `0x01`, server-to-client kinds from `0x81`).
 
 use crate::service::{QueryReply, Served};
-use lumen_cluster::wire::{self, Decoder, Encoder, WireError};
+use lumen_cluster::wire::{self, Decoder, Encoder, Wire, WireError};
 
 /// Client → daemon: run (or fetch) this scenario.
 pub const KIND_QUERY: u8 = 0x05;
@@ -25,45 +25,70 @@ pub const KIND_RESULT: u8 = 0x83;
 /// Daemon → client: typed failure for the preceding request.
 pub const KIND_ERROR: u8 = 0x84;
 
+/// One tag byte.
+impl Wire for Served {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put_u8(match self {
+            Served::Cold => 0,
+            Served::Warm => 1,
+            Served::TopUp => 2,
+        });
+    }
+    #[inline]
+    fn get(d: &mut Decoder) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(Served::Cold),
+            1 => Ok(Served::Warm),
+            2 => Ok(Served::TopUp),
+            tag => Err(WireError::Invalid(format!("unknown served tag {tag}"))),
+        }
+    }
+}
+
+/// Cache key, served tag, photons done, then the tally as a nested
+/// [`wire::encode_tally`] message (its own header, length-prefixed).
+impl Wire for QueryReply {
+    #[inline]
+    fn put(&self, e: &mut Encoder) {
+        e.put_bytes(&self.key);
+        self.served.put(e);
+        e.put_u64(self.photons_done);
+        e.put_bytes(&wire::encode_tally(&self.tally));
+    }
+    #[inline]
+    fn get(d: &mut Decoder) -> Result<Self, WireError> {
+        let key_bytes = d.get_bytes()?;
+        let key = key_bytes.as_slice().try_into().map_err(|_| {
+            WireError::Invalid(format!("cache key must be 32 bytes, got {}", key_bytes.len()))
+        })?;
+        Ok(QueryReply {
+            key,
+            served: Wire::get(d)?,
+            photons_done: d.get_u64()?,
+            tally: wire::decode_tally(&d.get_bytes()?)?,
+        })
+    }
+}
+
 /// Encode a [`QueryReply`] for a [`KIND_RESULT`] frame.
 pub fn encode_reply(reply: &QueryReply) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_bytes(&reply.key);
-    e.put_u8(reply.served.tag());
-    e.put_u64(reply.photons_done);
-    e.put_bytes(&wire::encode_tally(&reply.tally));
-    e.finish()
+    wire::encode(reply)
 }
 
 /// Decode a [`KIND_RESULT`] payload.
 pub fn decode_reply(bytes: &[u8]) -> Result<QueryReply, WireError> {
-    let mut d = Decoder::new(bytes)?;
-    let key_bytes = d.get_bytes()?;
-    let key: [u8; 32] = key_bytes.as_slice().try_into().map_err(|_| {
-        WireError::Invalid(format!("cache key must be 32 bytes, got {}", key_bytes.len()))
-    })?;
-    let tag = d.get_u8()?;
-    let served = Served::from_tag(tag)
-        .ok_or_else(|| WireError::Invalid(format!("unknown served tag {tag}")))?;
-    let photons_done = d.get_u64()?;
-    let tally = wire::decode_tally(&d.get_bytes()?)?;
-    d.finish()?;
-    Ok(QueryReply { key, tally, photons_done, served })
+    wire::decode(bytes)
 }
 
 /// Encode a daemon-side error message for a [`KIND_ERROR`] frame.
 pub fn encode_error(message: &str) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_str(message);
-    e.finish()
+    wire::encode(&message.to_owned())
 }
 
 /// Decode a [`KIND_ERROR`] payload.
 pub fn decode_error(bytes: &[u8]) -> Result<String, WireError> {
-    let mut d = Decoder::new(bytes)?;
-    let message = d.get_str()?;
-    d.finish()?;
-    Ok(message)
+    wire::decode(bytes)
 }
 
 #[cfg(test)]

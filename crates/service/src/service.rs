@@ -143,25 +143,6 @@ impl Served {
             Served::TopUp => "topup",
         }
     }
-
-    /// Wire tag (see `crate::proto`).
-    pub fn tag(self) -> u8 {
-        match self {
-            Served::Cold => 0,
-            Served::Warm => 1,
-            Served::TopUp => 2,
-        }
-    }
-
-    /// Inverse of [`Served::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Served::Cold),
-            1 => Some(Served::Warm),
-            2 => Some(Served::TopUp),
-            _ => None,
-        }
-    }
 }
 
 /// A served query result.
