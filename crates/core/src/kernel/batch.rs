@@ -11,6 +11,22 @@
 //! launches, terminal fates, roulette) drop back to the scalar stage
 //! functions in [`super::scalar`], reusing their exact tally bookkeeping.
 //!
+//! # Fill and drain
+//!
+//! A stream runs in two phases. While the photon budget lasts (*fill*), a
+//! lane whose photon terminates relaunches at once and the pool stays full.
+//! Once the budget is dry (*drain*), lanes go dark one by one while the
+//! longest walks finish. Walk lengths are heavy-tailed, so at the small
+//! tasks a cluster hands out the drain is most of the run: on the 1 mm
+//! voxel head at 128 photons a task, 55 % of supersteps have at most 8 of
+//! the 32 lanes live. Each superstep therefore collects its live lanes, and
+//! every lane-order loop (bookkeeping, hop, drop, roulette) visits only
+//! those. The `ln` and spin sweeps stay full width while more than half the
+//! pool is live and evaluate only the lanes that need them below that. Both
+//! sweep forms run the same per-lane code (`approx::fast_ln`, `spin_lane`),
+//! and Rust never contracts to FMA, so the bits do not depend on which form
+//! ran.
+//!
 //! # Determinism
 //!
 //! The batch kernel is fully deterministic: lanes draw from the task's RNG
@@ -41,14 +57,20 @@ use lumen_tissue::{BoundaryHit, TissueGeometry};
 use mcrng::McRng;
 
 /// Photon lanes stepped per superstep. 32 lanes of `f64` fill eight AVX2
-/// (or four AVX-512) vectors per array sweep — wide enough to amortise the
-/// masked-lane waste from divergent terminations, small enough that the
-/// whole pool state stays resident in L1.
+/// (or four AVX-512) vectors per array sweep, and the whole pool state stays
+/// resident in L1.
 pub(crate) const LANES: usize = 32;
 
 /// Same near-vertical guard as the scalar spin (`|uz|` above this uses the
 /// degenerate-rotation special case).
 const NEARLY_VERTICAL: f64 = 1.0 - 1e-12;
+
+/// The `fast_ln` and spin sweeps run over all [`LANES`] while more than
+/// this many lanes are live, and over only the lanes that need them below.
+/// A full-width sweep vectorizes, so it wins while the pool is mostly full
+/// (per-lane sweeps alone made a dense 4096-photon stream 1.8× slower); a
+/// drained pool would pay it for lanes that do nothing.
+const FULL_WIDTH_ABOVE: usize = LANES / 2;
 
 /// Everything a superstep needs besides the lane pool itself, grouped so
 /// the stage methods stay well under clippy's argument limit.
@@ -283,12 +305,23 @@ impl Pool {
     /// One lockstep superstep: every live lane attempts one hop and, when
     /// the step ends inside the medium, one interaction.
     fn superstep<G: TissueGeometry, R: McRng>(&mut self, cx: &mut StreamCtx<'_, G, R>) {
+        // The lanes live at the start of the superstep. A lane goes dark
+        // only once the budget is dry, and `try_launch` refills only the
+        // lane being retired, so no other lane comes alive before the next
+        // superstep. Every lane-order loop below visits only these, in lane
+        // order, so the RNG draws are a full sweep's; so do the `ln` and
+        // spin sweeps once at most `FULL_WIDTH_ABOVE` lanes are live.
+        let mut mask = 0u32;
+        for l in 0..LANES {
+            mask |= u32::from(self.alive[l]) << l;
+        }
+        let live = Live(mask);
+        let n_live = mask.count_ones() as usize;
+        let full_width = n_live > FULL_WIDTH_ABOVE;
+
         // --- bookkeeping + fresh-step draws (lane order) ---
         let mut u_step = [1.0_f64; LANES];
-        for (l, u) in u_step.iter_mut().enumerate() {
-            if !self.alive[l] {
-                continue;
-            }
+        for l in live {
             self.interactions[l] += 1;
             if self.interactions[l] > cx.sim.options.max_interactions {
                 self.fate[l] = Fate::Expired;
@@ -299,43 +332,52 @@ impl Pool {
                 self.refresh_optics(l, cx.geom);
             }
             if self.step_mfps[l] <= 0.0 {
-                *u = cx.rng.next_f64_open();
+                u_step[l] = cx.rng.next_f64_open();
             }
         }
 
-        // --- free-path sampling (full width, vectorizable) ---
+        // --- free-path sampling ---
         // Lanes with unspent step budget drew no uniform (u = 1, ln 1 = 0),
         // so the masked select folds into a single branch-free update.
-        let mut fresh = [0.0_f64; LANES];
-        for (f, u) in fresh.iter_mut().zip(&u_step) {
-            *f = -approx::fast_ln(*u);
-        }
-        for (s, f) in self.step_mfps.iter_mut().zip(&fresh) {
-            *s = s.max(0.0) + f;
+        if full_width {
+            let mut fresh = [0.0_f64; LANES];
+            for (f, u) in fresh.iter_mut().zip(&u_step) {
+                *f = -approx::fast_ln(*u);
+            }
+            for (s, f) in self.step_mfps.iter_mut().zip(&fresh) {
+                *s = s.max(0.0) + f;
+            }
+        } else {
+            for l in live {
+                self.step_mfps[l] = self.step_mfps[l].max(0.0) + -approx::fast_ln(u_step[l]);
+            }
         }
 
         // --- hop: advance, classify, resolve boundaries (lane order) ---
         // Lanes (re)launched mid-superstep hold step_mfps == 0 and wait for
         // the next superstep.
         let mut interact = [false; LANES];
-        for (l, flag) in interact.iter_mut().enumerate() {
+        for l in live {
             if !self.alive[l] || self.step_mfps[l] <= 0.0 {
                 continue;
             }
             let pos = Vec3::new(self.px[l], self.py[l], self.pz[l]);
-            if !self.transparent[l] {
-                let geometric = self.step_mfps[l] * self.inv_mu_t[l];
-                // Same factor-2 safety margin as the scalar hop stage.
-                if geometric <= 0.5 * cx.geom.min_boundary_distance(pos, self.layer[l]) {
-                    self.advance(l, geometric);
-                    self.step_mfps[l] = 0.0;
-                    *flag = true;
-                    continue;
-                }
+            let transparent = self.transparent[l];
+            let geometric = self.step_mfps[l] * self.inv_mu_t[l];
+            // Same factor-2 safety margin as the scalar hop stage.
+            if !transparent && geometric <= 0.5 * cx.geom.min_boundary_distance(pos, self.layer[l])
+            {
+                self.advance(l, geometric);
+                self.step_mfps[l] = 0.0;
+                interact[l] = true;
+                continue;
             }
+            // Bounded by the step, as in the scalar hop stage: a hit at or
+            // beyond `geometric` means an interaction either way.
             let dir = Vec3::new(self.ux[l], self.uy[l], self.uz[l]);
-            let hit = cx.geom.boundary_hit(pos, dir, self.layer[l]);
-            if self.transparent[l] {
+            let limit = if transparent { f64::INFINITY } else { geometric };
+            let hit = cx.geom.boundary_hit_within(pos, dir, self.layer[l], limit);
+            if transparent {
                 if !hit.distance.is_finite() {
                     // Degenerate geometry (horizontal flight in a
                     // transparent slab): retire rather than loop forever.
@@ -347,11 +389,10 @@ impl Pool {
                 self.boundary_event(l, hit, cx);
                 continue;
             }
-            let geometric = self.step_mfps[l] * self.inv_mu_t[l];
             if geometric <= hit.distance {
                 self.advance(l, geometric);
                 self.step_mfps[l] = 0.0;
-                *flag = true;
+                interact[l] = true;
             } else {
                 self.advance(l, hit.distance);
                 self.step_mfps[l] = (self.step_mfps[l] - hit.distance * self.mu_t[l]).max(0.0);
@@ -366,7 +407,7 @@ impl Pool {
         // disciplines anyway.
         let mut u_hg = [0.5_f64; LANES];
         let mut u_az = [0.0_f64; LANES];
-        for l in 0..LANES {
+        for l in live {
             if !interact[l] {
                 continue;
             }
@@ -392,65 +433,48 @@ impl Pool {
             }
         }
 
-        // --- spin (full width, vectorizable) ---
-        // Every lane computes; the masked write-back below discards the
-        // lanes that did not interact. Divisions by zero in dead or
-        // degenerate lanes produce inf/NaN that the selects drop.
-        let mut nx = [0.0_f64; LANES];
-        let mut ny = [0.0_f64; LANES];
-        let mut nz = [0.0_f64; LANES];
-        for l in 0..LANES {
-            // Henyey–Greenstein polar cosine (same formula and isotropic
-            // fallback as `mcrng::henyey_greenstein_cos`, selected
-            // branch-free).
-            let g = self.g_hg[l];
-            let u = u_hg[l];
-            let iso_like = g.abs() < 1e-6;
-            let g_safe = if iso_like { 1.0 } else { g };
-            let frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * u);
-            let hg = (1.0 + g * g - frac * frac) / (2.0 * g_safe);
-            let cos_t = (if iso_like { 2.0 * u - 1.0 } else { hg }).clamp(-1.0, 1.0);
-            let sin_t = (1.0 - cos_t * cos_t).max(0.0).sqrt();
-            let (sin_p, cos_p) = approx::sincos_unit(u_az[l]);
-            // MCML rotation, with the near-vertical special case.
-            let (dx, dy, dz) = (self.ux[l], self.uy[l], self.uz[l]);
-            let denom = (1.0 - dz * dz).sqrt();
-            let inv_denom = 1.0 / denom;
-            let gx = sin_t * (dx * dz * cos_p - dy * sin_p) * inv_denom + dx * cos_t;
-            let gy = sin_t * (dy * dz * cos_p + dx * sin_p) * inv_denom + dy * cos_t;
-            let gz = -sin_t * cos_p * denom + dz * cos_t;
-            let vertical = dz.abs() > NEARLY_VERTICAL;
-            let (mut x, mut y, mut z) = if vertical {
-                (sin_t * cos_p, sin_t * sin_p, cos_t * dz.signum())
-            } else {
-                (gx, gy, gz)
-            };
-            // One Newton–Raphson step towards unit norm (replaces the
-            // scalar kernel's division by the exact norm; the residual is
-            // quadratically small for near-unit inputs, so drift stays
-            // bounded over arbitrarily long walks).
-            let nn = x * x + y * y + z * z;
-            let scale = 1.5 - 0.5 * nn;
-            x *= scale;
-            y *= scale;
-            z *= scale;
-            nx[l] = x;
-            ny[l] = y;
-            nz[l] = z;
-        }
-        for l in 0..LANES {
-            if interact[l] {
-                self.ux[l] = nx[l];
-                self.uy[l] = ny[l];
-                self.uz[l] = nz[l];
-                self.scatters[l] += 1;
+        // --- spin ---
+        // Full width, every lane computes and the masked write-back discards
+        // the lanes that did not interact (divisions by zero in dead or
+        // degenerate lanes produce inf/NaN that the selects drop). Drained,
+        // only the interacting lanes compute, through the same function.
+        // The write-back stays a full-width select while the pool is mostly
+        // live: it vectorizes, and measured faster than visiting the list.
+        if full_width {
+            let (mut nx, mut ny, mut nz) = ([0.0_f64; LANES], [0.0_f64; LANES], [0.0_f64; LANES]);
+            for l in 0..LANES {
+                let dir = (self.ux[l], self.uy[l], self.uz[l]);
+                (nx[l], ny[l], nz[l]) = spin_lane(self.g_hg[l], u_hg[l], u_az[l], dir);
+            }
+            for l in 0..LANES {
+                if interact[l] {
+                    self.ux[l] = nx[l];
+                    self.uy[l] = ny[l];
+                    self.uz[l] = nz[l];
+                    self.scatters[l] += 1;
+                }
+            }
+        } else {
+            for l in live {
+                if interact[l] {
+                    let (x, y, z) = spin_lane(
+                        self.g_hg[l],
+                        u_hg[l],
+                        u_az[l],
+                        (self.ux[l], self.uy[l], self.uz[l]),
+                    );
+                    self.ux[l] = x;
+                    self.uy[l] = y;
+                    self.uz[l] = z;
+                    self.scatters[l] += 1;
+                }
             }
         }
 
         // --- roulette (lane order, rare) ---
         let cfg = cx.sim.options.roulette;
-        for (l, &interacted) in interact.iter().enumerate() {
-            if !interacted || self.weight[l] >= cfg.threshold {
+        for l in live {
+            if !interact[l] || self.weight[l] >= cfg.threshold {
                 continue;
             }
             if cx.rng.next_f64() < cfg.survival {
@@ -464,11 +488,64 @@ impl Pool {
     }
 }
 
+/// The lanes set in a bit mask, in ascending order. Walking a mask keeps
+/// each index in a register; a list of lane indices made the dense (full
+/// pool) phase measurably slower.
+#[derive(Clone, Copy)]
+struct Live(u32);
+
+const _: () = assert!(LANES <= u32::BITS as usize, "the live mask holds one bit a lane");
+
+impl Iterator for Live {
+    type Item = usize;
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let l = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(l)
+    }
+}
+
+/// One lane of the spin sweep: the new direction after a Henyey–Greenstein
+/// scatter of `dir` with polar uniform `u` and azimuthal uniform `u_az`.
+#[inline(always)]
+fn spin_lane(g: f64, u: f64, u_az: f64, (dx, dy, dz): (f64, f64, f64)) -> (f64, f64, f64) {
+    // Henyey–Greenstein polar cosine (same formula and isotropic fallback
+    // as `mcrng::henyey_greenstein_cos`, selected branch-free).
+    let iso_like = g.abs() < 1e-6;
+    let g_safe = if iso_like { 1.0 } else { g };
+    let frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * u);
+    let hg = (1.0 + g * g - frac * frac) / (2.0 * g_safe);
+    let cos_t = (if iso_like { 2.0 * u - 1.0 } else { hg }).clamp(-1.0, 1.0);
+    let sin_t = (1.0 - cos_t * cos_t).max(0.0).sqrt();
+    let (sin_p, cos_p) = approx::sincos_unit(u_az);
+    // MCML rotation, with the near-vertical special case.
+    let denom = (1.0 - dz * dz).sqrt();
+    let inv_denom = 1.0 / denom;
+    let gx = sin_t * (dx * dz * cos_p - dy * sin_p) * inv_denom + dx * cos_t;
+    let gy = sin_t * (dy * dz * cos_p + dx * sin_p) * inv_denom + dy * cos_t;
+    let gz = -sin_t * cos_p * denom + dz * cos_t;
+    let vertical = dz.abs() > NEARLY_VERTICAL;
+    let (x, y, z) =
+        if vertical { (sin_t * cos_p, sin_t * sin_p, cos_t * dz.signum()) } else { (gx, gy, gz) };
+    // One Newton–Raphson step towards unit norm (replaces the scalar
+    // kernel's division by the exact norm; the residual is quadratically
+    // small for near-unit inputs, so drift stays bounded over arbitrarily
+    // long walks).
+    let nn = x * x + y * y + z * z;
+    let scale = 1.5 - 0.5 * nn;
+    (x * scale, y * scale, z * scale)
+}
+
 /// Run `n` photons of the fast tier from `rng` into `tally`.
 ///
-/// The pool keeps every lane busy until the photon budget runs dry: a lane
-/// whose photon terminates refills itself immediately, so tail divergence
-/// only costs idle lanes during the final [`LANES`] photons of the stream.
+/// The pool fills from the budget and then drains (see the module docs): a
+/// lane whose photon terminates refills itself while photons remain, and
+/// goes dark for good once they are gone. Supersteps run until every lane
+/// is dark, touching only the lanes still live.
 pub(crate) fn run_stream<G: TissueGeometry, R: McRng>(
     sim: &Simulation,
     geom: &G,

@@ -67,7 +67,9 @@ pub(crate) fn launch_stage<G: TissueGeometry, R: McRng>(
 /// lower bound — the factor 2 strictly dominates the rounding of the exact
 /// distance computation, so this branch advances the photon to exactly the
 /// position `hop` would have (same `step_mfps / mu_t` division, same
-/// operands).
+/// operands). Otherwise the boundary query is bounded by that same step
+/// length: `hop` interacts iff the step is at most the hit distance, which
+/// any hit at or beyond the limit decides the same way.
 #[inline]
 pub(crate) fn hop_stage<G: TissueGeometry>(
     geom: &G,
@@ -83,7 +85,8 @@ pub(crate) fn hop_stage<G: TissueGeometry>(
             return StepOutcome::Interact;
         }
     }
-    let hit = geom.boundary_hit(photon.pos, photon.dir, region);
+    let limit = if optics.transparent { f64::INFINITY } else { step_mfps / optics.mu_t };
+    let hit = geom.boundary_hit_within(photon.pos, photon.dir, region, limit);
     if !hit.distance.is_finite() && optics.transparent {
         return StepOutcome::Stuck;
     }

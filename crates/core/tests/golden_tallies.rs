@@ -20,7 +20,8 @@ use lumen_core::engine::{Backend, Scenario, Sequential};
 use lumen_core::sha256;
 use lumen_core::tally::Tally;
 use lumen_core::{
-    BoundaryMode, Detector, GateWindow, GridSpec, RadialSpec, SimulationOptions, Source, Vec3,
+    BoundaryMode, Detector, GateWindow, GridSpec, Precision, RadialSpec, SimulationOptions, Source,
+    Vec3,
 };
 use lumen_tissue::presets::{
     adult_head, head_with_inclusion, homogeneous_white_matter, neonatal_head,
@@ -119,7 +120,7 @@ fn snapshot(name: &str, scenario: &Scenario, tally: &Tally) -> String {
 
 /// The locked-down scenario set: every tissue preset, both boundary modes,
 /// every source family, gated and open detectors, task splits > 1 (so the
-/// engine's merge order is pinned too).
+/// engine's merge order is pinned too), and both precision tiers.
 fn scenarios() -> Vec<(&'static str, Scenario)> {
     let classical = SimulationOptions {
         boundary_mode: BoundaryMode::Classical,
@@ -161,6 +162,25 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
         path_grid: Some(GridSpec::cubic(16, Vec3::new(-8.0, -8.0, 0.0), Vec3::new(8.0, 8.0, 25.0))),
         absorption_rz: Some((RadialSpec { nr: 16, r_max: 8.0 }, 25, 25.0)),
         ..SimulationOptions::default()
+    };
+    // The fast tier takes every attachment it accepts (trajectory recording
+    // is exact-only). Odd task splits leave each task a partial last pool,
+    // so both the full-width and the draining supersteps are pinned.
+    let fast_grids = SimulationOptions {
+        precision: Precision::Fast,
+        absorption_grid: Some(GridSpec::cubic(
+            16,
+            Vec3::new(-8.0, -8.0, 0.0),
+            Vec3::new(8.0, 8.0, 25.0),
+        )),
+        absorption_rz: Some((RadialSpec { nr: 16, r_max: 8.0 }, 25, 25.0)),
+        reflectance_profile: Some(RadialSpec { nr: 20, r_max: 8.0 }),
+        path_histogram: Some((300.0, 30)),
+        ..SimulationOptions::default()
+    };
+    let fast = SimulationOptions { precision: Precision::Fast, ..SimulationOptions::default() };
+    let voxel_head = || {
+        voxelized(&adult_head(AdultHeadConfig::default()), 1.0, 8.0, 25.0).expect("head voxelizes")
     };
     vec![
         (
@@ -264,16 +284,11 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
         // Voxel geometries, locked down exactly like the layered presets.
         (
             "voxel_head",
-            Scenario::new(
-                voxelized(&adult_head(AdultHeadConfig::default()), 1.0, 8.0, 25.0)
-                    .expect("head voxelizes"),
-                Source::Delta,
-                Detector::new(4.0, 1.0),
-            )
-            .with_options(voxel_grids)
-            .with_photons(1_500)
-            .with_tasks(4)
-            .with_seed(42),
+            Scenario::new(voxel_head(), Source::Delta, Detector::new(4.0, 1.0))
+                .with_options(voxel_grids)
+                .with_photons(1_500)
+                .with_tasks(4)
+                .with_seed(42),
         ),
         (
             "voxel_head_inclusion",
@@ -293,6 +308,36 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
             .with_photons(1_500)
             .with_tasks(4)
             .with_seed(42),
+        ),
+        // The fast tier, pinned within itself (it is not bit-compatible
+        // with the exact tier; `fast_tier_validation` z-gates the two).
+        (
+            "voxel_head_fast",
+            Scenario::new(voxel_head(), Source::Delta, Detector::new(4.0, 1.0))
+                .with_options(fast_grids)
+                .with_photons(1_500)
+                .with_tasks(7)
+                .with_seed(42),
+        ),
+        (
+            "adult_head_fast",
+            Scenario::new(
+                adult_head(AdultHeadConfig::default()),
+                Source::Delta,
+                Detector::ring(6.0, 2.0),
+            )
+            .with_options(fast.clone())
+            .with_photons(2_000)
+            .with_tasks(4)
+            .with_seed(42),
+        ),
+        (
+            "voxel_head_fast_single",
+            Scenario::new(voxel_head(), Source::Delta, Detector::ring(2.0, 1.0))
+                .with_options(fast)
+                .with_photons(40)
+                .with_tasks(40)
+                .with_seed(17),
         ),
     ]
 }

@@ -54,6 +54,24 @@ pub trait TissueGeometry {
     /// `region`: distance, far-side region, and the boundary's normal axis.
     fn boundary_hit(&self, pos: Vec3, dir: Vec3, region: usize) -> BoundaryHit;
 
+    /// [`boundary_hit`](Self::boundary_hit) for a caller that only acts on
+    /// boundaries closer than `limit` (the engine passes its sampled step
+    /// length, and `f64::INFINITY` in transparent regions).
+    ///
+    /// Contract: when the first boundary is closer than `limit`, the result
+    /// is exactly `boundary_hit`'s. Otherwise the search may stop at the
+    /// first candidate at or beyond `limit` and return any hit whose
+    /// `distance >= limit`; its other fields are then meaningless. The
+    /// engine interacts iff `step <= distance` and then advances by the
+    /// step, never by the distance, so such a hit decides the same way.
+    /// The default runs the full query, which is what a model with O(1)
+    /// boundary queries (the layered stack) wants.
+    #[inline]
+    fn boundary_hit_within(&self, pos: Vec3, dir: Vec3, region: usize, limit: f64) -> BoundaryHit {
+        let _ = limit;
+        self.boundary_hit(pos, dir, region)
+    }
+
     /// A cheap, direction-independent lower bound on
     /// [`boundary_hit`](Self::boundary_hit)'s distance from `pos` inside
     /// `region`, or any value `<= 0` when no useful bound exists (the
@@ -220,6 +238,18 @@ impl Geometry {
         dispatch!(self, g => TissueGeometry::boundary_hit(g, pos, dir, region))
     }
 
+    /// Step-bounded boundary query — see
+    /// [`TissueGeometry::boundary_hit_within`].
+    pub fn boundary_hit_within(
+        &self,
+        pos: Vec3,
+        dir: Vec3,
+        region: usize,
+        limit: f64,
+    ) -> BoundaryHit {
+        dispatch!(self, g => TissueGeometry::boundary_hit_within(g, pos, dir, region, limit))
+    }
+
     /// Direction-independent boundary-distance lower bound — see
     /// [`TissueGeometry::min_boundary_distance`].
     pub fn min_boundary_distance(&self, pos: Vec3, region: usize) -> f64 {
@@ -288,6 +318,10 @@ impl TissueGeometry for Geometry {
 
     fn boundary_hit(&self, pos: Vec3, dir: Vec3, region: usize) -> BoundaryHit {
         Geometry::boundary_hit(self, pos, dir, region)
+    }
+
+    fn boundary_hit_within(&self, pos: Vec3, dir: Vec3, region: usize, limit: f64) -> BoundaryHit {
+        Geometry::boundary_hit_within(self, pos, dir, region, limit)
     }
 
     fn min_boundary_distance(&self, pos: Vec3, region: usize) -> f64 {

@@ -13,6 +13,13 @@
 //! index differs (where Fresnel physics applies) or to the grid's outer
 //! surface. Region indices handed to the transport loop are palette indices,
 //! so per-region tallies aggregate by material.
+//!
+//! Two things keep the transport loop from walking faces it cannot reach:
+//! [`TissueGeometry::boundary_hit_within`] stops the walk at the photon's
+//! sampled step length, and a per-voxel *uniform block* flag (the 3×3×3
+//! block centred on the voxel is inside the grid and holds one material)
+//! widens [`TissueGeometry::min_boundary_distance`] from the voxel's own
+//! faces to the block's, so most interior steps skip the walk entirely.
 
 use crate::error::GeometryError;
 use crate::geometry::TissueGeometry;
@@ -35,9 +42,9 @@ impl VoxelMaterial {
     }
 }
 
-/// Hard cap on total voxel count (64 Mi cells ≈ 128 MiB of `u16`): keeps a
-/// hostile wire message or config file from aborting the process on
-/// allocation.
+/// Hard cap on total voxel count (64 Mi cells ≈ 192 MiB at 3 bytes a cell:
+/// the `u16` material index plus its uniform-block flag): keeps a hostile
+/// wire message or config file from aborting the process on allocation.
 pub const MAX_CELLS: usize = 1 << 26;
 
 /// Overflow-checked `nx·ny·nz`, bounded by [`MAX_CELLS`] — the single
@@ -75,6 +82,10 @@ pub struct VoxelTissue {
     /// Cached `1/(dx, dy, dz)` for the interior fast-path bound (the pitch
     /// is immutable after `new`).
     inv_d: (f64, f64, f64),
+    /// Per voxel, same order as `cells`: the 3×3×3 block centred on it lies
+    /// inside the grid and holds one material (derived from `cells` at
+    /// construction, so it can never go stale).
+    uniform: Vec<bool>,
 }
 
 impl VoxelTissue {
@@ -142,7 +153,23 @@ impl VoxelTissue {
         }
         let derived = materials.iter().map(|m| m.optics.derive()).collect();
         let inv_d = (1.0 / dx, 1.0 / dy, 1.0 / dz);
-        Ok(Self { nx, ny, nz, x0, y0, dx, dy, dz, materials, cells, ambient_n, derived, inv_d })
+        let uniform = uniform_blocks(dims, &cells);
+        Ok(Self {
+            nx,
+            ny,
+            nz,
+            x0,
+            y0,
+            dx,
+            dy,
+            dz,
+            materials,
+            cells,
+            ambient_n,
+            derived,
+            inv_d,
+            uniform,
+        })
     }
 
     /// Build a grid by evaluating `material` at every voxel centre.
@@ -216,6 +243,13 @@ impl VoxelTissue {
     #[inline]
     pub fn material_at(&self, ix: usize, iy: usize, iz: usize) -> u16 {
         self.cells[(iz * self.ny + iy) * self.nx + ix]
+    }
+
+    /// True when the 3×3×3 block of voxels centred on `(ix, iy, iz)` lies
+    /// inside the grid and holds a single material.
+    #[inline]
+    pub fn is_uniform_block(&self, ix: usize, iy: usize, iz: usize) -> bool {
+        self.uniform[(iz * self.ny + iy) * self.nx + ix]
     }
 
     /// Centre of voxel `(ix, iy, iz)` (mm).
@@ -304,27 +338,43 @@ impl TissueGeometry for VoxelTissue {
     }
 
     /// Perpendicular gap from `pos` to the nearest face of its containing
-    /// voxel, minimised over the three axes. The DDA's first *material*
-    /// face is at least as far as the first *cell* face, and no unit
-    /// direction closes a perpendicular gap faster than 1:1, so this lower
-    /// bound lets the engine skip the whole traversal for interior steps.
-    /// Returns `<= 0` on faces and outside the grid (no fast path there).
+    /// voxel, minimised over the three axes — or, when that voxel's 3×3×3
+    /// block is uniform and of material `region`, to the nearest face of
+    /// the block. The DDA reports only faces into another material or out
+    /// of the grid, and the block holds neither; a photon a rounding error
+    /// across a face starts its walk in a neighbour, which is inside the
+    /// block too. No unit direction closes a perpendicular gap faster than
+    /// 1:1, so this lower bound lets the engine skip the whole traversal
+    /// for interior steps. Returns `<= 0` outside the grid and for any
+    /// non-finite coordinate (no fast path there).
     #[inline]
-    fn min_boundary_distance(&self, pos: Vec3, _region: usize) -> f64 {
-        let gap = |p: f64, lo: f64, d: f64, inv_d: f64, n: usize| -> f64 {
+    fn min_boundary_distance(&self, pos: Vec3, region: usize) -> f64 {
+        // Cell index and perpendicular gap (mm) to the nearer face of that
+        // cell along one axis, or `None` unless `pos` is strictly inside
+        // the grid's slab — written so that NaN fails too.
+        let axis = |p: f64, lo: f64, d: f64, inv_d: f64, n: usize| -> Option<(usize, f64)> {
             let f = (p - lo) * inv_d;
-            if f <= 0.0 || f >= n as f64 {
-                return 0.0;
+            if !(f > 0.0 && f < n as f64) {
+                return None;
             }
             let i = f.floor();
-            // Distances to the two faces of cell `i`, in mm.
             let below = p - (lo + i * d);
             let above = (lo + (i + 1.0) * d) - p;
-            below.min(above)
+            Some((i as usize, below.min(above)))
         };
-        gap(pos.x, self.x0, self.dx, self.inv_d.0, self.nx)
-            .min(gap(pos.y, self.y0, self.dy, self.inv_d.1, self.ny))
-            .min(gap(pos.z, 0.0, self.dz, self.inv_d.2, self.nz))
+        let (Some((ix, gx)), Some((iy, gy)), Some((iz, gz))) = (
+            axis(pos.x, self.x0, self.dx, self.inv_d.0, self.nx),
+            axis(pos.y, self.y0, self.dy, self.inv_d.1, self.ny),
+            axis(pos.z, 0.0, self.dz, self.inv_d.2, self.nz),
+        ) else {
+            return 0.0;
+        };
+        let cell = (iz * self.ny + iy) * self.nx + ix;
+        if self.uniform[cell] && usize::from(self.cells[cell]) == region {
+            (gx + self.dx).min(gy + self.dy).min(gz + self.dz)
+        } else {
+            gx.min(gy).min(gz)
+        }
     }
 
     fn entry_region(&self, pos: Vec3) -> Option<usize> {
@@ -336,7 +386,17 @@ impl TissueGeometry for VoxelTissue {
     /// face where the material index differs from `region` (Fresnel
     /// happens there) or where the ray leaves the grid. Faces between
     /// same-material voxels are skipped, so homogeneous runs cost one call.
+    #[inline]
     fn boundary_hit(&self, pos: Vec3, dir: Vec3, region: usize) -> BoundaryHit {
+        self.boundary_hit_within(pos, dir, region, f64::INFINITY)
+    }
+
+    /// The same traversal, abandoned at the first face at or beyond
+    /// `limit`: face distances along one walk never decrease, so every
+    /// later face is at least as far. That face is returned as a crossing
+    /// into `region` itself — a placeholder the caller ignores (see the
+    /// trait's contract).
+    fn boundary_hit_within(&self, pos: Vec3, dir: Vec3, region: usize, limit: f64) -> BoundaryHit {
         let Some((mut ix, mut iy, mut iz)) = self.voxel_of(pos, dir) else {
             // Floating-point overshoot has already carried the photon out of
             // the grid: report an immediate exit. The normal must be the
@@ -377,6 +437,14 @@ impl TissueGeometry for VoxelTissue {
             } else {
                 (Axis::Z, tz)
             };
+            if t >= limit {
+                return BoundaryHit {
+                    distance: t,
+                    next_region: Some(region),
+                    is_top_surface: false,
+                    axis,
+                };
+            }
             let exited = match axis {
                 Axis::X => {
                     let ni = ix as isize + sx;
@@ -433,6 +501,60 @@ impl TissueGeometry for VoxelTissue {
         // Construction enforces every invariant, and the finite grid means
         // even fully transparent media cannot stream forever.
         Ok(())
+    }
+}
+
+/// The uniform-block flag of every cell (see [`VoxelTissue::is_uniform_block`]),
+/// built by three separable widening passes: a cell's x-triple is uniform,
+/// then its 3×3 xy-square (three uniform x-triples of one material), then
+/// its 3×3×3 block (three uniform squares of one material). Each pass runs
+/// over the whole array at once, which vectorizes; the cells it paired
+/// across a row or plane edge are cleared afterwards, so cells on the
+/// grid's outer shell stay `false`.
+#[inline(never)]
+fn uniform_blocks((nx, ny, nz): (usize, usize, usize), cells: &[u16]) -> Vec<bool> {
+    let n = cells.len();
+    let mut flags = vec![false; n];
+    if nx < 3 || ny < 3 || nz < 3 {
+        return flags;
+    }
+    let plane = nx * ny;
+    // x: the cell and both x-neighbours share a material.
+    let (c0, c1, c2) = (&cells[..n - 2], &cells[1..n - 1], &cells[2..]);
+    for (k, f) in flags[1..n - 1].iter_mut().enumerate() {
+        *f = (c0[k] == c1[k]) & (c1[k] == c2[k]);
+    }
+    for row in flags.chunks_exact_mut(nx) {
+        row[0] = false;
+        row[nx - 1] = false;
+    }
+    // y, into the scratch buffer: three uniform x-triples, one material.
+    let mut square = vec![false; n];
+    widen(&mut square[nx..n - nx], &flags, cells, nx);
+    for p in square.chunks_exact_mut(plane) {
+        p[..nx].fill(false);
+        p[plane - nx..].fill(false);
+    }
+    // z, back into `flags`: three uniform squares, one material.
+    widen(&mut flags[plane..n - plane], &square, cells, plane);
+    flags[..plane].fill(false);
+    flags[n - plane..].fill(false);
+    flags
+}
+
+/// One widening pass: `out[k]` (the cell `stride` past `flags[k]`) is set
+/// when that cell and its neighbours `stride` either side are all flagged
+/// and share a material.
+#[inline]
+fn widen(out: &mut [bool], flags: &[bool], cells: &[u16], stride: usize) {
+    // Equal-length views, so the indexed loop below needs no bounds checks.
+    let n = out.len();
+    let (f0, f1, f2) =
+        (&flags[..n], &flags[stride..stride + n], &flags[2 * stride..2 * stride + n]);
+    let (c0, c1, c2) =
+        (&cells[..n], &cells[stride..stride + n], &cells[2 * stride..2 * stride + n]);
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = f0[k] & f1[k] & f2[k] & (c0[k] == c1[k]) & (c1[k] == c2[k]);
     }
 }
 
@@ -844,6 +966,31 @@ mod tests {
         let up = t.boundary_hit(Vec3::new(0.1, 0.1, -1e-6), -Vec3::PLUS_Z, 0);
         assert_eq!(up.axis, Axis::Z);
         assert!(up.is_top_surface);
+    }
+
+    #[test]
+    fn non_finite_coordinates_get_no_interior_bound() {
+        // A NaN axis used to drop out of the `min` over axes, so the other
+        // two axes' gaps let such a photon skip the walk.
+        let head = crate::presets::voxelized(
+            &crate::presets::adult_head(crate::presets::AdultHeadConfig::default()),
+            1.0,
+            8.0,
+            25.0,
+        )
+        .unwrap();
+        for t in [slab(), head] {
+            let inside = [0.3, 0.4, 0.6];
+            assert!(t.min_boundary_distance(Vec3::new(0.3, 0.4, 0.6), 0) > 0.0);
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for axis in 0..3 {
+                    let mut c = inside;
+                    c[axis] = bad;
+                    let pos = Vec3::new(c[0], c[1], c[2]);
+                    assert_eq!(t.min_boundary_distance(pos, 0), 0.0, "{pos:?}");
+                }
+            }
+        }
     }
 
     #[test]
