@@ -127,9 +127,9 @@ mod tests {
             let theta = std::f64::consts::PI * t as f64 / 100.0;
             let x = r - r * theta.cos();
             let z = r * theta.sin() * 0.6; // flattened arc
-            let ix = f.ix_of(x);
+            let ix = ((x - f.x_min) / (f.x_max - f.x_min) * nx as f64) as usize;
             let iz = ((z / f.z_max) * nz as f64).min(nz as f64 - 1.0) as usize;
-            *f.at_mut(ix, iz) += 1.0;
+            f.values[iz * nx + ix] += 1.0;
         }
         f
     }
@@ -156,9 +156,9 @@ mod tests {
             z_max: 30.0,
             values: vec![0.0; 2500],
         };
-        let ix = f.ix_of(0.0);
+        let ix = 8; // x = 0: 5 mm into 30 mm of 50 columns
         for iz in 0..50 {
-            *f.at_mut(ix, iz) = 1.0;
+            f.values[iz * 50 + ix] = 1.0;
         }
         let m = banana_metrics(&f, 20.0);
         assert!(!m.is_banana(20.0), "{m:?}");

@@ -10,14 +10,14 @@
 //! * [`banana`] — quantitative checks that the thresholded detected-path
 //!   distribution really is the expected banana: end-point anchoring at
 //!   source and detector, maximum depth near the midpoint, depth bounds;
-//! * [`profile`] — spatial sensitivity profiles (visit weight vs depth),
-//!   penetration-depth vs separation curves;
+//! * [`profile`] — spatial sensitivity profiles (visit weight vs depth,
+//!   surface beam width);
 //! * [`render`] — ASCII and PGM renderers for terminal/figure output;
-//! * [`stats`] — histograms and summary statistics for pathlength and
-//!   penetration distributions;
 //! * [`diffusion`] — the Farrell–Patterson diffusion-approximation
 //!   baseline the Monte Carlo engine is validated against;
-//! * [`tof`] — pathlength ↔ time-of-flight conversion and TPSFs.
+//! * [`convergence`] — batch-means error estimates and the photon count a
+//!   target precision needs;
+//! * [`tof`] — pathlength ↔ time-of-flight conversion.
 
 pub mod banana;
 pub mod convergence;
@@ -25,16 +25,14 @@ pub mod diffusion;
 pub mod profile;
 pub mod projection;
 pub mod render;
-pub mod stats;
 pub mod threshold;
 pub mod tof;
 
 pub use banana::{banana_metrics, BananaMetrics};
-pub use convergence::{batch_means, ErrorEstimate, RunningStats};
+pub use convergence::{batch_means, ErrorEstimate};
 pub use diffusion::DiffusionModel;
-pub use profile::{depth_profile, lateral_profile};
+pub use profile::depth_profile;
 pub use projection::Projection2D;
 pub use render::{render_ascii, write_pgm};
-pub use stats::Histogram;
 pub use threshold::threshold_fraction;
-pub use tof::{arrival_time_ps, pathlength_to_time_ps, tof_from_archive, tpsf_from_pathlengths};
+pub use tof::pathlength_to_time_ps;

@@ -21,38 +21,6 @@ pub fn depth_profile(field: &Projection2D) -> (Vec<f64>, Vec<f64>) {
     (depths, weights)
 }
 
-/// Visit weight as a function of lateral position x.
-pub fn lateral_profile(field: &Projection2D) -> (Vec<f64>, Vec<f64>) {
-    let mut xs = Vec::with_capacity(field.nx);
-    let mut weights = Vec::with_capacity(field.nx);
-    for ix in 0..field.nx {
-        let w: f64 = (0..field.nz).map(|iz| field.at(ix, iz)).sum();
-        xs.push(field.x_of(ix));
-        weights.push(w);
-    }
-    (xs, weights)
-}
-
-/// Depth below which `quantile` of the total visit weight lies — e.g. the
-/// 90 % interrogation depth.
-pub fn interrogation_depth(field: &Projection2D, quantile: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&quantile));
-    let (depths, weights) = depth_profile(field);
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let target = total * quantile;
-    let mut acc = 0.0;
-    for (d, w) in depths.iter().zip(&weights) {
-        acc += w;
-        if acc >= target {
-            return *d;
-        }
-    }
-    *depths.last().expect("non-empty profile")
-}
-
 /// Lateral spread (weight-std of x) within the top `surface_rows` rows —
 /// a beam-width measure used for the source-footprint experiment (the
 /// paper's "lasers do produce a small beam" observation).
@@ -104,43 +72,20 @@ mod tests {
     }
 
     #[test]
-    fn lateral_profile_sums_columns() {
-        let f = field_rows(&[1.0, 1.0], 3);
-        let (xs, weights) = lateral_profile(&f);
-        assert_eq!(weights, vec![2.0, 2.0, 2.0]);
-        assert_eq!(xs.len(), 3);
-    }
-
-    #[test]
-    fn interrogation_depth_median() {
-        let f = field_rows(&[3.0, 1.0, 0.0, 0.0], 1);
-        // Total 4; 50% target = 2, reached in row 0 (depth 0.5).
-        assert!((interrogation_depth(&f, 0.5) - 0.5).abs() < 1e-12);
-        // 90% target = 3.6, reached in row 1 (depth 1.5).
-        assert!((interrogation_depth(&f, 0.9) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interrogation_depth_of_empty_field() {
-        let f = field_rows(&[0.0, 0.0], 2);
-        assert_eq!(interrogation_depth(&f, 0.9), 0.0);
-    }
-
-    #[test]
     fn beam_width_zero_for_single_column() {
         let mut f = field_rows(&[0.0, 0.0], 5);
-        *f.at_mut(2, 0) = 3.0;
+        f.values[2] = 3.0;
         assert_eq!(surface_beam_width(&f, 1), 0.0);
     }
 
     #[test]
     fn beam_width_grows_with_spread() {
         let mut narrow = field_rows(&[0.0], 11);
-        *narrow.at_mut(5, 0) = 1.0;
-        *narrow.at_mut(6, 0) = 1.0;
+        narrow.values[5] = 1.0;
+        narrow.values[6] = 1.0;
         let mut wide = field_rows(&[0.0], 11);
-        *wide.at_mut(0, 0) = 1.0;
-        *wide.at_mut(10, 0) = 1.0;
+        wide.values[0] = 1.0;
+        wide.values[10] = 1.0;
         assert!(surface_beam_width(&wide, 1) > surface_beam_width(&narrow, 1));
     }
 }

@@ -53,12 +53,6 @@ impl Projection2D {
         self.values[iz * self.nx + ix]
     }
 
-    /// Mutable value at (ix, iz) — used by tests and thresholding.
-    #[inline]
-    pub fn at_mut(&mut self, ix: usize, iz: usize) -> &mut f64 {
-        &mut self.values[iz * self.nx + ix]
-    }
-
     /// Maximum value over the field.
     pub fn max_value(&self) -> f64 {
         self.values.iter().copied().fold(0.0, f64::max)
@@ -77,12 +71,6 @@ impl Projection2D {
     /// Physical z coordinate of row centre `iz` (mm).
     pub fn z_of(&self, iz: usize) -> f64 {
         self.z_min + (iz as f64 + 0.5) * (self.z_max - self.z_min) / self.nz as f64
-    }
-
-    /// Column index containing physical coordinate `x`, clamped into range.
-    pub fn ix_of(&self, x: f64) -> usize {
-        let fx = (x - self.x_min) / (self.x_max - self.x_min) * self.nx as f64;
-        (fx.max(0.0) as usize).min(self.nx - 1)
     }
 }
 
@@ -114,26 +102,8 @@ mod tests {
         g.deposit(Vec3::new(1.0, -3.0, 3.0), 1.0);
         g.deposit(Vec3::new(1.0, 4.0, 3.0), 2.0);
         let p = Projection2D::from_grid(&g);
-        let ix = p.ix_of(1.0);
-        let iz = ((3.0 - 0.0) / 10.0 * 10.0) as usize;
-        assert!((p.at(ix, iz) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coordinate_round_trip() {
-        let g = grid_with_point(Vec3::new(0.0, 0.0, 5.0), 1.0);
-        let p = Projection2D::from_grid(&g);
-        for ix in 0..p.nx {
-            assert_eq!(p.ix_of(p.x_of(ix)), ix);
-        }
-    }
-
-    #[test]
-    fn ix_of_clamps() {
-        let g = grid_with_point(Vec3::new(0.0, 0.0, 5.0), 1.0);
-        let p = Projection2D::from_grid(&g);
-        assert_eq!(p.ix_of(-100.0), 0);
-        assert_eq!(p.ix_of(100.0), p.nx - 1);
+        // 1 mm cells: x = 1.0 is column 6 (from -5 mm), z = 3.0 is row 3.
+        assert!((p.at(6, 3) - 3.0).abs() < 1e-12);
     }
 
     #[test]

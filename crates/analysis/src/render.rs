@@ -73,8 +73,8 @@ mod tests {
             z_max: 3.0,
             values: vec![0.0; 12],
         };
-        *f.at_mut(1, 1) = 100.0;
-        *f.at_mut(2, 2) = 1.0;
+        f.values[4 + 1] = 100.0; // (1, 1)
+        f.values[2 * 4 + 2] = 1.0; // (2, 2)
         f
     }
 

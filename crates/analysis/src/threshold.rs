@@ -23,27 +23,6 @@ pub fn threshold_fraction(field: &mut Projection2D, fraction: f64) -> usize {
     survivors
 }
 
-/// The value below which `quantile` of the total field weight lies.
-/// Useful for weight-based (rather than max-based) thresholding.
-pub fn weight_quantile(field: &Projection2D, quantile: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&quantile), "quantile must be in [0,1]");
-    let mut vals: Vec<f64> = field.values.iter().copied().filter(|&v| v > 0.0).collect();
-    if vals.is_empty() {
-        return 0.0;
-    }
-    vals.sort_by(|a, b| a.partial_cmp(b).expect("finite weights"));
-    let total: f64 = vals.iter().sum();
-    let target = total * quantile;
-    let mut acc = 0.0;
-    for &v in &vals {
-        acc += v;
-        if acc >= target {
-            return v;
-        }
-    }
-    *vals.last().expect("non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,20 +58,5 @@ mod tests {
         let mut f = field(vec![1.0, 2.0], 2, 1);
         let kept = threshold_fraction(&mut f, 5.0);
         assert_eq!(kept, 1);
-    }
-
-    #[test]
-    fn weight_quantile_monotone() {
-        let f = field(vec![1.0, 2.0, 3.0, 4.0, 10.0, 0.0], 3, 2);
-        let q25 = weight_quantile(&f, 0.25);
-        let q75 = weight_quantile(&f, 0.75);
-        assert!(q25 <= q75);
-        assert!(q75 <= 10.0);
-    }
-
-    #[test]
-    fn weight_quantile_of_empty_field_is_zero() {
-        let f = field(vec![0.0; 4], 2, 2);
-        assert_eq!(weight_quantile(&f, 0.5), 0.0);
     }
 }

@@ -3,13 +3,9 @@
 //! The engine gates and records *pathlengths*; in a time-resolved
 //! experiment the measured variable is the photon arrival time. The two
 //! are related by `t = L · n / c`: pathlength L in the medium of
-//! refractive index n. These helpers convert between the two and build
-//! temporal point-spread functions (TPSFs) from pathlength histograms, so
-//! the paper's "gated differential pathlengths" can be expressed in
+//! refractive index n. These helpers convert between the two, so the
+//! paper's "gated differential pathlengths" can be expressed in
 //! picoseconds, the unit a pulsed NIRS instrument actually gates in.
-
-use crate::stats::Histogram;
-use lumen_core::archive::{PathArchive, CLASS_DETECTED};
 
 /// Speed of light in vacuum (mm / ps).
 pub const C_MM_PER_PS: f64 = 0.299_792_458;
@@ -28,55 +24,10 @@ pub fn time_to_pathlength_mm(time_ps: f64, n: f64) -> f64 {
     time_ps * C_MM_PER_PS / n
 }
 
-/// Convert a pathlength histogram (mm) into a TPSF histogram (ps) for a
-/// medium of refractive index `n`. Bin counts are preserved; only the
-/// axis is rescaled (the map is linear, so bins stay uniform).
-pub fn tpsf_from_pathlengths(pathlength_hist: &Histogram, n: f64) -> Histogram {
-    let mut out = Histogram::new(
-        pathlength_to_time_ps(pathlength_hist.min, n),
-        pathlength_to_time_ps(pathlength_hist.max, n),
-        pathlength_hist.counts.len(),
-    );
-    // Re-record at bin centres to keep moments consistent on the new axis.
-    for (i, &count) in pathlength_hist.counts.iter().enumerate() {
-        let t = pathlength_to_time_ps(pathlength_hist.bin_centre(i), n);
-        for _ in 0..count {
-            out.record(t);
-        }
-    }
-    out
-}
-
 /// Mean arrival time (ps) implied by a mean pathlength (mm).
 #[inline]
 pub fn mean_time_of_flight_ps(mean_pathlength_mm: f64, n: f64) -> f64 {
     pathlength_to_time_ps(mean_pathlength_mm, n)
-}
-
-/// Arrival time (ps) of one archived entry, summed region by region:
-/// `t = Σ_r L_r · n_r / c`. A path archive keeps per-region partial
-/// pathlengths, so the TPSF can honour each region's refractive index
-/// instead of assuming one effective `n` for the whole path — in a
-/// layered head model the CSF and scalp travel at different speeds.
-pub fn arrival_time_ps(archive: &PathArchive, entry: usize) -> f64 {
-    let row = entry * archive.regions;
-    (0..archive.regions)
-        .map(|r| pathlength_to_time_ps(archive.partial_path[row + r], archive.base[r].n))
-        .sum()
-}
-
-/// Build a TPSF histogram (ps) directly from a path archive's detected
-/// entries, using per-region optical times ([`arrival_time_ps`]). Bins
-/// span `[0, max_ps)`; one count per detected photon, like the engine's
-/// own `PathHistogram`.
-pub fn tof_from_archive(archive: &PathArchive, max_ps: f64, bins: usize) -> Histogram {
-    let mut h = Histogram::new(0.0, max_ps, bins);
-    for i in 0..archive.len() {
-        if archive.class[i] == CLASS_DETECTED {
-            h.record(arrival_time_ps(archive, i));
-        }
-    }
-    h
 }
 
 #[cfg(test)]
@@ -101,60 +52,7 @@ mod tests {
     }
 
     #[test]
-    fn tpsf_preserves_counts() {
-        let mut h = Histogram::new(0.0, 100.0, 20);
-        for l in [5.0, 15.0, 15.0, 55.0, 99.0] {
-            h.record(l);
-        }
-        let tpsf = tpsf_from_pathlengths(&h, 1.4);
-        assert_eq!(tpsf.len(), 5);
-        assert_eq!(tpsf.counts.iter().sum::<u64>(), h.counts.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn tpsf_axis_is_scaled() {
-        let h = Histogram::new(0.0, 100.0, 10);
-        let tpsf = tpsf_from_pathlengths(&h, 1.4);
-        assert!((tpsf.max - pathlength_to_time_ps(100.0, 1.4)).abs() < 1e-9);
-        assert_eq!(tpsf.min, 0.0);
-    }
-
-    #[test]
     fn mean_tof_matches_conversion() {
         assert_eq!(mean_time_of_flight_ps(50.0, 1.4), pathlength_to_time_ps(50.0, 1.4));
-    }
-
-    fn two_region_archive() -> PathArchive {
-        use lumen_core::{OpticalProperties, RecordOptions};
-        let base = vec![
-            OpticalProperties::new(0.05, 10.0, 0.9, 1.4),
-            OpticalProperties::new(0.02, 15.0, 0.9, 1.3),
-        ];
-        let mut a = PathArchive::new(2, base, RecordOptions::default());
-        a.on_launch(0.0);
-        a.push(CLASS_DETECTED, 0.8, 1.0, 100.0, 5.0, 10, &[60.0, 40.0], &[6, 4], &[true, true]);
-        a.on_launch(0.0);
-        // A reflected (undetected) entry must not enter the TPSF.
-        a.push(0, 0.5, 9.0, 10.0, 1.0, 2, &[10.0, 0.0], &[2, 0], &[true, false]);
-        a
-    }
-
-    #[test]
-    fn archive_arrival_time_honours_per_region_index() {
-        let a = two_region_archive();
-        let expected = pathlength_to_time_ps(60.0, 1.4) + pathlength_to_time_ps(40.0, 1.3);
-        assert!((arrival_time_ps(&a, 0) - expected).abs() < 1e-12);
-        // Faster than pricing the whole path at the denser region's index…
-        assert!(arrival_time_ps(&a, 0) < pathlength_to_time_ps(100.0, 1.4));
-        // …and slower than at the lighter one.
-        assert!(arrival_time_ps(&a, 0) > pathlength_to_time_ps(100.0, 1.3));
-    }
-
-    #[test]
-    fn archive_tpsf_counts_only_detections() {
-        let a = two_region_archive();
-        let tpsf = tof_from_archive(&a, 1000.0, 50);
-        assert_eq!(tpsf.len(), 1);
-        assert!((tpsf.mean() - arrival_time_ps(&a, 0)).abs() < 1e-12);
     }
 }

@@ -1,14 +1,15 @@
 //! # lumen-bench — experiment harness
 //!
-//! Shared scenario builders used by the experiment binaries (`src/bin/*`,
-//! one per table/figure, study and ablation of the paper). Performance is
-//! not recorded here: the repository's one measuring instrument is
+//! The paper's tables, figures, studies and ablations are one table,
+//! [`artefacts::ALL`], which the `artefact <name> [budget]` binary runs
+//! and `tests/artefacts.rs` pins by digest. The scenario builders here are
+//! shared with the `net_server`/`net_client` transport tools. Performance
+//! is not recorded here: the repository's one measuring instrument is
 //! `lumen-benchmark` under `benchmark/` (see `docs/PERFORMANCE.md`).
 
-use lumen_core::engine::{Backend, Rayon, Scenario};
-use lumen_core::{
-    Detector, GridSpec, Simulation, SimulationOptions, SimulationResult, Source, Vec3,
-};
+pub mod artefacts;
+
+use lumen_core::{Detector, GridSpec, Simulation, SimulationOptions, Source, Vec3};
 use lumen_tissue::presets::{adult_head, homogeneous_white_matter, AdultHeadConfig};
 
 /// The Fig 3 scenario: laser (delta) source into homogeneous white matter,
@@ -43,43 +44,6 @@ pub fn fig4_scenario(separation: f64, granularity: usize) -> Simulation {
         .with_options(options)
 }
 
-/// The source-footprint scenario (S1): same medium/detector as Fig 3 but a
-/// configurable source.
-pub fn footprint_scenario(source: Source, separation: f64, granularity: usize) -> Simulation {
-    let mut sim = fig3_scenario(separation, granularity);
-    sim.source = source;
-    sim
-}
-
-/// Run a simulation with the library's production backend (`engine::Rayon`
-/// over a `Scenario` with the default 64-task split).
-pub fn run_scenario(sim: &Simulation, photons: u64, seed: u64) -> SimulationResult {
-    Rayon::default()
-        .run(&Scenario::from_simulation(sim, photons, seed))
-        .expect("valid scenario")
-        .result
-}
-
-/// The same run as [`run_scenario`] but with an explicit task count —
-/// what the experiment binaries use when they need the split itself.
-pub fn run_scenario_tasks(
-    sim: &Simulation,
-    photons: u64,
-    seed: u64,
-    tasks: u64,
-) -> SimulationResult {
-    Rayon::default()
-        .run(&Scenario::from_simulation(sim, photons, seed).with_tasks(tasks))
-        .expect("valid scenario")
-        .result
-}
-
-/// Format a separator-joined table row (the binaries print paper-style
-/// tables to stdout).
-pub fn row(cells: &[String]) -> String {
-    cells.join(" | ")
-}
-
 /// Look up a named scenario — the out-of-band experiment agreement the
 /// networked server and clients must share (the original platform shipped
 /// Java bytecode instead). Names: `white_matter`, `adult_head`, `banana`.
@@ -108,7 +72,6 @@ mod tests {
     fn scenarios_validate() {
         assert!(fig3_scenario(6.0, 20).validate().is_ok());
         assert!(fig4_scenario(30.0, 20).validate().is_ok());
-        assert!(footprint_scenario(Source::Gaussian { radius: 1.0 }, 6.0, 20).validate().is_ok());
     }
 
     #[test]
@@ -126,13 +89,5 @@ mod tests {
         let spec = sim.options.path_grid.unwrap();
         let wm_depth = AdultHeadConfig::default().white_matter_depth();
         assert!(spec.max.z > wm_depth);
-    }
-
-    #[test]
-    fn quick_run_detects_photons() {
-        let sim = fig3_scenario(3.0, 20);
-        let res = run_scenario(&sim, 20_000, 1);
-        assert!(res.tally.detected > 0);
-        assert!(res.tally.path_grid.as_ref().unwrap().total() > 0.0);
     }
 }

@@ -1,40 +1,18 @@
-//! Reproduce the shape of the paper's Fig 2 speedup curve on the
-//! simulated 2006 cluster, and exercise the real threaded master/worker
-//! engine on this machine.
+//! Run the real threaded master/worker engine on this machine, with
+//! injected task failures, and watch the retries live through the
+//! `Progress` hook. (The simulated Fig 2 curve is the `fig2_speedup`
+//! artefact: `cargo run --release -p lumen-bench --bin artefact -- fig2_speedup`.)
 //!
-//! Run: `cargo run --release --example cluster_speedup`
+//! Run: `cargo run --release --example threaded_cluster`
 
-use lumen::cluster::{
-    speedup_curve, AvailabilityModel, FailurePlan, JobSpec, NetworkModel, ThreadedCluster,
-};
+use lumen::cluster::{FailurePlan, ThreadedCluster};
 use lumen::core::{Backend, Detector, Progress, Scenario, Source};
 use lumen::tissue::presets::homogeneous_white_matter;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn main() {
-    // --- simulated Fig 2 curve ---
-    println!("simulated speedup curve (homogeneous P4-class machines, 10^9 photons):");
-    let points = speedup_curve(
-        &JobSpec::paper_job(),
-        &[1, 10, 20, 30, 40, 50, 60],
-        NetworkModel::lan_2006(),
-        AvailabilityModel::DEDICATED,
-        2006,
-    );
-    for p in &points {
-        let bar_len = (p.speedup / 60.0 * 40.0).round() as usize;
-        println!(
-            "  k={:>2}  speedup {:>5.1}  eff {:>5.1}%  {}",
-            p.k,
-            p.speedup,
-            p.efficiency * 100.0,
-            "#".repeat(bar_len)
-        );
-    }
-
-    // --- real master/worker engine on this machine ---
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    println!("\nreal master/worker engine ({workers} worker threads, demand-driven):");
+    println!("real master/worker engine ({workers} worker threads, demand-driven):");
     let scenario =
         Scenario::new(homogeneous_white_matter(), Source::Delta, Detector::new(6.0, 1.0))
             .with_photons(200_000)

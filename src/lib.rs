@@ -47,8 +47,10 @@
 //! The same scenario distributed over the threaded master/worker engine
 //! (failure injection and all) is `lumen::cluster::ThreadedCluster`; the
 //! TCP deployment is `lumen::cluster::Tcp`, and the discrete-event
-//! cluster simulator is `lumen::cluster::SimulatedCluster`. `examples/`
-//! in the repository walks through every paper scenario, starting with
+//! cluster simulator is `lumen::cluster::SimulatedCluster`. The paper's
+//! tables and figures are the `lumen-bench` package's `artefact` binary
+//! (`cargo run --release -p lumen-bench --bin artefact -- fig3_banana`);
+//! `examples/` walks through the library API, starting with
 //! `cargo run --release --example quickstart`.
 //!
 //! To keep results *between* invocations, [`service`] wraps any backend

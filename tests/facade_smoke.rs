@@ -13,7 +13,7 @@ fn facade_reexports_resolve() {
     let _v = lumen::photon::Vec3::new(0.0, 0.0, 1.0);
     let _props = lumen::photon::OpticalProperties::new(0.1, 10.0, 0.9, 1.4);
     let _tissue: lumen::tissue::LayeredTissue = semi_infinite_phantom(0.1, 10.0, 0.0, 1.0);
-    let _hist = lumen::analysis::Histogram::new(0.0, 1.0, 10);
+    let _field: Option<lumen::analysis::Projection2D> = None;
     let _backend: lumen::core::Rayon = Rayon::default();
     let _cluster = lumen::cluster::ThreadedCluster::new(2);
     let _plan = lumen::cluster::FailurePlan::Reliable;
