@@ -13,10 +13,10 @@
 //! `Option<T>` is a presence byte then the payload; a `bool` or presence
 //! byte is `0` or `1` and nothing else, so every accepted message
 //! re-encodes to itself; floats are IEEE-754 bit patterns. The dense `f64`
-//! storage of a tally's grids and profiles is the one exception to "length
-//! then elements": its cell count is already fixed by the binning that
-//! precedes it, and it is written as zero-run-length runs
-//! ([`Encoder::put_sparse_f64`]), so a tally costs what the task deposited
+//! storage of a tally's grids and profiles (a [`Cells`] store) is the one
+//! exception to "length then elements": its cell count is already fixed by
+//! the binning that precedes it, and it is written as zero-run-length runs
+//! ([`Encoder::put_cells`]), so a tally costs what the task deposited
 //! rather than what the grid could hold.
 //!
 //! # One description per type
@@ -56,7 +56,7 @@ use crate::protocol::SimTask;
 use lumen_core::archive::{PathArchive, RecordOptions, CLASS_TRANSMITTED};
 use lumen_core::engine::Scenario;
 use lumen_core::radial::{CylinderGrid, RadialProfile, RadialSpec};
-use lumen_core::tally::{GridSpec, PathHistogram, Tally, VisitGrid};
+use lumen_core::tally::{Cells, GridSpec, PathHistogram, Tally, VisitGrid};
 use lumen_core::{
     BoundaryMode, Detector, GateWindow, OpticalProperties, Precision, RouletteConfig,
     SimulationOptions, Source, Vec3,
@@ -73,8 +73,9 @@ pub const VERSION: u8 = 7;
 pub struct Encoder {
     buf: Vec<u8>,
     /// Bytes the dense layout (a count, then 8 bytes a cell) of every
-    /// [`Encoder::put_sparse_f64`] so far would have taken beyond the runs
-    /// written — what [`tally_dense_len`] adds to the buffer length.
+    /// touched store [`Encoder::put_cells`] wrote so far would have taken
+    /// beyond the runs written — what [`tally_held_len`] adds to the buffer
+    /// length.
     dense_extra: isize,
 }
 
@@ -118,15 +119,23 @@ impl Encoder {
         }
     }
 
-    /// Dense `f64` cells as zero-run-length runs: `u64` zero cells skipped,
+    /// A cell store as zero-run-length runs: `u64` zero cells skipped,
     /// `u64` literal count, the literals — repeated until every cell is
     /// covered (the reader knows the cell count from the binning, so none
     /// is written). A cell is zero iff `to_bits() == 0`, which keeps
     /// `-0.0`, subnormals and NaN payloads as literals: the encoding is
-    /// bit-lossless. Runs are maximal, so a cell vector has exactly one
+    /// bit-lossless. Runs are maximal, so the cells have exactly one
     /// encoding: 16 bytes over the raw cells when none is zero, 16 bytes
-    /// in all when every one is.
-    pub fn put_sparse_f64(&mut self, cells: &[f64]) {
+    /// in all when every one is — which is all an untouched store costs,
+    /// written without looking at a cell.
+    pub fn put_cells(&mut self, cells: &Cells) {
+        let Some(cells) = cells.touched() else {
+            if !cells.is_empty() {
+                self.put_u64(cells.len() as u64);
+                self.put_u64(0);
+            }
+            return;
+        };
         let start = self.buf.len();
         let mut rest = cells;
         while !rest.is_empty() {
@@ -253,19 +262,20 @@ impl<'a> Decoder<'a> {
         Ok(self.take(n * 8)?.chunks_exact(8).map(f64_from_le).collect())
     }
 
-    /// Read `cells` dense `f64` values written by
-    /// [`Encoder::put_sparse_f64`], straight into the vector that becomes
-    /// the grid's storage. `cells` is the checked product of the decoded
-    /// binning (`None` when it overflowed). A sparse payload says nothing
-    /// about how large its grid is, so the count is held to
-    /// [`MAX_SPEC_CELLS`] before the one allocation this makes. Only the
-    /// canonical encoding is accepted — every run but the first skips at
-    /// least one zero, every run but the last carries at least one
-    /// literal, no literal has all-zero bits — so re-encoding the result
-    /// reproduces the input bytes.
-    pub fn get_sparse_f64(&mut self, cells: Option<usize>) -> Result<Vec<f64>, WireError> {
+    /// Read a store of `cells` cells written by [`Encoder::put_cells`],
+    /// straight into the store that becomes the grid's storage. `cells` is
+    /// the checked product of the decoded binning (`None` when it
+    /// overflowed). A sparse payload says nothing about how large its grid
+    /// is, so the count is held to [`MAX_SPEC_CELLS`] before the store can
+    /// allocate — which it does only at the first literal: all-zero cells
+    /// decode untouched, at no cost in the cell count. Only the canonical
+    /// encoding is accepted — every run but the first skips at least one
+    /// zero, every run but the last carries at least one literal, no
+    /// literal has all-zero bits — so re-encoding the result reproduces the
+    /// input bytes.
+    pub fn get_cells(&mut self, cells: Option<usize>) -> Result<Cells, WireError> {
         let n = checked_cells(cells)?;
-        let mut data = vec![0.0; n];
+        let mut store = Cells::new(n);
         let mut pos = 0;
         while pos < n {
             let zeros = self.get_u64()?;
@@ -282,15 +292,13 @@ impl<'a> Decoder<'a> {
             }
             pos += zeros as usize;
             let raw = self.take(self.checked_len(literals, 8)? * 8)?;
-            for (cell, bytes) in data[pos..].iter_mut().zip(raw.chunks_exact(8)) {
-                *cell = f64_from_le(bytes);
-                if cell.to_bits() == 0 {
-                    return Err(WireError::Invalid("zero literal in a sparse array".into()));
-                }
+            if raw.chunks_exact(8).any(|bytes| bytes == [0; 8]) {
+                return Err(WireError::Invalid("zero literal in a sparse array".into()));
             }
+            store.write(pos, raw.chunks_exact(8).map(f64_from_le));
             pos += literals as usize;
         }
-        Ok(data)
+        Ok(store)
     }
 
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
@@ -594,12 +602,12 @@ impl Wire for VisitGrid {
     #[inline]
     fn put(&self, e: &mut Encoder) {
         self.spec.put(e);
-        e.put_sparse_f64(self.data());
+        e.put_cells(self.cells());
     }
     #[inline]
     fn get(d: &mut Decoder) -> Result<Self, WireError> {
         let spec = GridSpec::get(d)?;
-        VisitGrid::from_data(spec, d.get_sparse_f64(spec.checked_len())?).map_err(invalid)
+        VisitGrid::from_cells(spec, d.get_cells(spec.checked_len())?).map_err(invalid)
     }
 }
 
@@ -607,14 +615,14 @@ impl Wire for RadialProfile {
     #[inline]
     fn put(&self, e: &mut Encoder) {
         self.spec.put(e);
-        e.put_sparse_f64(self.weights());
+        e.put_cells(self.cells());
         e.put_f64(self.overflow);
     }
     #[inline]
     fn get(d: &mut Decoder) -> Result<Self, WireError> {
         let spec = RadialSpec::get(d)?;
-        let weights = d.get_sparse_f64(Some(spec.nr))?;
-        RadialProfile::from_weights(spec, weights, d.get_f64()?).map_err(invalid)
+        let cells = d.get_cells(Some(spec.nr))?;
+        RadialProfile::from_cells(spec, cells, d.get_f64()?).map_err(invalid)
     }
 }
 
@@ -639,7 +647,7 @@ impl Wire for CylinderGrid {
         self.radial.put(e);
         self.nz.put(e);
         e.put_f64(self.z_max);
-        e.put_sparse_f64(self.data());
+        e.put_cells(self.cells());
         e.put_f64(self.overflow);
     }
     #[inline]
@@ -647,8 +655,8 @@ impl Wire for CylinderGrid {
         let radial = RadialSpec::get(d)?;
         let nz = usize::get(d)?;
         let z_max = d.get_f64()?;
-        let data = d.get_sparse_f64(radial.nr.checked_mul(nz))?;
-        CylinderGrid::from_data(radial, nz, z_max, data, d.get_f64()?).map_err(invalid)
+        let cells = d.get_cells(radial.nr.checked_mul(nz))?;
+        CylinderGrid::from_cells(radial, nz, z_max, cells, d.get_f64()?).map_err(invalid)
     }
 }
 
@@ -673,15 +681,16 @@ pub fn decode_tally(bytes: &[u8]) -> Result<Tally, WireError> {
     decode(bytes)
 }
 
-/// Bytes `t` occupies with every cell of every attachment written out: its
-/// scalar encoding plus, per grid or profile, the binning fields, a count
-/// and 8 bytes a cell — the v6 length of [`encode_tally`]. This is what a
-/// holder of the decoded tally should charge for it: the encoded length
-/// says how much a task deposited, not how much memory its grids hold. For
-/// a tally without grids or profiles the two are equal. It is derived from
-/// the one layout there is: the tally is encoded, and the encoder has
-/// counted what each sparse array saved.
-pub fn tally_dense_len(t: &Tally) -> usize {
+/// Bytes a holder of `t` should charge for it: its encoded length, except
+/// that every *touched* cell store (one holding storage) counts as a count
+/// and 8 bytes a cell — the v6 dense layout — because that is what it
+/// occupies in memory however few of its cells are non-zero. An untouched
+/// store holds nothing beyond its binning and is charged its 16 encoded
+/// bytes, and a tally without grids or profiles is charged exactly
+/// [`encode_tally`]'s length. It is derived from the one layout there is:
+/// the tally is encoded, and the encoder has counted what each touched
+/// store's runs saved.
+pub fn tally_held_len(t: &Tally) -> usize {
     let mut e = Encoder::new();
     t.put(&mut e);
     (e.buf.len() as isize + e.dense_extra) as usize
@@ -924,7 +933,7 @@ impl Wire for Source {
 
 /// Upper bound on cells in any decoded tally spec (grid voxels, histogram
 /// bins, radial bins). A scenario carries bare specs with no data behind
-/// them, and a tally's sparse grids ([`Decoder::get_sparse_f64`]) may
+/// them, and a tally's sparse grids ([`Decoder::get_cells`]) may
 /// cover any number of cells in 16 bytes — without a cap, a ~100-byte
 /// hostile message could request a 2M³-voxel grid and abort the process on
 /// allocation. 2²⁴ cells (128 MiB of f64) is ~134× the paper's 50³
@@ -1318,14 +1327,14 @@ mod tests {
         let t = Tally::new(5, None, None);
         assert_eq!(5 + 19 * 8 + 3 * (8 + 5 * 8) + 6, 307);
         assert_eq!(encode_tally(&t).len(), 307);
-        assert_eq!(tally_dense_len(&t), 307);
+        assert_eq!(tally_held_len(&t), 307);
     }
 
     #[test]
     fn sparse_array_costs_sixteen_bytes_empty_and_sixteen_over_dense() {
         let len = |cells: &[f64]| {
             let mut e = Encoder::new();
-            e.put_sparse_f64(cells);
+            e.put_cells(&cells.to_vec().into());
             e.finish().len() - 5
         };
         assert_eq!(len(&[0.0; 1000]), 16);
@@ -1334,14 +1343,27 @@ mod tests {
         let mut cells = [0.0; 1000];
         cells[10..13].copy_from_slice(&[1.0, -0.0, f64::NAN]);
         assert_eq!(len(&cells), 2 * 16 + 3 * 8);
+        // An untouched store is the all-zero encoding, to the byte.
+        let mut e = Encoder::new();
+        e.put_cells(&Cells::new(1000));
+        assert_eq!(e.finish().len() - 5, 16);
         // The paper's 50^3 grid with nothing in it: ~100 bytes of tally
         // attachment, not a megabyte.
         let spec = GridSpec::cubic(50, Vec3::new(-6.0, -6.0, 0.0), Vec3::new(12.0, 6.0, 9.0));
-        let with = Tally::new(1, Some(spec), None);
+        let untouched = Tally::new(1, Some(spec), None);
         let without = encode_tally(&Tally::new(1, None, None)).len();
-        assert_eq!(encode_tally(&with).len() - without, 9 * 8 + 16);
-        // Its resident footprint is what v6 shipped for it.
-        assert_eq!(tally_dense_len(&with), 1_000_291);
+        assert_eq!(encode_tally(&untouched).len() - without, 9 * 8 + 16);
+        // Untouched, it holds nothing but its binning and is charged its
+        // encoding; touched (a deposit and its exact undo leave every cell
+        // zero), its resident footprint is what v6 shipped for it.
+        assert_eq!(tally_held_len(&untouched), encode_tally(&untouched).len());
+        let mut touched = untouched.clone();
+        let grid = touched.path_grid.as_mut().unwrap();
+        grid.deposit(spec.centre_of(0), 1.0);
+        grid.deposit(spec.centre_of(0), -1.0);
+        assert!(grid.cells().is_touched() && touched == untouched);
+        assert_eq!(encode_tally(&touched), encode_tally(&untouched));
+        assert_eq!(tally_held_len(&touched), 1_000_291);
     }
 
     #[test]
@@ -1350,35 +1372,32 @@ mod tests {
         // histogram included.
         let mut t = Tally::new(2, None, None).with_archive(sample_archive());
         t = t.with_path_histogram(100.0, 8);
-        assert_eq!(tally_dense_len(&t), encode_tally(&t).len());
+        assert_eq!(tally_held_len(&t), encode_tally(&t).len());
         // Every cell of all four dense attachments a literal: one 16-byte
         // run header each where the dense layout has an 8-byte count.
         let full = full_tally();
-        let ones = |n: usize| vec![1.0; n];
+        let ones = |n: usize| Cells::from(vec![1.0; n]);
         let mut t = full.clone();
         let spec = full.path_grid.as_ref().unwrap().spec;
-        t.path_grid = Some(VisitGrid::from_data(spec, ones(125)).unwrap());
+        t.path_grid = Some(VisitGrid::from_cells(spec, ones(125)).unwrap());
         t.absorption_grid = t.path_grid.clone();
         let radial = full.reflectance_r.as_ref().unwrap().spec;
-        t.reflectance_r = Some(RadialProfile::from_weights(radial, ones(6), 0.0).unwrap());
+        t.reflectance_r = Some(RadialProfile::from_cells(radial, ones(6), 0.0).unwrap());
         let rz = full.absorption_rz.as_ref().unwrap();
         t.absorption_rz =
-            Some(CylinderGrid::from_data(rz.radial, rz.nz, rz.z_max, ones(12), 0.0).unwrap());
-        assert_eq!(tally_dense_len(&t) + 4 * 8, encode_tally(&t).len());
+            Some(CylinderGrid::from_cells(rz.radial, rz.nz, rz.z_max, ones(12), 0.0).unwrap());
+        assert_eq!(tally_held_len(&t) + 4 * 8, encode_tally(&t).len());
         // And the footprint does not depend on what the cells hold.
-        assert_eq!(tally_dense_len(&t), tally_dense_len(&full));
+        assert_eq!(tally_held_len(&t), tally_held_len(&full));
     }
 
     /// Decode `n` cells from hand-written runs.
-    fn sparse_from(
-        n: Option<usize>,
-        runs: impl FnOnce(&mut Encoder),
-    ) -> Result<Vec<f64>, WireError> {
+    fn sparse_from(n: Option<usize>, runs: impl FnOnce(&mut Encoder)) -> Result<Cells, WireError> {
         let mut e = Encoder::new();
         runs(&mut e);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes)?;
-        let cells = d.get_sparse_f64(n)?;
+        let cells = d.get_cells(n)?;
         d.finish()?;
         Ok(cells)
     }
@@ -1395,10 +1414,11 @@ mod tests {
         let claim = |n| sparse_from(n, |e| run(e, over, &[]));
         assert_eq!(claim(Some(over as usize)), Err(WireError::BadLength(over)));
         assert_eq!(claim(None), Err(WireError::BadLength(u64::MAX)));
-        // The cap itself is a legal (if large) grid: 16 bytes in, 128 MiB
-        // of untouched zero pages out.
+        // The cap itself is a legal (if large) grid: 16 bytes in, an
+        // untouched store out — no allocation at all.
         let at_cap = sparse_from(Some(MAX_SPEC_CELLS as usize), |e| run(e, MAX_SPEC_CELLS, &[]));
-        assert_eq!(at_cap.map(|cells| cells.len()), Ok(MAX_SPEC_CELLS as usize));
+        let at_cap = at_cap.unwrap();
+        assert_eq!((at_cap.len(), at_cap.is_touched()), (MAX_SPEC_CELLS as usize, false));
     }
 
     #[test]
@@ -1467,7 +1487,7 @@ mod tests {
     #[test]
     fn non_canonical_sparse_arrays_are_rejected() {
         let n = Some(6);
-        let invalid = |got: Result<Vec<f64>, WireError>| matches!(got, Err(WireError::Invalid(_)));
+        let invalid = |got: Result<Cells, WireError>| matches!(got, Err(WireError::Invalid(_)));
         // An empty run up front; a literal run split in two (a zero-length
         // skip mid-stream); a zero run split in two (a zero-length literal
         // run mid-stream); a literal that is all-zero bits.
@@ -1486,16 +1506,16 @@ mod tests {
         assert!(invalid(sparse_from(n, |e| run(e, 2, &[1.0, 0.0, 1.0, 1.0]))));
         // The canonical spellings of the same arrays are fine, and -0.0 is
         // a literal like any other.
-        assert_eq!(sparse_from(n, |e| run(e, 6, &[])), Ok(vec![0.0; 6]));
-        assert_eq!(sparse_from(n, |e| run(e, 0, &[1.0; 6])), Ok(vec![1.0; 6]));
+        assert_eq!(sparse_from(n, |e| run(e, 6, &[])), Ok(Cells::new(6)));
+        assert_eq!(sparse_from(n, |e| run(e, 0, &[1.0; 6])), Ok(vec![1.0; 6].into()));
         let cells = sparse_from(n, |e| run(e, 5, &[-0.0])).unwrap();
-        assert_eq!(cells[5].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(cells.get(5).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
     fn hostile_binning_is_an_error_not_a_panic() {
         // Binnings the core constructors assert on: each must come back as
-        // a typed error from the validated `from_data` path.
+        // a typed error from the validated `from_cells` path.
         let spec = GridSpec::cubic(2, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
         let degenerate = GridSpec { max: Vec3::ZERO, ..spec };
         let not_a_number = GridSpec { min: Vec3::new(f64::NAN, 0.0, 0.0), ..spec };
@@ -1877,24 +1897,24 @@ mod tests {
             };
             let overflow = f64::from_bits(overflow);
             let mut t = Tally::new(1, None, None);
-            t.path_grid = Some(VisitGrid::from_data(spec, cells[0].clone()).unwrap());
-            t.absorption_grid = Some(VisitGrid::from_data(spec, cells[1].clone()).unwrap());
+            t.path_grid = Some(VisitGrid::from_cells(spec, cells[0].clone().into()).unwrap());
+            t.absorption_grid = Some(VisitGrid::from_cells(spec, cells[1].clone().into()).unwrap());
             let radial = RadialSpec { nr: 60, r_max: 3.0 };
             t.reflectance_r =
-                Some(RadialProfile::from_weights(radial, cells[2].clone(), overflow).unwrap());
+                Some(RadialProfile::from_cells(radial, cells[2].clone().into(), overflow).unwrap());
             let radial = RadialSpec { nr: 6, r_max: 2.0 };
             t.absorption_rz =
-                Some(CylinderGrid::from_data(radial, 10, 6.0, cells[3].clone(), overflow).unwrap());
+                Some(CylinderGrid::from_cells(radial, 10, 6.0, cells[3].clone().into(), overflow).unwrap());
 
             let bytes = encode_tally(&t);
             let back = decode_tally(&bytes).unwrap();
-            prop_assert_eq!(bits(back.path_grid.as_ref().unwrap().data()), bits(&cells[0]));
-            prop_assert_eq!(bits(back.absorption_grid.as_ref().unwrap().data()), bits(&cells[1]));
+            prop_assert_eq!(bits(&back.path_grid.as_ref().unwrap().cells().to_vec()), bits(&cells[0]));
+            prop_assert_eq!(bits(&back.absorption_grid.as_ref().unwrap().cells().to_vec()), bits(&cells[1]));
             let profile = back.reflectance_r.as_ref().unwrap();
-            prop_assert_eq!(bits(profile.weights()), bits(&cells[2]));
+            prop_assert_eq!(bits(&profile.cells().to_vec()), bits(&cells[2]));
             prop_assert_eq!(profile.overflow.to_bits(), overflow.to_bits());
             let rz = back.absorption_rz.as_ref().unwrap();
-            prop_assert_eq!(bits(rz.data()), bits(&cells[3]));
+            prop_assert_eq!(bits(&rz.cells().to_vec()), bits(&cells[3]));
             prop_assert_eq!(rz.overflow.to_bits(), overflow.to_bits());
             prop_assert_eq!(encode_tally(&back), bytes);
         }
@@ -1906,12 +1926,14 @@ mod tests {
         ) {
             let cells = cells_from(mode, &raw);
             let mut e = Encoder::new();
-            e.put_sparse_f64(&cells);
+            e.put_cells(&cells.clone().into());
             let bytes = e.finish();
             let mut d = Decoder::new(&bytes).unwrap();
-            let back = d.get_sparse_f64(Some(cells.len())).unwrap();
+            let back = d.get_cells(Some(cells.len())).unwrap();
             prop_assert!(d.finish().is_ok());
-            prop_assert_eq!(bits(&back), bits(&cells));
+            prop_assert_eq!(bits(&back.to_vec()), bits(&cells));
+            // All-zero cells decode untouched.
+            prop_assert_eq!(back.is_touched(), cells.iter().any(|v| v.to_bits() != 0));
         }
     }
 

@@ -44,6 +44,16 @@ pub enum ConfigError {
         /// Offending maximum depth (mm).
         z_max: f64,
     },
+    /// A radial binning needs at least one bin and a finite, positive
+    /// outer radius.
+    BadRadialBinning {
+        /// Which binning ("reflectance profile", "absorption_rz", ...).
+        what: &'static str,
+        /// Offending bin count.
+        nr: usize,
+        /// Offending outer radius (mm).
+        r_max: f64,
+    },
     /// A grid or profile was handed storage that does not hold exactly one
     /// value per cell.
     CellCount {
@@ -55,8 +65,8 @@ pub enum ConfigError {
     /// `max_interactions` must be positive (0 would retire every photon
     /// before its first step).
     ZeroInteractionCap,
-    /// A component with its own validator (source, detector, roulette,
-    /// radial binning) rejected its parameters.
+    /// A component with its own validator (source, detector, roulette)
+    /// rejected its parameters.
     Component {
         /// Which component ("source", "detector", ...).
         what: &'static str,
@@ -82,6 +92,12 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadDepthBinning { nz, z_max } => {
                 write!(f, "absorption_rz needs positive depth binning, got ({nz}, {z_max} mm)")
+            }
+            ConfigError::BadRadialBinning { what, nr, r_max } => {
+                write!(
+                    f,
+                    "{what} needs radial bins and a finite positive r_max, got ({nr}, {r_max} mm)"
+                )
             }
             ConfigError::CellCount { expected, got } => {
                 write!(f, "storage holds {got} values for {expected} cells")

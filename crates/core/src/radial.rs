@@ -16,6 +16,7 @@
 //! what `R(r)` means physically.
 
 use crate::error::ConfigError;
+use crate::tally::Cells;
 
 /// Uniform radial binning over `[0, r_max)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,13 +28,11 @@ pub struct RadialSpec {
 }
 
 impl RadialSpec {
-    /// Validate.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.nr == 0 {
-            return Err("radial profile needs at least one bin".into());
-        }
-        if !(self.r_max > 0.0 && self.r_max.is_finite()) {
-            return Err(format!("r_max must be finite and positive, got {}", self.r_max));
+    /// Validate: at least one bin, finite positive `r_max`. `what` names
+    /// the binning in the error.
+    pub fn validate(&self, what: &'static str) -> Result<(), ConfigError> {
+        if self.nr == 0 || !(self.r_max > 0.0 && self.r_max.is_finite()) {
+            return Err(ConfigError::BadRadialBinning { what, nr: self.nr, r_max: self.r_max });
         }
         Ok(())
     }
@@ -69,16 +68,12 @@ impl RadialSpec {
     }
 }
 
-fn radial_binning(reason: String) -> ConfigError {
-    ConfigError::Component { what: "radial binning", reason }
-}
-
 /// Radially binned surface weight (diffuse reflectance or transmittance).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadialProfile {
     pub spec: RadialSpec,
     /// Raw escaped weight per bin.
-    weight: Vec<f64>,
+    cells: Cells,
     /// Weight escaping beyond `r_max`.
     pub overflow: f64,
 }
@@ -86,42 +81,38 @@ pub struct RadialProfile {
 impl RadialProfile {
     /// Empty profile.
     pub fn new(spec: RadialSpec) -> Self {
-        Self::from_weights(spec, vec![0.0; spec.nr], 0.0).expect("invalid radial spec")
+        Self::from_cells(spec, Cells::new(spec.nr), 0.0).expect("invalid radial spec")
     }
 
-    /// A profile over `spec` that takes `weight` (one value per bin) as its
+    /// A profile over `spec` that takes `cells` (one value per bin) as its
     /// storage — how a decoder rebuilds a profile without re-recording bin
-    /// by bin. An invalid spec or a miscounted vector is an error, never a
+    /// by bin. An invalid spec or a miscounted store is an error, never a
     /// panic.
-    pub fn from_weights(
-        spec: RadialSpec,
-        weight: Vec<f64>,
-        overflow: f64,
-    ) -> Result<Self, ConfigError> {
-        spec.validate().map_err(radial_binning)?;
-        if weight.len() != spec.nr {
-            return Err(ConfigError::CellCount { expected: spec.nr, got: weight.len() });
+    pub fn from_cells(spec: RadialSpec, cells: Cells, overflow: f64) -> Result<Self, ConfigError> {
+        spec.validate("radial profile")?;
+        if cells.len() != spec.nr {
+            return Err(ConfigError::CellCount { expected: spec.nr, got: cells.len() });
         }
-        Ok(Self { spec, weight, overflow })
+        Ok(Self { spec, cells, overflow })
     }
 
     /// Record weight `w` escaping at radius `r`.
     #[inline]
     pub fn record(&mut self, r: f64, w: f64) {
         match self.spec.bin_of(r) {
-            Some(i) => self.weight[i] += w,
+            Some(i) => self.cells.add(i, w),
             None => self.overflow += w,
         }
     }
 
     /// Raw per-bin weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weight
+    pub fn cells(&self) -> &Cells {
+        &self.cells
     }
 
     /// Total recorded weight (including overflow).
     pub fn total(&self) -> f64 {
-        self.weight.iter().sum::<f64>() + self.overflow
+        self.cells.sum() + self.overflow
     }
 
     /// `R(r)` per launched photon per mm²: `weight[i] / (n_launched ·
@@ -129,16 +120,14 @@ impl RadialProfile {
     pub fn per_area(&self, n_launched: u64) -> Vec<f64> {
         assert!(n_launched > 0, "normalisation needs launched photons");
         (0..self.spec.nr)
-            .map(|i| self.weight[i] / (n_launched as f64 * self.spec.bin_area(i)))
+            .map(|i| self.cells.get(i) / (n_launched as f64 * self.spec.bin_area(i)))
             .collect()
     }
 
     /// Merge a worker profile.
     pub fn merge(&mut self, other: &RadialProfile) {
         assert_eq!(self.spec, other.spec, "radial spec mismatch in merge");
-        for (a, b) in self.weight.iter_mut().zip(&other.weight) {
-            *a += b;
-        }
+        self.cells.merge(&other.cells);
         self.overflow += other.overflow;
     }
 }
@@ -152,7 +141,7 @@ pub struct CylinderGrid {
     /// Maximum depth (mm).
     pub z_max: f64,
     /// Row-major `[iz][ir]` weights.
-    data: Vec<f64>,
+    cells: Cells,
     /// Weight deposited outside the grid.
     pub overflow: f64,
 }
@@ -160,32 +149,32 @@ pub struct CylinderGrid {
 impl CylinderGrid {
     /// Empty grid.
     pub fn new(radial: RadialSpec, nz: usize, z_max: f64) -> Self {
-        Self::from_data(radial, nz, z_max, vec![0.0; radial.nr * nz], 0.0)
-            .expect("invalid cylinder binning")
+        let cells = Cells::new(radial.nr.checked_mul(nz).unwrap_or(0));
+        Self::from_cells(radial, nz, z_max, cells, 0.0).expect("invalid cylinder binning")
     }
 
-    /// A grid that takes `data` (row-major `[iz][ir]`, one value per cell)
+    /// A grid that takes `cells` (row-major `[iz][ir]`, one value per cell)
     /// as its storage — how a decoder rebuilds a grid without re-depositing
-    /// cell by cell. Invalid binning or a miscounted vector is an error,
+    /// cell by cell. Invalid binning or a miscounted store is an error,
     /// never a panic.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
-    pub fn from_data(
+    pub fn from_cells(
         radial: RadialSpec,
         nz: usize,
         z_max: f64,
-        data: Vec<f64>,
+        cells: Cells,
         overflow: f64,
     ) -> Result<Self, ConfigError> {
-        radial.validate().map_err(radial_binning)?;
+        radial.validate("cylinder grid")?;
         if nz == 0 || !(z_max > 0.0) {
             return Err(ConfigError::BadDepthBinning { nz, z_max });
         }
-        let cells = radial.nr.checked_mul(nz);
-        if cells != Some(data.len()) {
-            let expected = cells.unwrap_or(usize::MAX);
-            return Err(ConfigError::CellCount { expected, got: data.len() });
+        let expected = radial.nr.checked_mul(nz);
+        if expected != Some(cells.len()) {
+            let expected = expected.unwrap_or(usize::MAX);
+            return Err(ConfigError::CellCount { expected, got: cells.len() });
         }
-        Ok(Self { radial, nz, z_max, data, overflow })
+        Ok(Self { radial, nz, z_max, cells, overflow })
     }
 
     /// Deposit weight `w` at radius `r`, depth `z`.
@@ -198,25 +187,25 @@ impl CylinderGrid {
             return;
         };
         match self.radial.bin_of(r) {
-            Some(ir) => self.data[iz * self.radial.nr + ir] += w,
+            Some(ir) => self.cells.add(iz * self.radial.nr + ir, w),
             None => self.overflow += w,
         }
     }
 
     /// Raw cell values, row-major `[iz][ir]`.
-    pub fn data(&self) -> &[f64] {
-        &self.data
+    pub fn cells(&self) -> &Cells {
+        &self.cells
     }
 
     /// Value at `(ir, iz)`.
     #[inline]
     pub fn at(&self, ir: usize, iz: usize) -> f64 {
-        self.data[iz * self.radial.nr + ir]
+        self.cells.get(iz * self.radial.nr + ir)
     }
 
     /// Total deposited weight including overflow.
     pub fn total(&self) -> f64 {
-        self.data.iter().sum::<f64>() + self.overflow
+        self.cells.sum() + self.overflow
     }
 
     /// Depth profile: total weight per z row.
@@ -229,9 +218,7 @@ impl CylinderGrid {
         assert_eq!(self.radial, other.radial, "cylinder radial mismatch");
         assert_eq!(self.nz, other.nz, "cylinder nz mismatch");
         assert_eq!(self.z_max, other.z_max, "cylinder z_max mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        self.cells.merge(&other.cells);
         self.overflow += other.overflow;
     }
 }
@@ -271,7 +258,7 @@ mod tests {
         p.record(0.2, 1.0);
         p.record(0.2, 0.5);
         p.record(7.0, 2.0);
-        assert!((p.weights()[0] - 1.5).abs() < 1e-12);
+        assert!((p.cells().get(0) - 1.5).abs() < 1e-12);
         assert_eq!(p.overflow, 2.0);
         assert!((p.total() - 3.5).abs() < 1e-12);
     }
@@ -307,29 +294,42 @@ mod tests {
 
     #[test]
     fn constructors_from_storage_validate_binning_and_cell_count() {
-        let p = RadialProfile::from_weights(spec(), vec![1.0; 10], 0.5).unwrap();
-        assert_eq!((p.weights()[9], p.overflow), (1.0, 0.5));
+        let p = RadialProfile::from_cells(spec(), vec![1.0; 10].into(), 0.5).unwrap();
+        assert_eq!((p.cells().get(9), p.overflow), (1.0, 0.5));
         assert_eq!(
-            RadialProfile::from_weights(spec(), vec![1.0; 9], 0.0),
+            RadialProfile::from_cells(spec(), Cells::new(9), 0.0),
             Err(ConfigError::CellCount { expected: 10, got: 9 })
         );
         let endless = RadialSpec { nr: 10, r_max: f64::INFINITY };
-        assert!(matches!(
-            RadialProfile::from_weights(endless, vec![0.0; 10], 0.0),
-            Err(ConfigError::Component { .. })
-        ));
+        assert_eq!(
+            RadialProfile::from_cells(endless, Cells::new(10), 0.0),
+            Err(ConfigError::BadRadialBinning {
+                what: "radial profile",
+                nr: 10,
+                r_max: f64::INFINITY
+            })
+        );
+        let binless = RadialSpec { nr: 0, r_max: 1.0 };
+        assert_eq!(
+            binless.validate("absorption_rz"),
+            Err(ConfigError::BadRadialBinning { what: "absorption_rz", nr: 0, r_max: 1.0 })
+        );
+        assert_eq!(
+            CylinderGrid::from_cells(binless, 4, 8.0, Cells::new(0), 0.0),
+            Err(ConfigError::BadRadialBinning { what: "cylinder grid", nr: 0, r_max: 1.0 })
+        );
 
         let data: Vec<f64> = (0..40).map(f64::from).collect();
-        let g = CylinderGrid::from_data(spec(), 4, 8.0, data.clone(), 0.25).unwrap();
-        assert_eq!(g.data(), data);
+        let g = CylinderGrid::from_cells(spec(), 4, 8.0, data.clone().into(), 0.25).unwrap();
+        assert_eq!(g.cells().to_vec(), data);
         assert_eq!((g.at(3, 2), g.overflow), (23.0, 0.25));
         assert_eq!(
-            CylinderGrid::from_data(spec(), 4, 8.0, vec![0.0; 41], 0.0),
+            CylinderGrid::from_cells(spec(), 4, 8.0, Cells::new(41), 0.0),
             Err(ConfigError::CellCount { expected: 40, got: 41 })
         );
         for (nz, z_max) in [(0, 8.0), (4, 0.0), (4, f64::NAN)] {
             assert!(matches!(
-                CylinderGrid::from_data(spec(), nz, z_max, vec![0.0; 10 * nz], 0.0),
+                CylinderGrid::from_cells(spec(), nz, z_max, Cells::new(10 * nz), 0.0),
                 Err(ConfigError::BadDepthBinning { .. })
             ));
         }

@@ -223,10 +223,10 @@ pub(crate) fn validate_parts(
         }
     }
     if let Some(r) = &options.reflectance_profile {
-        r.validate().map_err(component("reflectance profile"))?;
+        r.validate("reflectance profile")?;
     }
     if let Some((r, nz, z_max)) = &options.absorption_rz {
-        r.validate().map_err(component("absorption_rz radial binning"))?;
+        r.validate("absorption_rz")?;
         if *nz == 0 || !(*z_max > 0.0) {
             return Err(ConfigError::BadDepthBinning { nz: *nz, z_max: *z_max });
         }
@@ -628,6 +628,21 @@ mod tests {
         let mut sim = quick_sim();
         sim.options.absorption_rz = Some((RadialSpec { nr: 4, r_max: 5.0 }, 0, 10.0));
         assert_eq!(sim.validate(), Err(ConfigError::BadDepthBinning { nz: 0, z_max: 10.0 }));
+
+        // Each radial binning names itself, so a config with both can
+        // tell which one to fix.
+        let bad = RadialSpec { nr: 0, r_max: 5.0 };
+        let mut sim = quick_sim();
+        sim.options.reflectance_profile = Some(RadialSpec { nr: 4, r_max: 5.0 });
+        sim.options.absorption_rz = Some((bad, 4, 10.0));
+        let err = sim.validate().unwrap_err();
+        assert_eq!(err, ConfigError::BadRadialBinning { what: "absorption_rz", nr: 0, r_max: 5.0 });
+        assert!(err.to_string().starts_with("absorption_rz "));
+        sim.options.reflectance_profile = Some(bad);
+        assert!(matches!(
+            sim.validate(),
+            Err(ConfigError::BadRadialBinning { what: "reflectance profile", .. })
+        ));
 
         let mut sim = quick_sim();
         sim.options.path_grid = Some(GridSpec::cubic(0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0)));

@@ -133,11 +133,195 @@ impl GridSpec {
     }
 }
 
+/// The cells of a dense `f64` tally attachment — a [`VisitGrid`]'s voxels,
+/// a [`CylinderGrid`]'s `(r, z)` cells, a [`RadialProfile`]'s bins.
+///
+/// Every operation gives exactly the bits a `Vec<f64>` of `len` cells
+/// starting at `+0.0` would, but the store holds no storage until the
+/// first write that can change a bit. Until then it is *untouched*: `new`,
+/// `clone`, `merge`, equality and encoding cost O(1) in the cell count,
+/// which is what a task that deposited nothing — most tasks of a small
+/// budget under a 50³ grid — should cost. The rules about zero that make
+/// the untouched state exact live here and nowhere else:
+///
+/// * `+0.0 + w` is `+0.0` for `w = ±0.0`, so such a deposit leaves the
+///   store untouched; `+0.0 · k` is `+0.0` unless `k` is negative, infinite
+///   or NaN, so only those scales materialise it.
+/// * Merging an untouched store adds `+0.0` to every cell, which turns a
+///   `-0.0` into `+0.0` (and quiets a signalling NaN); into an untouched
+///   store it is a no-op.
+/// * A sum of `+0.0` cells is `+0.0`, but an empty `f64` sum is `-0.0`:
+///   an untouched store's [`Cells::sum`] adds one cell, not none.
+/// * Equality compares values: an untouched store equals a touched one
+///   whose cells are all `±0.0`.
+#[derive(Debug, Clone)]
+pub struct Cells {
+    len: usize,
+    /// Empty while untouched, `len` values once touched.
+    data: Vec<f64>,
+}
+
+impl Cells {
+    /// `len` untouched cells: no allocation, every cell `+0.0`.
+    pub fn new(len: usize) -> Self {
+        Self { len, data: Vec::new() }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a store of no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether the store holds storage (a write that could change a bit
+    /// has reached it). Never observable through the values.
+    pub fn is_touched(&self) -> bool {
+        !self.data.is_empty()
+    }
+
+    /// The stored cells, or `None` while untouched (every cell `+0.0`).
+    pub fn touched(&self) -> Option<&[f64]> {
+        self.is_touched().then_some(&self.data[..])
+    }
+
+    /// Value of cell `i`; panics when `i >= len`.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        match self.data.get(i) {
+            Some(&v) => v,
+            None => {
+                assert!(i < self.len, "cell {i} out of range for {} cells", self.len);
+                0.0
+            }
+        }
+    }
+
+    /// Every cell in order, `+0.0` for an untouched store.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        let untouched = if self.is_touched() { 0 } else { self.len };
+        self.data.iter().copied().chain(std::iter::repeat_n(0.0, untouched))
+    }
+
+    /// Every cell, dense — allocates `len` values even when untouched.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.iter().collect()
+    }
+
+    /// Cell `i` += `w`; panics when `i >= len`.
+    #[inline]
+    pub fn add(&mut self, i: usize, w: f64) {
+        match self.data.get_mut(i) {
+            Some(cell) => *cell += w,
+            None => self.add_untouched(i, w),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn add_untouched(&mut self, i: usize, w: f64) {
+        assert!(i < self.len, "cell {i} out of range for {} cells", self.len);
+        let v = 0.0 + w;
+        if v.to_bits() != 0 {
+            self.materialise()[i] = v;
+        }
+    }
+
+    /// Overwrite cells `start..` with `values` (no more than fit) — how a
+    /// decoder fills in the literals it read. Writing no values leaves an
+    /// untouched store untouched.
+    pub fn write(&mut self, start: usize, values: impl IntoIterator<Item = f64>) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
+        for (cell, v) in self.materialise()[start..].iter_mut().zip(values) {
+            *cell = v;
+        }
+    }
+
+    /// The cells as a stored slice, allocating `len` `+0.0` values if the
+    /// store is untouched.
+    fn materialise(&mut self) -> &mut [f64] {
+        if !self.is_touched() {
+            self.data = vec![0.0; self.len];
+        }
+        &mut self.data
+    }
+
+    /// Add `other` cell by cell (lengths must match).
+    pub fn merge(&mut self, other: &Cells) {
+        assert_eq!(self.len, other.len, "cell count mismatch in merge");
+        match (self.is_touched(), other.touched()) {
+            (_, None) => self.data.iter_mut().for_each(|a| *a += 0.0),
+            (false, Some(b)) => {
+                // `+0.0 + b`, as the dense sum would: `-0.0` becomes `+0.0`.
+                self.data = b.iter().map(|&b| 0.0 + b).collect();
+            }
+            (true, Some(b)) => {
+                for (a, b) in self.data.iter_mut().zip(b) {
+                    *a += b;
+                }
+            }
+        }
+    }
+
+    /// Multiply every cell by `factor`.
+    pub fn scale(&mut self, factor: f64) {
+        if !self.is_touched() {
+            let v = 0.0 * factor;
+            if v.to_bits() != 0 {
+                self.data = vec![v; self.len];
+            }
+            return;
+        }
+        for v in &mut self.data {
+            *v *= factor;
+        }
+    }
+
+    /// Sum of every cell, in index order.
+    pub fn sum(&self) -> f64 {
+        match self.touched() {
+            Some(cells) => cells.iter().sum(),
+            // The sum of `len` `+0.0` cells is the sum of (at most) one.
+            None => std::iter::repeat_n(0.0, self.len.min(1)).sum(),
+        }
+    }
+
+    /// Largest cell, folded from `0.0`.
+    pub fn max(&self) -> f64 {
+        self.data.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// A touched store over `data`, one value per cell.
+impl From<Vec<f64>> for Cells {
+    fn from(data: Vec<f64>) -> Self {
+        Self { len: data.len(), data }
+    }
+}
+
+/// Value equality, as a `Vec<f64>` of the cells would compare.
+impl PartialEq for Cells {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && match (self.touched(), other.touched()) {
+                (Some(a), Some(b)) => a == b,
+                (Some(a), None) | (None, Some(a)) => a.iter().all(|&v| v == 0.0),
+                (None, None) => true,
+            }
+    }
+}
+
 /// Dense voxel accumulator for path-visit weight (or absorbed weight).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VisitGrid {
     pub spec: GridSpec,
-    data: Vec<f64>,
+    cells: Cells,
     /// Cached `spec.inv_voxel_size()`: deposits are the engine's innermost
     /// tally write, and recomputing three divisions per sample dominated
     /// `deposit_segment`. Derived from `spec` at construction; `spec` is
@@ -151,25 +335,26 @@ pub struct VisitGrid {
 impl VisitGrid {
     /// An empty grid over `spec`.
     pub fn new(spec: GridSpec) -> Self {
-        Self::from_data(spec, vec![0.0; spec.len()]).expect("invalid grid spec")
+        let cells = Cells::new(spec.checked_len().unwrap_or(0));
+        Self::from_cells(spec, cells).expect("invalid grid spec")
     }
 
-    /// A grid over `spec` that takes `data` as its storage (one value per
+    /// A grid over `spec` that takes `cells` as its storage (one value per
     /// voxel, z-major as defined by [`GridSpec::index_of`]) — how a decoder
     /// rebuilds a grid without re-depositing cell by cell. Nothing about
-    /// the inputs is trusted: an invalid spec or a miscounted vector is an
+    /// the inputs is trusted: an invalid spec or a miscounted store is an
     /// error, never a panic.
-    pub fn from_data(spec: GridSpec, data: Vec<f64>) -> Result<Self, ConfigError> {
+    pub fn from_cells(spec: GridSpec, cells: Cells) -> Result<Self, ConfigError> {
         spec.validate()?;
-        let cells = spec.checked_len();
-        if cells != Some(data.len()) {
-            let expected = cells.unwrap_or(usize::MAX);
-            return Err(ConfigError::CellCount { expected, got: data.len() });
+        let expected = spec.checked_len();
+        if expected != Some(cells.len()) {
+            let expected = expected.unwrap_or(usize::MAX);
+            return Err(ConfigError::CellCount { expected, got: cells.len() });
         }
         let vs = spec.voxel_size();
         Ok(Self {
             spec,
-            data,
+            cells,
             inv_vs: spec.inv_voxel_size(),
             half_min_edge: 0.5 * vs.x.min(vs.y).min(vs.z),
         })
@@ -179,7 +364,7 @@ impl VisitGrid {
     #[inline]
     pub fn deposit(&mut self, p: Vec3, w: f64) {
         if let Some(i) = self.spec.index_with_inv(p, self.inv_vs) {
-            self.data[i] += w;
+            self.cells.add(i, w);
         }
     }
 
@@ -203,39 +388,35 @@ impl VisitGrid {
         }
     }
 
-    /// Raw voxel values, z-major as defined by [`GridSpec::index_of`].
-    pub fn data(&self) -> &[f64] {
-        &self.data
+    /// The voxel values, z-major as defined by [`GridSpec::index_of`].
+    pub fn cells(&self) -> &Cells {
+        &self.cells
     }
 
     /// Value of voxel `idx`.
     pub fn value(&self, idx: usize) -> f64 {
-        self.data[idx]
+        self.cells.get(idx)
     }
 
     /// Sum of all voxel values.
     pub fn total(&self) -> f64 {
-        self.data.iter().sum()
+        self.cells.sum()
     }
 
     /// Largest voxel value.
     pub fn max_value(&self) -> f64 {
-        self.data.iter().copied().fold(0.0, f64::max)
+        self.cells.max()
     }
 
     /// Merge another grid's weight into this one (specs must match).
     pub fn merge(&mut self, other: &VisitGrid) {
         assert_eq!(self.spec, other.spec, "cannot merge grids with different specs");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+        self.cells.merge(&other.cells);
     }
 
     /// Scale every voxel (e.g. 1/N normalisation).
     pub fn scale(&mut self, factor: f64) {
-        for v in &mut self.data {
-            *v *= factor;
-        }
+        self.cells.scale(factor);
     }
 }
 
@@ -611,29 +792,30 @@ mod tests {
     }
 
     #[test]
-    fn from_data_takes_the_storage_and_rejects_what_new_would_panic_on() {
+    fn from_cells_takes_the_storage_and_rejects_what_new_would_panic_on() {
         let mut data = vec![0.0; spec().len()];
         data[7] = -0.0;
         data[8] = 2.5;
-        let g = VisitGrid::from_data(spec(), data.clone()).unwrap();
-        assert_eq!(g.data()[7].to_bits(), (-0.0f64).to_bits());
+        let g = VisitGrid::from_cells(spec(), data.clone().into()).unwrap();
+        assert_eq!(g.value(7).to_bits(), (-0.0f64).to_bits());
         assert_eq!(g.value(8), 2.5);
         // Same derived state as `new`: deposits land in the same voxels.
-        let (mut a, mut b) = (VisitGrid::new(spec()), VisitGrid::from_data(spec(), data).unwrap());
+        let (mut a, mut b) =
+            (VisitGrid::new(spec()), VisitGrid::from_cells(spec(), data.into()).unwrap());
         a.deposit(spec().centre_of(8), 2.5);
         b.deposit(spec().centre_of(7), 1.0);
         assert_eq!(a.value(8), b.value(8));
         assert_eq!(b.value(7), 1.0);
 
         assert_eq!(
-            VisitGrid::from_data(spec(), vec![0.0; 999]),
+            VisitGrid::from_cells(spec(), Cells::new(999)),
             Err(ConfigError::CellCount { expected: 1000, got: 999 })
         );
         let empty = GridSpec { nx: 0, ..spec() };
-        assert_eq!(VisitGrid::from_data(empty, Vec::new()), Err(ConfigError::EmptyGrid));
+        assert_eq!(VisitGrid::from_cells(empty, Cells::new(0)), Err(ConfigError::EmptyGrid));
         let huge = GridSpec { nx: usize::MAX, ny: 2, ..spec() };
         assert!(matches!(
-            VisitGrid::from_data(huge, Vec::new()),
+            VisitGrid::from_cells(huge, Cells::new(0)),
             Err(ConfigError::CellCount { got: 0, .. })
         ));
     }
@@ -674,7 +856,7 @@ mod tests {
     fn segment_deposit_marks_multiple_voxels() {
         let mut g = VisitGrid::new(spec());
         g.deposit_segment(Vec3::new(-4.5, 0.0, 0.5), Vec3::new(4.5, 0.0, 0.5), 1.0);
-        let occupied = g.data().iter().filter(|&&v| v > 0.0).count();
+        let occupied = g.cells().iter().filter(|&v| v > 0.0).count();
         assert!(occupied >= 9, "only {occupied} voxels hit by a 9 mm segment");
     }
 

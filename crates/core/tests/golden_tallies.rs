@@ -94,17 +94,25 @@ fn snapshot(name: &str, scenario: &Scenario, tally: &Tally) -> String {
     // the snapshot even when totals happen to cancel.
     if let Some(grid) = &tally.path_grid {
         let _ = writeln!(s, "path_grid_total = {}", grid.total());
-        let _ = writeln!(s, "path_grid_sha256 = {}", sha256::hex(&f64_bytes(grid.data())));
+        let _ =
+            writeln!(s, "path_grid_sha256 = {}", sha256::hex(&f64_bytes(&grid.cells().to_vec())));
     }
     if let Some(grid) = &tally.absorption_grid {
         let _ = writeln!(s, "absorption_grid_total = {}", grid.total());
-        let _ = writeln!(s, "absorption_grid_sha256 = {}", sha256::hex(&f64_bytes(grid.data())));
+        let _ = writeln!(
+            s,
+            "absorption_grid_sha256 = {}",
+            sha256::hex(&f64_bytes(&grid.cells().to_vec()))
+        );
     }
     if let Some(profile) = &tally.reflectance_r {
         let _ = writeln!(s, "reflectance_r_total = {}", profile.total());
         let _ = writeln!(s, "reflectance_r_overflow = {}", profile.overflow);
-        let _ =
-            writeln!(s, "reflectance_r_sha256 = {}", sha256::hex(&f64_bytes(profile.weights())));
+        let _ = writeln!(
+            s,
+            "reflectance_r_sha256 = {}",
+            sha256::hex(&f64_bytes(&profile.cells().to_vec()))
+        );
     }
     if let Some(rz) = &tally.absorption_rz {
         let flat: Vec<f64> = (0..rz.nz)

@@ -17,9 +17,15 @@
 //! * on **real simulation output** the counts (`u64`) must obey the
 //!   algebra exactly, and the float fields to 1 part in 10⁹ — documenting
 //!   precisely how much reassociation is allowed to move them.
+//!
+//! A third layer pins the storage under every grid and profile: [`Cells`]
+//! holds nothing until a write can change a bit, and must still read, sum,
+//! merge, scale, compare and encode exactly like the `Vec<f64>` it
+//! replaced — [`Dense`], kept here as the reference.
 
+use lumen_cluster::wire::{Decoder, Encoder};
 use lumen_core::engine::{Backend, Scenario, Sequential};
-use lumen_core::tally::{GridSpec, PathHistogram, Tally, VisitGrid};
+use lumen_core::tally::{Cells, GridSpec, PathHistogram, Tally, VisitGrid};
 use lumen_core::{Detector, Source, Vec3};
 use lumen_tissue::presets::semi_infinite_phantom;
 use mcrng::StreamFactory;
@@ -167,6 +173,156 @@ proptest! {
         prop_assert_eq!(&ab, &ba);
         prop_assert_eq!(ab.total(), total);
     }
+}
+
+/// The cell storage every grid and profile had before [`Cells`]: `len`
+/// cells from `+0.0`, with exactly the parent's arithmetic.
+#[derive(Debug, Clone, PartialEq)]
+struct Dense(Vec<f64>);
+
+impl Dense {
+    fn add(&mut self, i: usize, w: f64) {
+        self.0[i] += w;
+    }
+    fn merge(&mut self, other: &Dense) {
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a += b;
+        }
+    }
+    fn scale(&mut self, factor: f64) {
+        for v in &mut self.0 {
+            *v *= factor;
+        }
+    }
+    fn sum(&self) -> f64 {
+        self.0.iter().sum()
+    }
+    fn max(&self) -> f64 {
+        self.0.iter().copied().fold(0.0, f64::max)
+    }
+}
+
+/// Cell values and weights: both zeros, NaN, a subnormal, ordinary values.
+const VALUES: [f64; 7] = [0.0, -0.0, f64::NAN, 5e-324, 1.5, -2.25, 1e300];
+/// Scale factors: k > 0, -k, both zeros, infinity, NaN.
+const FACTORS: [f64; 7] = [0.5, 3.0, -2.0, 0.0, -0.0, f64::INFINITY, f64::NAN];
+
+fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    values.into_iter().map(f64::to_bits).collect()
+}
+
+/// The wire bytes of a store.
+fn encoded(cells: &Cells) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_cells(cells);
+    e.finish()
+}
+
+/// A store through the wire and back.
+fn round_trip(cells: &Cells) -> Cells {
+    let bytes = encoded(cells);
+    let mut d = Decoder::new(&bytes).expect("header");
+    let back = d.get_cells(Some(cells.len())).expect("canonical runs");
+    d.finish().expect("nothing after the runs");
+    back
+}
+
+/// Every observation of `cells` equals the reference's, to the bit.
+fn agrees(cells: &Cells, dense: &Dense) -> Result<(), String> {
+    let n = dense.0.len();
+    prop_assert_eq!(cells.len(), n);
+    prop_assert_eq!(bits(cells.to_vec()), bits(dense.0.clone()));
+    prop_assert_eq!(bits(cells.iter()), bits(dense.0.clone()));
+    prop_assert_eq!(bits((0..n).map(|i| cells.get(i))), bits(dense.0.clone()));
+    prop_assert_eq!(cells.sum().to_bits(), dense.sum().to_bits());
+    prop_assert_eq!(cells.max().to_bits(), dense.max().to_bits());
+    // The codec sees the same cells either way: a touched store of the
+    // reference's values encodes to the same bytes.
+    prop_assert_eq!(encoded(cells), encoded(&Cells::from(dense.0.clone())));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+    /// Random operation sequences over three stores and their dense
+    /// references: after every step each store reads exactly as its
+    /// reference, and `==` between any two stores is the references' `==`.
+    #[test]
+    fn cells_match_the_dense_vector_bit_for_bit(
+        len in 1usize..6,
+        ops in proptest::collection::vec(any::<[u8; 4]>(), 1..48),
+    ) {
+        let mut lazy = [Cells::new(len), Cells::new(len), Cells::new(len)];
+        let mut dense = [Dense(vec![0.0; len]), Dense(vec![0.0; len]), Dense(vec![0.0; len])];
+        for [op, x, y, pick] in ops {
+            let (a, b) = (usize::from(x) % 3, usize::from(y) % 3);
+            match op % 7 {
+                0 | 1 => {
+                    let (i, w) = (usize::from(y) % len, VALUES[usize::from(pick) % VALUES.len()]);
+                    lazy[a].add(i, w);
+                    dense[a].add(i, w);
+                }
+                2 => {
+                    let (other, other_dense) = (lazy[b].clone(), dense[b].clone());
+                    lazy[a].merge(&other);
+                    dense[a].merge(&other_dense);
+                }
+                3 => {
+                    let k = FACTORS[usize::from(pick) % FACTORS.len()];
+                    lazy[a].scale(k);
+                    dense[a].scale(k);
+                }
+                4 => lazy[a] = round_trip(&lazy[a]),
+                5 => lazy[a] = Cells::from(lazy[a].to_vec()),
+                _ => {
+                    lazy[a] = Cells::new(len);
+                    dense[a] = Dense(vec![0.0; len]);
+                }
+            }
+            for (cells, reference) in lazy.iter().zip(&dense) {
+                agrees(cells, reference)?;
+            }
+            for x in 0..3 {
+                for y in 0..3 {
+                    prop_assert_eq!((x, y, lazy[x] == lazy[y]), (x, y, dense[x] == dense[y]));
+                }
+            }
+        }
+    }
+}
+
+/// What the store is for: nothing is allocated until a write can change a
+/// bit, and the operations a task that deposited nothing goes through —
+/// clone, merge, encode, decode — leave it that way.
+#[test]
+fn cells_stay_untouched_until_a_write_can_change_a_bit() {
+    let mut cells = Cells::new(125_000);
+    cells.add(7, 0.0);
+    cells.add(7, -0.0);
+    cells.scale(2.0);
+    cells.scale(0.0);
+    let mut other = cells.clone();
+    other.merge(&cells);
+    let back = round_trip(&other);
+    assert!(![&cells, &other, &back].iter().any(|c| c.is_touched()));
+    assert_eq!((back.touched(), back.sum().to_bits(), back.max()), (None, 0, 0.0));
+    assert_eq!(encoded(&back).len(), 5 + 16);
+    // The first write that changes a bit materialises the store ...
+    cells.add(7, 0.25);
+    assert_eq!(cells.touched().map(|c| (c.len(), c[7])), Some((125_000, 0.25)));
+    // ... and so does a scale whose product with +0.0 is not +0.0.
+    for k in [-1.0, f64::INFINITY, f64::NAN] {
+        let mut scaled = Cells::new(3);
+        scaled.scale(k);
+        assert!(scaled.is_touched(), "{k}");
+    }
+    // Equality is by value: untouched equals touched-but-zero.
+    let mut zeroed = Cells::new(3);
+    zeroed.add(1, 1.0);
+    zeroed.add(1, -1.0);
+    assert!(zeroed.is_touched() && zeroed == Cells::new(3) && Cells::new(3) == zeroed);
+    assert_ne!(Cells::new(3), Cells::new(4));
 }
 
 /// The engine-level version of the split-batch property, on real photon

@@ -7,16 +7,17 @@
 //! `0 .. chunks * chunk_tasks` of the scenario's seed — so a top-up can
 //! continue on fresh streams with no bookkeeping beyond the chunk count.
 //!
-//! An entry is charged its tally's dense footprint
-//! ([`wire::tally_dense_len`]: the scalar encoding plus 8 bytes for every
-//! cell of every attached grid, profile and histogram), so the byte budget
-//! tracks what the entry holds in memory — not a struct size guess, and
-//! not the encoded length: the wire run-length compresses grids, and an
-//! all-zero 50³ grid that ships in 100 bytes still occupies a megabyte
-//! here. Eviction is strict LRU, with one exception: the entry being
-//! inserted or refreshed is never evicted by its own insertion, so a
-//! single result larger than the whole budget still caches (and evicts
-//! everything else).
+//! An entry is charged what its tally holds ([`wire::tally_held_len`]: the
+//! encoding, with every grid or profile that holds storage counted at 8
+//! bytes a cell), so the byte budget tracks what the entry holds in memory
+//! — not a struct size guess, and not the encoded length alone: the wire
+//! run-length compresses grids, and a 50³ grid with a few deposits ships in
+//! a few hundred bytes but occupies a megabyte here. A grid nothing was
+//! ever deposited in holds no cells and is charged its encoding. Eviction
+//! is strict LRU, with one exception: the entry being inserted or
+//! refreshed is never evicted by its own insertion, so a single result
+//! larger than the whole budget still caches (and evicts everything
+//! else).
 
 use crate::hash::ScenarioKey;
 use lumen_cluster::wire;
@@ -36,7 +37,7 @@ pub struct CacheEntry {
     /// Internal task split of each chunk — with `chunks`, the seed
     /// ledger: streams `0 .. chunks * chunk_tasks` are consumed.
     pub chunk_tasks: u64,
-    /// Dense footprint of the tally plus key overhead.
+    /// Held footprint of the tally plus key overhead.
     pub bytes: usize,
 }
 
@@ -103,7 +104,7 @@ impl ResultCache {
         chunk_photons: u64,
         chunk_tasks: u64,
     ) {
-        let bytes = wire::tally_dense_len(&tally) + std::mem::size_of::<ScenarioKey>();
+        let bytes = wire::tally_held_len(&tally) + std::mem::size_of::<ScenarioKey>();
         let entry = CacheEntry { tally, chunks, chunk_photons, chunk_tasks, bytes };
         if let Some(old) = self.map.insert(key, Slot { entry, tick: self.next_tick }) {
             self.total_bytes -= old.entry.bytes;
@@ -192,7 +193,7 @@ mod tests {
             ops in proptest::collection::vec((any::<bool>(), 0u8..8, 1usize..4), 1..120),
         ) {
             let sized = |layers: usize| Tally::new(layers, None, None);
-            let charge = |layers: usize| wire::tally_dense_len(&sized(layers)) + 32;
+            let charge = |layers: usize| wire::tally_held_len(&sized(layers)) + 32;
             let max_bytes = budget_entries * charge(2);
             let mut cache = ResultCache::new(max_bytes);
             let mut model = VecModel::default();
@@ -241,15 +242,21 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_is_charged_its_dense_footprint_not_its_encoded_length() {
+    fn an_entry_is_charged_what_it_holds_not_its_encoded_length() {
         use lumen_core::tally::GridSpec;
         use lumen_core::Vec3;
         let spec = GridSpec::cubic(50, Vec3::new(-6.0, -6.0, 0.0), Vec3::new(12.0, 6.0, 9.0));
         let empty_grid = Tally::new(1, Some(spec), None);
-        assert!(wire::encode_tally(&empty_grid).len() < 1024, "an all-zero grid ships small");
+        let mut one_deposit = empty_grid.clone();
+        one_deposit.path_grid.as_mut().unwrap().deposit(Vec3::new(0.0, 0.0, 1.0), 0.5);
+        assert!(wire::encode_tally(&one_deposit).len() < 1024, "a sparse grid ships small");
         let mut cache = ResultCache::new(usize::MAX);
-        cache.insert(key(1), empty_grid, 1, 100, 4);
+        cache.insert(key(1), one_deposit, 1, 100, 4);
         assert!(cache.total_bytes() >= 50 * 50 * 50 * 8, "but holds a megabyte of cells");
+        // A grid nothing was deposited in holds no cells: its encoding.
+        cache.insert(key(3), empty_grid.clone(), 1, 100, 4);
+        let charged = cache.get(&key(3)).unwrap().bytes;
+        assert_eq!(charged, wire::encode_tally(&empty_grid).len() + 32);
         // Without attachments the charge is the encoded length, to the
         // byte: eviction scripts are sized from that number.
         cache.insert(key(2), tally(), 1, 100, 4);

@@ -81,9 +81,12 @@ pub fn decode_reply(bytes: &[u8]) -> Result<QueryReply, WireError> {
     wire::decode(bytes)
 }
 
-/// Encode a daemon-side error message for a [`KIND_ERROR`] frame.
+/// Encode a daemon-side error message for a [`KIND_ERROR`] frame: the
+/// `String` layout, written from the borrowed `str` without a copy.
 pub fn encode_error(message: &str) -> Vec<u8> {
-    wire::encode(&message.to_owned())
+    let mut e = Encoder::new();
+    e.put_str(message);
+    e.finish()
 }
 
 /// Decode a [`KIND_ERROR`] payload.
