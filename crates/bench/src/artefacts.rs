@@ -191,7 +191,8 @@ fn fig2_speedup(_budget: u64) -> Output {
     let job = JobSpec::paper_job();
     let ks = [1usize, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60];
     let points =
-        speedup_curve(&job, &ks, NetworkModel::lan_2006(), AvailabilityModel::DEDICATED, 2006);
+        speedup_curve(&job, &ks, NetworkModel::lan_2006(), AvailabilityModel::DEDICATED, 2006)
+            .expect("the paper's job, a 2006 LAN and pools of 1-60 machines are valid");
     outln!(out, "-- simulated cluster (10^9 photons, P4 2.4GHz class machines) --");
     outln!(out, "{:>4} | {:>12} | {:>8} | {:>10}", "k", "time (s)", "speedup", "efficiency");
     for p in &points {
@@ -406,7 +407,7 @@ fn table2_hetero(_budget: u64) -> Output {
         seed: 150,
     };
     let job = JobSpec::paper_job();
-    let report = sim.run(&job);
+    let report = sim.run(&job).expect("the paper's job on the Table 2 pool is valid");
 
     outln!(out, "-- simulated run --");
     outln!(out, "photons:            {}", job.total_photons);
@@ -626,7 +627,9 @@ fn ablation_scheduler(_budget: u64) -> Output {
     );
     let mut results = Vec::new();
     for s in &schedulers {
-        let report = sim.run_with(&job, s.as_ref());
+        let report = sim
+            .run_with(&job, s.as_ref())
+            .expect("the paper's job is valid and every shipped scheduler plans the whole pool");
         outln!(
             out,
             "{:<18} | {:>12.0} | {:>9.2} | {:>11.1} | {:>10.1}%",

@@ -159,11 +159,11 @@ impl Config {
         Ok(self.parse_num::<u64>("tasks", "positive integer")?.unwrap_or(64))
     }
 
-    /// Backend spec (default `rayon`); resolved by
+    /// Backend spec (default `rayon`): `sim [machines]` predicts the run
+    /// through `lumen_cluster::des::predict`; anything else is resolved by
     /// `lumen_cluster::backend::from_spec` over the full vocabulary
     /// `sequential | rayon [threads] | cluster [workers] [failure_rate] |
-    /// tcp <addr> [min_clients] [lease_timeout_s] | sim [machines] |
-    /// reweight <archive-file>`.
+    /// tcp <addr> [min_clients] [lease_timeout_s] | reweight <archive-file>`.
     pub fn backend(&self) -> &str {
         self.get("backend").unwrap_or("rayon")
     }

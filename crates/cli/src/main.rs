@@ -13,6 +13,7 @@ mod config;
 mod report;
 
 use config::Config;
+use lumen_cluster::des::predict;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,6 +84,24 @@ fn cmd_run(path: &str) -> i32 {
             return 1;
         }
     };
+    if let Some(machines) = sim_machines(cfg.backend()) {
+        if archive_record.is_some() {
+            eprintln!("{path}: the sim backend traces no photons, so it records no archive");
+            return 1;
+        }
+        let started = std::time::Instant::now();
+        let pool = machines.map(lumen_cluster::homogeneous_pool);
+        return match pool.and_then(|p| predict(&scenario, &p).map_err(|e| e.to_string())) {
+            Ok(des) => {
+                report::print_prediction(&scenario, &des, started.elapsed().as_secs_f64());
+                0
+            }
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                1
+            }
+        };
+    }
     // One entry point for every execution substrate: the config's
     // `backend` key picks the `Backend` impl, nothing else changes.
     let backend = match lumen_cluster::backend::from_spec(cfg.backend()) {
@@ -118,6 +137,22 @@ fn cmd_run(path: &str) -> i32 {
             1
         }
     }
+}
+
+/// `backend = sim [machines]`: the discrete-event simulator predicts the
+/// run on that many dedicated paper-class PCs (default 60) instead of
+/// executing it. `None` for every other backend spec.
+fn sim_machines(spec: &str) -> Option<Result<usize, String>> {
+    let mut parts = spec.split_whitespace();
+    if parts.next() != Some("sim") {
+        return None;
+    }
+    let args: Vec<&str> = parts.collect();
+    Some(match args.as_slice() {
+        [] => Ok(60),
+        [n] => n.parse().map_err(|_| format!("sim machine count `{n}` cannot be parsed")),
+        _ => Err("sim backend needs `sim [machines]`".into()),
+    })
 }
 
 /// Parse the config at `path` down to a scenario (shared by `hash`,
@@ -256,10 +291,12 @@ seed      = 42
 tasks     = 64
 
 # execution backend: sequential | rayon [threads] | cluster [workers] [failure_rate]
-#                  | tcp <addr> [min_clients] [lease_timeout_s] | sim [machines]
-#                  | reweight <archive-file>
-# all real backends give bit-identical tallies for the same (seed, tasks)
+#                  | tcp <addr> [min_clients] [lease_timeout_s] | reweight <archive-file>
+# the tracing backends give bit-identical tallies for the same (seed, tasks)
 backend   = rayon
+# or predict the run's timing on N simulated paper-class PCs (default 60)
+# without tracing a photon:
+#   backend = sim [machines]
 
 # optional path archive: record every escape (or only detections) to a
 # file, then re-score it for new optical properties without re-tracing:

@@ -1,13 +1,10 @@
 //! Human-readable report printing for CLI runs.
 
+use lumen_cluster::DesReport;
 use lumen_core::{RunReport, Scenario};
 
 /// Print the standard post-run report to stdout.
 pub fn print_report(scenario: &Scenario, run: &RunReport) {
-    if run.is_virtual() {
-        print_virtual_report(scenario, run);
-        return;
-    }
     let result = &run.result;
     let t = &result.tally;
     println!("== lumen run ==");
@@ -96,28 +93,27 @@ pub fn print_report(scenario: &Scenario, run: &RunReport) {
     );
 }
 
-/// Report for simulated (DES) backends: no photons were traced; the value
-/// is the predicted timing of the scenario on the modelled machine pool.
-fn print_virtual_report(scenario: &Scenario, run: &RunReport) {
-    let makespan = run.virtual_seconds.unwrap_or(0.0);
+/// Report for `backend = sim`: no photons were traced; the value is the
+/// predicted timing of the scenario on the modelled machine pool, which
+/// the simulator computed in `wall_seconds`.
+pub fn print_prediction(scenario: &Scenario, des: &DesReport, wall_seconds: f64) {
+    let makespan = des.makespan_s;
     println!("== lumen run (simulated cluster) ==");
     println!(
         "predicted makespan for {} photons on {} simulated machine(s): {:.1} s ({:.2} h)",
         scenario.photons,
-        run.workers.len(),
+        des.machine_tasks.len(),
         makespan,
         makespan / 3600.0
     );
-    let total: u64 = run.workers.iter().map(|w| w.photons).sum();
-    let busiest = run.workers.iter().map(|w| w.photons).max().unwrap_or(0);
+    let total: u64 = des.machine_photons.iter().sum();
+    let busiest = des.machine_photons.iter().copied().max().unwrap_or(0);
     println!(
         "work distribution: {} tasks over the pool; busiest machine simulated {} of {} photons",
-        run.workers.iter().map(|w| w.tasks_completed).sum::<u64>(),
-        busiest,
-        total
+        des.tasks, busiest, total
     );
     println!(
         "(timing model only — no photon transport was executed; DES ran in {:.3} s)",
-        run.wall_seconds
+        wall_seconds
     );
 }

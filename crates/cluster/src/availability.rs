@@ -10,6 +10,7 @@
 //! once per task execution, which matches the original platform's
 //! granularity (a task is the unit that sees a consistent machine state).
 
+use crate::des::{check, DesError};
 use mcrng::{McRng, SplitMix64};
 
 /// Two-state owner-activity model with jitter.
@@ -42,24 +43,18 @@ impl AvailabilityModel {
         Self { owner_active_prob: 0.2, idle_fraction: 0.95, busy_fraction: 0.35, jitter: 0.05 }
     }
 
-    /// Validate parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
+    pub(crate) fn validate(&self) -> Result<(), DesError> {
+        for (what, v) in [
             ("owner_active_prob", self.owner_active_prob),
             ("idle_fraction", self.idle_fraction),
             ("busy_fraction", self.busy_fraction),
         ] {
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{name} must be in [0,1], got {v}"));
-            }
+            check((0.0..=1.0).contains(&v), what, v)?;
         }
-        if !(0.0..1.0).contains(&self.jitter) {
-            return Err(format!("jitter must be in [0,1), got {}", self.jitter));
-        }
-        if self.busy_fraction <= 0.0 && self.owner_active_prob > 0.0 {
-            return Err("busy_fraction must be positive (machines never fully stall)".into());
-        }
-        Ok(())
+        check((0.0..1.0).contains(&self.jitter), "jitter", self.jitter)?;
+        // Machines never fully stall while their owners are active.
+        let stalls = self.busy_fraction <= 0.0 && self.owner_active_prob > 0.0;
+        check(!stalls, "busy_fraction", self.busy_fraction)
     }
 
     /// Sample the deliverable fraction of peak for one task execution.

@@ -2,7 +2,7 @@
 //! extends `lumen_core::engine`'s backend vocabulary without making
 //! `lumen-core` depend on this crate.
 //!
-//! Three execution substrates join [`Sequential`](lumen_core::Sequential)
+//! Two execution substrates join [`Sequential`](lumen_core::Sequential)
 //! and [`Rayon`](lumen_core::Rayon) here:
 //!
 //! * [`ThreadedCluster`] — the real master/worker protocol on OS threads
@@ -10,25 +10,18 @@
 //!   failure re-queueing), with optional fault injection via
 //!   [`FailurePlan`];
 //! * [`Tcp`] — the paper's actual deployment: the DataManager on a TCP
-//!   listener, serving however many `net::run_client` processes connect;
-//! * [`SimulatedCluster`] — the discrete-event simulator. It models
-//!   *time*, not photons: the returned report carries per-machine
-//!   accounting and a virtual makespan ([`RunReport::virtual_seconds`])
-//!   over an empty tally, so paper-scale pools can be explored instantly.
+//!   listener, serving however many `net::run_client` processes connect.
 //!
-//! All of them honour the scenario's `(seed, tasks)` contract, so the
-//! physics-executing backends return tallies bit-identical to the core
-//! ones. [`from_spec`] resolves the full five-backend vocabulary
-//! (`sequential | rayon | cluster | tcp | sim`), falling back to
-//! `lumen_core::engine::from_spec` for the core names, and [`BackendExt`]
-//! hangs convenience runners off [`Scenario`] itself.
+//! Both honour the scenario's `(seed, tasks)` contract, so they return
+//! tallies bit-identical to the core ones. [`from_spec`] resolves the
+//! full vocabulary (`sequential | rayon | cluster | tcp | reweight`),
+//! falling back to `lumen_core::engine::from_spec` for the core names.
+//! The discrete-event simulator traces no photons, so it is not a
+//! backend: it predicts a run's timing through [`crate::des::predict`].
 
-use crate::machine::{homogeneous_pool, MachinePool};
 use crate::net::{serve_with_options, NetError, ServeOptions};
-use crate::{AvailabilityModel, ClusterSim, DataManager, DesReport, JobSpec, NetworkModel};
-use lumen_core::engine::{
-    run_task, Backend, EngineError, Progress, RunReport, Scenario, WorkerAccount,
-};
+use crate::DataManager;
+use lumen_core::engine::{run_task, Backend, EngineError, Progress, RunReport, Scenario};
 use lumen_core::SimulationResult;
 use mcrng::{McRng, SplitMix64, StreamFactory};
 use std::net::TcpListener;
@@ -184,7 +177,6 @@ impl Backend for ThreadedCluster {
             workers,
             requeues,
             wall_seconds: started.elapsed().as_secs_f64(),
-            virtual_seconds: None,
             backend: self.name().to_string(),
         })
     }
@@ -290,136 +282,8 @@ impl Backend for Tcp {
             workers: report.worker_stats,
             requeues: report.requeues,
             wall_seconds: started.elapsed().as_secs_f64(),
-            virtual_seconds: None,
             backend: self.name().to_string(),
         })
-    }
-}
-
-/// The discrete-event simulator as a backend: predicts how long the
-/// scenario's photon budget would take on an arbitrary machine pool,
-/// without executing any photon transport.
-///
-/// The returned report is *virtual*: its tally is empty,
-/// [`RunReport::virtual_seconds`] carries the simulated makespan, and the
-/// per-worker accounts describe the simulated machines. Use it to answer
-/// "how long would 10⁹ photons take on the Table 2 pool?" in milliseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulatedCluster {
-    /// The machines being simulated.
-    pub machine_pool: MachinePool,
-    /// Network latency/bandwidth model.
-    pub network: NetworkModel,
-    /// Non-dedicated availability model.
-    pub availability: AvailabilityModel,
-    /// Calibrated cost of one photon (flops); see [`JobSpec::paper_job`].
-    pub flops_per_photon: f64,
-}
-
-impl SimulatedCluster {
-    /// Simulate `machines` dedicated paper-class PCs on a 2006 LAN.
-    pub fn new(machines: usize) -> Self {
-        Self::with_pool(homogeneous_pool(machines))
-    }
-
-    /// Simulate an arbitrary pool with the paper's network/cost defaults.
-    pub fn with_pool(machine_pool: MachinePool) -> Self {
-        Self {
-            machine_pool,
-            network: NetworkModel::lan_2006(),
-            availability: AvailabilityModel::DEDICATED,
-            flops_per_photon: JobSpec::paper_job().flops_per_photon,
-        }
-    }
-
-    /// The [`JobSpec`] a scenario maps onto.
-    fn job_for(&self, scenario: &Scenario) -> JobSpec {
-        let paper = JobSpec::paper_job();
-        JobSpec {
-            total_photons: scenario.photons,
-            flops_per_photon: self.flops_per_photon,
-            batch_photons: scenario.photons.div_ceil(scenario.tasks).max(1),
-            task_bytes: paper.task_bytes,
-            result_bytes: paper.result_bytes,
-        }
-    }
-
-    /// Run the DES and also return the raw [`DesReport`] for callers that
-    /// want the simulator-specific quantities (speedup, utilisation, ...).
-    pub fn run_des(&self, scenario: &Scenario) -> Result<DesReport, EngineError> {
-        scenario.validate()?;
-        if scenario.photons == 0 {
-            return Err(EngineError::InvalidConfig("simulated run needs photons >= 1".into()));
-        }
-        if self.machine_pool.is_empty() {
-            return Err(EngineError::InvalidConfig("machine pool is empty".into()));
-        }
-        let job = self.job_for(scenario);
-        job.validate().map_err(EngineError::InvalidConfig)?;
-        self.network.validate().map_err(EngineError::InvalidConfig)?;
-        self.availability.validate().map_err(EngineError::InvalidConfig)?;
-        let sim = ClusterSim {
-            pool: self.machine_pool.clone(),
-            network: self.network,
-            availability: self.availability,
-            seed: scenario.seed,
-        };
-        Ok(sim.run(&job))
-    }
-}
-
-impl Backend for SimulatedCluster {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run_with_progress(
-        &self,
-        scenario: &Scenario,
-        progress: &dyn Progress,
-    ) -> Result<RunReport, EngineError> {
-        let started = Instant::now();
-        let des = self.run_des(scenario)?;
-        progress.on_photons(scenario.photons, scenario.photons);
-        let workers = des
-            .machine_tasks
-            .iter()
-            .zip(&des.machine_photons)
-            .map(|(&tasks_completed, &photons)| WorkerAccount {
-                tasks_completed,
-                tasks_failed: 0,
-                photons,
-            })
-            .collect();
-        // The DES models time, not transport: the tally stays empty.
-        let empty = scenario.simulation().new_tally();
-        Ok(RunReport {
-            result: SimulationResult::new(empty, Vec::new()),
-            workers,
-            requeues: 0,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            virtual_seconds: Some(des.makespan_s),
-            backend: self.name().to_string(),
-        })
-    }
-}
-
-/// Convenience runners registered on [`Scenario`] by this crate.
-pub trait BackendExt {
-    /// Run on a reliable [`ThreadedCluster`] of `workers` threads.
-    fn run_threaded(&self, workers: usize) -> Result<RunReport, EngineError>;
-
-    /// Predict the run on a simulated `machine_pool` (virtual report).
-    fn run_simulated(&self, machine_pool: MachinePool) -> Result<RunReport, EngineError>;
-}
-
-impl BackendExt for Scenario {
-    fn run_threaded(&self, workers: usize) -> Result<RunReport, EngineError> {
-        ThreadedCluster::new(workers).run(self)
-    }
-
-    fn run_simulated(&self, machine_pool: MachinePool) -> Result<RunReport, EngineError> {
-        SimulatedCluster::with_pool(machine_pool).run(self)
     }
 }
 
@@ -431,8 +295,6 @@ impl BackendExt for Scenario {
 ///   one worker per logical CPU, no failures);
 /// * `tcp <addr> [min_clients] [lease_timeout_s]` — [`Tcp`] (defaults:
 ///   start at the first client, 10-minute lease deadline);
-/// * `sim [machines]` — [`SimulatedCluster`] (default: the paper's 60
-///   dedicated homogeneous machines);
 /// * `reweight <archive-file>` — [`lumen_core::Reweight`] over a stored
 ///   path archive ([`crate::wire::decode_archive`]): answers the scenario
 ///   by re-scoring recorded paths instead of tracing photons.
@@ -483,11 +345,6 @@ pub fn from_spec(spec: &str) -> Result<Box<dyn Backend>, EngineError> {
         ("tcp", _) => Err(EngineError::InvalidConfig(
             "tcp backend needs `tcp <addr> [min_clients] [lease_timeout_s]`".into(),
         )),
-        ("sim", []) => Ok(Box::new(SimulatedCluster::new(60))),
-        ("sim", [machines]) => {
-            Ok(Box::new(SimulatedCluster::new(parse::<usize>("sim machine count", machines)?)))
-        }
-        ("sim", _) => Err(EngineError::InvalidConfig("sim backend needs `sim [machines]`".into())),
         ("reweight", [path]) => {
             let bytes = std::fs::read(path).map_err(|e| {
                 EngineError::InvalidConfig(format!("cannot read archive `{path}`: {e}"))
@@ -507,7 +364,7 @@ pub fn from_spec(spec: &str) -> Result<Box<dyn Backend>, EngineError> {
         _ => Err(EngineError::InvalidConfig(format!(
             "unknown backend `{spec}` (expected sequential | rayon [threads] | \
              cluster [workers] [failure_rate] | tcp <addr> [min_clients] [lease_timeout_s] | \
-             sim [machines] | reweight <archive-file>)"
+             reweight <archive-file>)"
         ))),
     }
 }
@@ -643,27 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_cluster_reports_virtual_time() {
-        let s = scenario().with_photons(1_000_000).with_tasks(100);
-        let report = SimulatedCluster::new(10).run(&s).unwrap();
-        assert!(report.is_virtual());
-        assert!(report.virtual_seconds.unwrap() > 0.0);
-        assert_eq!(report.workers.len(), 10);
-        let photons: u64 = report.workers.iter().map(|w| w.photons).sum();
-        assert_eq!(photons, 1_000_000);
-        // Virtual report: no photons were actually traced.
-        assert_eq!(report.result.launched(), 0);
-    }
-
-    #[test]
-    fn scenario_extension_trait_runs() {
-        let s = scenario();
-        let a = s.run_threaded(2).unwrap();
-        let b = Rayon::default().run(&s).unwrap();
-        assert_eq!(a.result.tally, b.result.tally);
-    }
-
-    #[test]
     fn tcp_backend_runs_against_clients() {
         use std::thread;
         // Bind on port 0 first to find a free port, then hand the address
@@ -696,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_resolution_covers_all_six() {
+    fn spec_resolution_covers_all_five() {
         assert_eq!(from_spec("sequential").unwrap().name(), "sequential");
         assert_eq!(from_spec("rayon 2").unwrap().name(), "rayon");
         assert_eq!(from_spec("cluster").unwrap().name(), "cluster");
@@ -705,15 +541,19 @@ mod tests {
         assert_eq!(from_spec("tcp 127.0.0.1:7878").unwrap().name(), "tcp");
         assert_eq!(from_spec("tcp 127.0.0.1:7878 3").unwrap().name(), "tcp");
         assert_eq!(from_spec("tcp 127.0.0.1:7878 3 5.5").unwrap().name(), "tcp");
-        assert_eq!(from_spec("sim").unwrap().name(), "sim");
-        assert_eq!(from_spec("sim 150").unwrap().name(), "sim");
+        // The DES traces no photons, so it is no backend (`des::predict`).
+        assert!(from_spec("sim").is_err());
+        assert!(from_spec("sim 150").is_err());
         assert!(from_spec("tcp").is_err());
         assert!(from_spec("tcp 127.0.0.1:7878 3 0").is_err());
         assert!(from_spec("tcp 127.0.0.1:7878 3 -2").is_err());
         assert!(from_spec("tcp 127.0.0.1:7878 3 1e30").is_err());
         assert!(from_spec("tcp 127.0.0.1:7878 3 5 extra").is_err());
         assert!(from_spec("cluster four").is_err());
-        assert!(from_spec("warp-drive").is_err());
+        match from_spec("warp-drive") {
+            Err(EngineError::InvalidConfig(msg)) => assert!(!msg.contains("sim"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|b| b.name())),
+        }
         // `reweight` needs exactly one archive path, and the file must
         // exist and decode.
         assert!(from_spec("reweight").is_err());

@@ -24,7 +24,6 @@ pub struct DataManager {
     fold: TaskFold,
     /// Per-worker accounting.
     stats: Vec<WorkerAccount>,
-    tasks_total: usize,
     requeues: u64,
 }
 
@@ -55,7 +54,6 @@ impl DataManager {
             .map(|(i, &photons)| SimTask { task_id: task_offset + i as u64, photons })
             .collect();
         Self {
-            tasks_total: queue.len(),
             fold: TaskFold::new(template, task_offset, queue.len() as u64),
             queue,
             stats: vec![WorkerAccount::default(); n_workers],
@@ -122,11 +120,6 @@ impl DataManager {
     /// be out).
     pub fn queue_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total number of batches.
-    pub fn tasks_total(&self) -> usize {
-        self.tasks_total
     }
 
     /// Number of times a task had to be re-queued after a failure.
@@ -217,7 +210,7 @@ mod tests {
     fn zero_photon_job_finishes_immediately() {
         let dm = DataManager::new(0, 4, template(), 1);
         assert!(dm.finished());
-        assert_eq!(dm.tasks_total(), 0);
+        assert!(dm.queue_empty());
     }
 
     #[test]

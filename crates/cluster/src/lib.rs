@@ -35,13 +35,14 @@
 //! a full encoding of experiment definitions
 //! ([`wire::encode_scenario`]).
 //!
-//! All of it is reachable through one front door: the [`backend`] module
-//! implements `lumen_core::engine::Backend` for [`ThreadedCluster`],
-//! [`Tcp`], and [`SimulatedCluster`], so the same
+//! The physics-running platform is reachable through one front door: the
+//! [`backend`] module implements `lumen_core::engine::Backend` for
+//! [`ThreadedCluster`] and [`Tcp`], so the same
 //! `lumen_core::engine::Scenario` runs unchanged on a single core, the
-//! shared-memory thread backend, the threaded master/worker engine, a TCP
-//! deployment, or the simulated machine pool — with bit-identical tallies
-//! wherever real photons are traced.
+//! shared-memory thread backend, the threaded master/worker engine, or a
+//! TCP deployment, with bit-identical tallies. The simulator models time,
+//! not photons, so it is not a backend: [`des::predict`] answers how long
+//! that scenario would take on a modelled machine pool.
 
 pub mod availability;
 pub mod backend;
@@ -56,11 +57,11 @@ pub mod speedup;
 pub mod wire;
 
 pub use availability::AvailabilityModel;
-pub use backend::{BackendExt, FailurePlan, SimulatedCluster, Tcp, ThreadedCluster};
+pub use backend::{FailurePlan, Tcp, ThreadedCluster};
 pub use datamanager::DataManager;
-pub use des::{ClusterSim, DesReport, JobSpec};
+pub use des::{predict, ClusterSim, DesError, DesReport, JobSpec};
 pub use machine::{homogeneous_pool, table2_pool, MachineClass, MachinePool};
 pub use net::{run_client, serve_with_options, NetError, NetReport, ServeOptions};
 pub use network::NetworkModel;
 pub use scheduler::{GaScheduler, Scheduler, SelfScheduling, StaticChunking};
-pub use speedup::{efficiency, speedup_curve, SpeedupPoint};
+pub use speedup::{speedup_curve, SpeedupPoint};

@@ -7,6 +7,8 @@
 //! 3 GHz P4 and "processes the returned results" one at a time, which is
 //! the main efficiency loss at large worker counts.
 
+use crate::des::{check, DesError};
+
 /// Simple latency/bandwidth + server-merge-cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
@@ -29,16 +31,10 @@ impl NetworkModel {
     pub const FREE: NetworkModel =
         NetworkModel { latency_s: 0.0, bandwidth_mb_s: f64::INFINITY, server_merge_s: 0.0 };
 
-    /// Validate parameters.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
-    pub fn validate(&self) -> Result<(), String> {
-        if self.latency_s < 0.0 || self.server_merge_s < 0.0 {
-            return Err("network times must be non-negative".into());
-        }
-        if !(self.bandwidth_mb_s > 0.0) {
-            return Err(format!("bandwidth must be positive, got {}", self.bandwidth_mb_s));
-        }
-        Ok(())
+    pub(crate) fn validate(&self) -> Result<(), DesError> {
+        check(self.latency_s >= 0.0, "latency_s", self.latency_s)?;
+        check(self.server_merge_s >= 0.0, "server_merge_s", self.server_merge_s)?;
+        check(self.bandwidth_mb_s > 0.0, "bandwidth_mb_s", self.bandwidth_mb_s)
     }
 
     /// Time to move `bytes` one way (s).

@@ -4,7 +4,7 @@
 //! processor and Pk is the time taken using k processors."
 
 use crate::availability::AvailabilityModel;
-use crate::des::{ClusterSim, JobSpec};
+use crate::des::{ClusterSim, DesError, JobSpec};
 use crate::machine::homogeneous_pool;
 use crate::network::NetworkModel;
 
@@ -21,39 +21,26 @@ pub struct SpeedupPoint {
     pub efficiency: f64,
 }
 
-/// Parallel efficiency from a (k, speedup) pair.
-pub fn efficiency(k: usize, speedup: f64) -> f64 {
-    if k == 0 {
-        return 0.0;
-    }
-    speedup / k as f64
-}
-
 /// Simulated Fig 2: run `job` on homogeneous pools of each size in `ks`,
 /// computing speedup against the measured 1-processor run (P1), exactly
-/// as the paper defines it.
+/// as the paper defines it. A pool size of 0 is [`DesError::EmptyPool`].
 pub fn speedup_curve(
     job: &JobSpec,
     ks: &[usize],
     network: NetworkModel,
     availability: AvailabilityModel,
     seed: u64,
-) -> Vec<SpeedupPoint> {
-    assert!(!ks.is_empty(), "need at least one pool size");
-    let p1 =
-        ClusterSim { pool: homogeneous_pool(1), network, availability, seed }.run(job).makespan_s;
+) -> Result<Vec<SpeedupPoint>, DesError> {
+    let time = |k| {
+        let sim = ClusterSim { pool: homogeneous_pool(k), network, availability, seed };
+        sim.run(job).map(|report| report.makespan_s)
+    };
+    let p1 = time(1)?;
     ks.iter()
         .map(|&k| {
-            assert!(k >= 1, "pool sizes must be >= 1");
-            let time_s = if k == 1 {
-                p1
-            } else {
-                ClusterSim { pool: homogeneous_pool(k), network, availability, seed }
-                    .run(job)
-                    .makespan_s
-            };
+            let time_s = if k == 1 { p1 } else { time(k)? };
             let speedup = p1 / time_s;
-            SpeedupPoint { k, time_s, speedup, efficiency: efficiency(k, speedup) }
+            Ok(SpeedupPoint { k, time_s, speedup, efficiency: speedup / k as f64 })
         })
         .collect()
 }
@@ -70,6 +57,7 @@ mod tests {
             AvailabilityModel::DEDICATED,
             11,
         )
+        .unwrap()
     }
 
     #[test]
@@ -94,12 +82,6 @@ mod tests {
             assert!(p.efficiency <= 1.0 + 1e-9, "{p:?}");
             assert!(p.efficiency > 0.0);
         }
-    }
-
-    #[test]
-    fn efficiency_helper() {
-        assert_eq!(efficiency(10, 9.7), 0.97);
-        assert_eq!(efficiency(0, 5.0), 0.0);
     }
 
     #[test]

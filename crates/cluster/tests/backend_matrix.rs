@@ -4,7 +4,7 @@
 //! tallies — the paper's "same results on one core or a cluster" claim,
 //! asserted at the bit level, small enough to run in seconds.
 
-use lumen_cluster::{BackendExt, FailurePlan, SimulatedCluster, Tcp, ThreadedCluster};
+use lumen_cluster::{FailurePlan, Tcp, ThreadedCluster};
 use lumen_core::engine::{Backend, Progress, Rayon, Scenario, Sequential};
 use lumen_core::{Detector, Source, Vec3};
 use lumen_tissue::presets::{head_with_inclusion, semi_infinite_phantom, AdultHeadConfig};
@@ -103,7 +103,7 @@ fn matrix_includes_tcp() {
 
 #[test]
 fn matrix_voxel_scenario_bit_identical_across_backends() {
-    // The five-backend claim extended to voxel geometry: every
+    // The backend-equivalence claim extended to voxel geometry: every
     // physics-running backend produces the same bits.
     let s = voxel_scenario();
     let matrix: Vec<Box<dyn Backend>> = vec![
@@ -129,10 +129,6 @@ fn matrix_voxel_scenario_bit_identical_across_backends() {
             backend.name()
         );
     }
-    // The DES backend runs the same scenario virtually (no transport).
-    let sim = s.run_simulated(lumen_cluster::homogeneous_pool(4)).expect("valid");
-    assert!(sim.is_virtual());
-    assert_eq!(sim.workers.iter().map(|w| w.photons).sum::<u64>(), 2_000);
 }
 
 #[test]
@@ -191,17 +187,4 @@ fn progress_hook_reports_photons_and_retries() {
     assert_eq!(obs.photons.load(Ordering::Relaxed), 4_000, "all completions observed");
     assert_eq!(obs.retries.load(Ordering::Relaxed), report.requeues, "retries observed live");
     assert!(report.requeues > 0, "50% failure rate over 32 tasks must requeue");
-}
-
-#[test]
-fn simulated_backend_predicts_without_transport() {
-    // `sim` deliberately sits outside the bit-identical matrix: it models
-    // time. Same scenario, zero photons traced, a virtual makespan out.
-    let report = scenario().run_simulated(lumen_cluster::homogeneous_pool(10)).expect("valid");
-    assert!(report.is_virtual());
-    assert_eq!(report.result.launched(), 0);
-    assert!(report.virtual_seconds.unwrap() > 0.0);
-    let accounted: u64 = report.workers.iter().map(|w| w.photons).sum();
-    assert_eq!(accounted, 4_000, "the DES still accounts for every photon");
-    let _ = SimulatedCluster::new(1); // constructor stays in the public API
 }

@@ -615,7 +615,6 @@ impl Backend for Reweight {
             result: SimulationResult::new(report.tally, Vec::new()),
             requeues: 0,
             wall_seconds: started.elapsed().as_secs_f64(),
-            virtual_seconds: None,
             backend: self.name().to_string(),
         })
     }

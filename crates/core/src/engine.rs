@@ -34,9 +34,11 @@
 //! workers claiming batches on demand). Both are one driver at different
 //! thread counts, and every backend in the workspace merges through the
 //! one task-order prefix fold defined here, [`TaskFold`] — see it for the
-//! memory a run holds. The distributed ones (`ThreadedCluster`, `Tcp`,
-//! `SimulatedCluster`) live in `lumen-cluster`, which registers them on the
-//! same trait — see `lumen_cluster::backend`. Long runs can observe
+//! memory a run holds. The distributed ones (`ThreadedCluster`, `Tcp`)
+//! live in `lumen-cluster`, which registers them on the same trait — see
+//! `lumen_cluster::backend`. Every backend returns the scenario's tally;
+//! the cluster timing model, which traces no photons, is not a backend
+//! but `lumen_cluster::des::predict`. Long runs can observe
 //! completion through the [`Progress`] hook, and all failure paths report a
 //! typed [`EngineError`] instead of panicking on ad-hoc strings.
 
@@ -311,9 +313,6 @@ pub struct RunReport {
     pub requeues: u64,
     /// Wall-clock duration of the run (s).
     pub wall_seconds: f64,
-    /// Virtual makespan for simulated backends (the DES); `None` for
-    /// backends that executed real photon transport.
-    pub virtual_seconds: Option<f64>,
     /// Name of the backend that produced this report.
     pub backend: String,
 }
@@ -322,12 +321,6 @@ impl RunReport {
     /// Measured throughput (photons per wall-clock second).
     pub fn photons_per_second(&self) -> f64 {
         self.result.launched() as f64 / self.wall_seconds.max(1e-9)
-    }
-
-    /// True when the report's timing is simulated rather than measured
-    /// (its tally is then empty — the DES models time, not photons).
-    pub fn is_virtual(&self) -> bool {
-        self.virtual_seconds.is_some()
     }
 }
 
@@ -350,7 +343,7 @@ impl std::ops::Deref for RunReport {
 /// distributed backends may return fewer recorded paths than in-process
 /// ones, but the tally never differs.)
 pub trait Backend {
-    /// Short stable name ("sequential", "rayon", "cluster", "tcp", "sim").
+    /// Short stable name ("sequential", "rayon", "cluster", "tcp", "reweight").
     fn name(&self) -> &'static str;
 
     /// Execute the scenario, streaming status to `progress`.
@@ -554,7 +547,6 @@ fn run_in_process(
         result,
         requeues: 0,
         wall_seconds: started.elapsed().as_secs_f64(),
-        virtual_seconds: None,
         backend: name.to_string(),
     })
 }
@@ -621,10 +613,11 @@ impl Backend for Rayon {
 /// Resolve a backend-spec string to one of the **core** backends:
 /// `sequential`, `rayon`, or `rayon <threads>`.
 ///
-/// The cluster backends (`cluster`, `tcp`, `sim`) are registered on top of
-/// this vocabulary by `lumen_cluster::backend::from_spec`, which falls back
-/// here — that one-way registration is what keeps `lumen-core` free of any
-/// cluster dependency.
+/// The cluster backends (`cluster`, `tcp`) and the archive-backed
+/// `reweight` are registered on top of this vocabulary by
+/// `lumen_cluster::backend::from_spec`, which falls back here — that
+/// one-way registration is what keeps `lumen-core` free of any cluster
+/// dependency.
 pub fn from_spec(spec: &str) -> Result<Box<dyn Backend>, EngineError> {
     let mut parts = spec.split_whitespace();
     let kind = parts.next().unwrap_or("");
@@ -743,7 +736,6 @@ mod tests {
         assert_eq!(report.requeues, 0);
         assert!(report.wall_seconds >= 0.0);
         assert!(report.photons_per_second() > 0.0);
-        assert!(!report.is_virtual());
     }
 
     #[test]

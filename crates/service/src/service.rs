@@ -634,4 +634,12 @@ mod tests {
         let err = SimulationService::new(ServiceOptions::default().with_backend("quantum"));
         assert!(matches!(err, Err(ServiceError::InvalidConfig(_))));
     }
+
+    #[test]
+    fn a_timing_model_is_not_a_backend() {
+        // The DES traces no photons; serving it would cache an empty tally
+        // as the answer to every query.
+        let err = SimulationService::new(ServiceOptions::default().with_backend("sim 4"));
+        assert!(matches!(err, Err(ServiceError::InvalidConfig(_))), "{err:?}");
+    }
 }

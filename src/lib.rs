@@ -46,9 +46,11 @@
 //!
 //! The same scenario distributed over the threaded master/worker engine
 //! (failure injection and all) is `lumen::cluster::ThreadedCluster`; the
-//! TCP deployment is `lumen::cluster::Tcp`, and the discrete-event
-//! cluster simulator is `lumen::cluster::SimulatedCluster`. The paper's
-//! tables and figures are the `lumen-bench` package's `artefact` binary
+//! TCP deployment is `lumen::cluster::Tcp`. The discrete-event cluster
+//! simulator traces no photons, so it is no backend:
+//! `lumen::cluster::des::predict` times the scenario on a machine pool.
+//! The paper's tables and figures are the `lumen-bench` package's
+//! `artefact` binary
 //! (`cargo run --release -p lumen-bench --bin artefact -- fig3_banana`);
 //! `examples/` walks through the library API, starting with
 //! `cargo run --release --example quickstart`.

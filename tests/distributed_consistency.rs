@@ -90,7 +90,8 @@ fn des_reproduces_fig2_shape() {
         NetworkModel::lan_2006(),
         AvailabilityModel::DEDICATED,
         1,
-    );
+    )
+    .expect("the paper's job on 1-60 machines is valid");
     assert!((points[0].speedup - 1.0).abs() < 1e-9);
     for w in points.windows(2) {
         assert!(w[1].speedup > w[0].speedup, "monotone speedup");
@@ -107,7 +108,7 @@ fn des_reproduces_table2_two_hour_runtime() {
         availability: AvailabilityModel::semi_idle(),
         seed: 10,
     };
-    let report = cluster.run(&JobSpec::paper_job());
+    let report = cluster.run(&JobSpec::paper_job()).expect("the Table 2 run is valid");
     let hours = report.makespan_s / 3600.0;
     assert!((1.0..4.0).contains(&hours), "expected ~2 h, got {hours:.2} h");
     // All 150 machines contributed.
