@@ -1638,6 +1638,19 @@ mod tests {
     }
 
     #[test]
+    fn nan_gate_edges_do_not_decode() {
+        for (min_mm, max_mm) in [(f64::NAN, 50.0), (0.0, f64::NAN)] {
+            let mut s = plain_scenario();
+            s.detector.gate = GateWindow { min_mm, max_mm }; // encodes fine, must not decode
+            assert!(s.validate().is_err());
+            match decode_scenario(&encode_scenario(&s)) {
+                Err(WireError::Invalid(reason)) => assert!(reason.contains("gate"), "{reason}"),
+                other => panic!("expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn scenario_rejects_oversized_tally_specs() {
         use lumen_core::radial::RadialSpec;
         use lumen_tissue::presets::semi_infinite_phantom;

@@ -139,9 +139,9 @@ impl Detector {
         if !(self.radius > 0.0 && self.radius.is_finite()) {
             return Err(format!("detector radius must be finite > 0, got {}", self.radius));
         }
-        if self.gate.min_mm < 0.0 || self.gate.max_mm <= self.gate.min_mm {
-            return Err(format!("invalid gate [{}, {}]", self.gate.min_mm, self.gate.max_mm));
-        }
+        // The constructor's rule, so a gate built field by field (or
+        // decoded from the wire) cannot pass with a NaN edge.
+        GateWindow::new(self.gate.min_mm, self.gate.max_mm).map_err(|e| e.to_string())?;
         if let Some(c) = self.min_exit_cos {
             if !(0.0..=1.0).contains(&c) {
                 return Err(format!("acceptance cosine must be in [0,1], got {c}"));
@@ -185,6 +185,15 @@ mod tests {
         assert!(!d.in_aperture(Vec3::new(0.0, 0.0, 0.0)));
         // Exactly on the rim counts.
         assert!(d.in_aperture(Vec3::new(32.0, 0.0, 0.0)));
+    }
+
+    #[test]
+    fn nan_gate_edges_fail_validation() {
+        for (min_mm, max_mm) in [(f64::NAN, 50.0), (0.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            let d = Detector::new(10.0, 2.0).with_gate(GateWindow { min_mm, max_mm });
+            let err = d.validate().expect_err("a NaN gate edge must not validate");
+            assert!(err.contains("gate"), "{err}");
+        }
     }
 
     #[test]

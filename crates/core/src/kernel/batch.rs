@@ -7,9 +7,12 @@
 //! `ln`, the Henyey–Greenstein polar draw, the azimuthal `sin`/`cos`, the
 //! direction rotation — executes as full-width loops over contiguous `f64`
 //! arrays with the polynomial approximations from [`lumen_photon::approx`],
-//! where the compiler autovectorizes them. Rare events (boundary crossings,
-//! launches, terminal fates, roulette) drop back to the scalar stage
-//! functions in [`super::scalar`], reusing their exact tally bookkeeping.
+//! where the compiler autovectorizes them. Each lane applies the scalar
+//! kernel's transport rules in [`super::scalar`] — the step decision and
+//! carry-over, the drop bookkeeping, the internal interface — and
+//! [`lumen_photon::roulette()`]; launches, external surfaces and terminal
+//! fates re-enter the scalar stage functions, so the tally bookkeeping is
+//! theirs.
 //!
 //! # Fill and drain
 //!
@@ -47,12 +50,11 @@
 //! boundary splitting, so this kernel only ever runs whole-packet
 //! probabilistic walks and never materializes vertex lists.
 
-use crate::kernel::{scalar, DetectionState};
+use crate::kernel::scalar::{self, StepOutcome};
+use crate::kernel::DetectionState;
 use crate::sim::{Scratch, Simulation};
 use crate::tally::Tally;
-use lumen_photon::approx;
-use lumen_photon::fresnel::{interact_with_boundary_axis, BoundaryOutcome};
-use lumen_photon::{BoundaryMode, Fate, Photon, Vec3};
+use lumen_photon::{approx, roulette, Fate, Photon, Vec3};
 use lumen_tissue::{BoundaryHit, TissueGeometry};
 use mcrng::McRng;
 
@@ -246,10 +248,10 @@ impl Pool {
         self.try_launch(l, cx);
     }
 
-    /// Resolve a boundary encounter on lane `l`: external surfaces run the
-    /// exact scalar surface stage (Fresnel escape / detection / internal
-    /// reflection); internal interfaces do probabilistic whole-packet
-    /// reflection or refraction.
+    /// Resolve a boundary encounter on lane `l` with the scalar kernel's
+    /// rules: an internal interface reflects or refracts the whole packet;
+    /// an external surface runs the surface stage (Fresnel escape /
+    /// detection / internal reflection).
     fn boundary_event<G: TissueGeometry, R: McRng>(
         &mut self,
         l: usize,
@@ -259,28 +261,16 @@ impl Pool {
         let n_i = self.n_idx[l];
         let n_t = cx.geom.neighbour_n(self.layer[l], &hit);
         if let Some(next) = hit.next_region {
-            let dir = Vec3::new(self.ux[l], self.uy[l], self.uz[l]);
-            match interact_with_boundary_axis(
-                dir,
+            let dir = scalar::cross_interface(
+                Vec3::new(self.ux[l], self.uy[l], self.uz[l]),
                 hit.axis,
-                n_i,
-                n_t,
-                BoundaryMode::Probabilistic,
+                (n_i, n_t),
+                next,
+                &mut self.layer[l],
+                &mut self.scratch[l].reached,
                 cx.rng,
-            ) {
-                BoundaryOutcome::Reflected { dir, .. } => {
-                    self.ux[l] = dir.x;
-                    self.uy[l] = dir.y;
-                    self.uz[l] = dir.z;
-                }
-                BoundaryOutcome::Transmitted { dir, .. } => {
-                    self.ux[l] = dir.x;
-                    self.uy[l] = dir.y;
-                    self.uz[l] = dir.z;
-                    self.layer[l] = next;
-                    self.scratch[l].reached[next] = true;
-                }
-            }
+            );
+            (self.ux[l], self.uy[l], self.uz[l]) = (dir.x, dir.y, dir.z);
         } else {
             let mut photon = self.materialize(l);
             let ctx =
@@ -362,41 +352,30 @@ impl Pool {
                 continue;
             }
             let pos = Vec3::new(self.px[l], self.py[l], self.pz[l]);
-            let transparent = self.transparent[l];
-            let geometric = self.step_mfps[l] * self.inv_mu_t[l];
-            // Same factor-2 safety margin as the scalar hop stage.
-            if !transparent && geometric <= 0.5 * cx.geom.min_boundary_distance(pos, self.layer[l])
-            {
-                self.advance(l, geometric);
-                self.step_mfps[l] = 0.0;
-                interact[l] = true;
-                continue;
-            }
-            // Bounded by the step, as in the scalar hop stage: a hit at or
-            // beyond `geometric` means an interaction either way.
             let dir = Vec3::new(self.ux[l], self.uy[l], self.uz[l]);
-            let limit = if transparent { f64::INFINITY } else { geometric };
-            let hit = cx.geom.boundary_hit_within(pos, dir, self.layer[l], limit);
-            if transparent {
-                if !hit.distance.is_finite() {
-                    // Degenerate geometry (horizontal flight in a
-                    // transparent slab): retire rather than loop forever.
+            let geometric = self.step_mfps[l] * self.inv_mu_t[l];
+            match scalar::step_outcome(
+                cx.geom,
+                pos,
+                dir,
+                self.layer[l],
+                self.transparent[l],
+                geometric,
+            ) {
+                StepOutcome::Interact => {
+                    self.advance(l, geometric);
+                    self.step_mfps[l] = 0.0;
+                    interact[l] = true;
+                }
+                StepOutcome::Boundary(hit) => {
+                    self.advance(l, hit.distance);
+                    self.step_mfps[l] = scalar::carried_mfps(self.step_mfps[l], &hit, self.mu_t[l]);
+                    self.boundary_event(l, hit, cx);
+                }
+                StepOutcome::Stuck => {
                     self.fate[l] = Fate::Expired;
                     self.retire(l, cx);
-                    continue;
                 }
-                self.advance(l, hit.distance);
-                self.boundary_event(l, hit, cx);
-                continue;
-            }
-            if geometric <= hit.distance {
-                self.advance(l, geometric);
-                self.step_mfps[l] = 0.0;
-                interact[l] = true;
-            } else {
-                self.advance(l, hit.distance);
-                self.step_mfps[l] = (self.step_mfps[l] - hit.distance * self.mu_t[l]).max(0.0);
-                self.boundary_event(l, hit, cx);
             }
         }
 
@@ -416,16 +395,8 @@ impl Pool {
             self.scratch[l].collisions[self.layer[l]] += 1;
             let deposited = self.weight[l] * self.absorb_frac[l];
             self.weight[l] -= deposited;
-            cx.tally.absorbed_by_layer[self.layer[l]] += deposited;
-            if cx.tally.absorption_grid.is_some() || cx.tally.absorption_rz.is_some() {
-                let pos = Vec3::new(self.px[l], self.py[l], self.pz[l]);
-                if let Some(grid) = cx.tally.absorption_grid.as_mut() {
-                    grid.deposit(pos, deposited);
-                }
-                if let Some(rz) = cx.tally.absorption_rz.as_mut() {
-                    rz.deposit(pos.radial(), pos.z, deposited);
-                }
-            }
+            let pos = Vec3::new(self.px[l], self.py[l], self.pz[l]);
+            scalar::deposit(cx.tally, self.layer[l], pos, deposited);
             if self.weight[l] <= 0.0 {
                 interact[l] = false;
                 self.fate[l] = Fate::Absorbed;
@@ -474,13 +445,7 @@ impl Pool {
         // --- roulette (lane order, rare) ---
         let cfg = cx.sim.options.roulette;
         for l in live {
-            if !interact[l] || self.weight[l] >= cfg.threshold {
-                continue;
-            }
-            if cx.rng.next_f64() < cfg.survival {
-                self.weight[l] /= cfg.survival;
-            } else {
-                self.weight[l] = 0.0;
+            if interact[l] && !roulette(&mut self.weight[l], cfg, cx.rng) {
                 self.fate[l] = Fate::RouletteKilled;
                 self.retire(l, cx);
             }

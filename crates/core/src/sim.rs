@@ -29,7 +29,7 @@ use crate::radial::RadialSpec;
 use crate::results::SimulationResult;
 use crate::source::Source;
 use crate::tally::{GridSpec, Tally};
-use lumen_photon::{BoundaryMode, Fate, RouletteConfig, Vec3};
+use lumen_photon::{BoundaryMode, RouletteConfig, Vec3};
 use lumen_tissue::{Geometry, TissueGeometry};
 use mcrng::{McRng, StreamFactory};
 
@@ -160,7 +160,7 @@ pub struct Simulation {
 /// Per-photon scratch state reused across photons to avoid allocations on
 /// the hot path.
 #[derive(Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     pub(crate) vertices: Vec<Vec3>,
     /// Pathlength accrued in each region by the current photon (mm).
     pub(crate) partial_path: Vec<f64>,
@@ -311,30 +311,9 @@ impl Simulation {
         tally
     }
 
-    /// Trace one photon, accumulating into `tally`. Returns the terminal
-    /// fate. This is the paper's Fig 1 loop, dispatched once per photon to
-    /// the geometry-monomorphized scalar kernel (the private `kernel::scalar` module).
-    /// Always runs the bit-pinned exact path; the fast tier batches whole
-    /// streams and dispatches in [`Self::run_stream`].
-    pub fn trace_photon<R: McRng>(
-        &self,
-        rng: &mut R,
-        tally: &mut Tally,
-        scratch: &mut Scratch,
-        paths_out: Option<&mut Vec<PathRecord>>,
-    ) -> Fate {
-        match &self.tissue {
-            Geometry::Layered(g) => {
-                kernel::scalar::trace_photon(self, g, rng, tally, scratch, paths_out)
-            }
-            Geometry::Voxel(g) => {
-                kernel::scalar::trace_photon(self, g, rng, tally, scratch, paths_out)
-            }
-        }
-    }
-
-    /// Run `n` photons from the given RNG into `tally`. Dispatches to the
-    /// geometry-monomorphized loop once for the whole stream.
+    /// Run `n` photons from the given RNG into `tally` — the kernel's one
+    /// entry point. Dispatches to the geometry-monomorphized loop once for
+    /// the whole stream.
     ///
     /// This is the precision-tier seam: everything above it (task
     /// decomposition, RNG substreams, tally merging, every backend) is

@@ -27,6 +27,7 @@ use lumen_tissue::presets::{
     adult_head, head_with_inclusion, homogeneous_white_matter, neonatal_head,
     semi_infinite_phantom, voxelized, AdultHeadConfig,
 };
+use lumen_tissue::{LayeredTissue, OpticalProperties};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -190,6 +191,21 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
     let voxel_head = || {
         voxelized(&adult_head(AdultHeadConfig::default()), 1.0, 8.0, 25.0).expect("head voxelizes")
     };
+    // A clear (μt = 0) layer between two scattering ones, so both tiers'
+    // transparent streaming branch — whole step budget carried across the
+    // gap — is pinned byte for byte.
+    let clear_gap = || {
+        let tissue = OpticalProperties::new(0.02, 10.0, 0.9, 1.4);
+        LayeredTissue::stack(
+            vec![
+                ("skin".into(), 2.0, tissue),
+                ("clear".into(), 2.0, OpticalProperties::transparent(1.33)),
+                ("brain".into(), f64::INFINITY, tissue),
+            ],
+            1.0,
+        )
+        .expect("clear-gap stack is valid")
+    };
     vec![
         (
             "adult_head_default",
@@ -342,10 +358,25 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
         (
             "voxel_head_fast_single",
             Scenario::new(voxel_head(), Source::Delta, Detector::ring(2.0, 1.0))
-                .with_options(fast)
+                .with_options(fast.clone())
                 .with_photons(40)
                 .with_tasks(40)
                 .with_seed(17),
+        ),
+        (
+            "clear_gap",
+            Scenario::new(clear_gap(), Source::Gaussian { radius: 1.0 }, Detector::new(10.0, 2.0))
+                .with_photons(2_000)
+                .with_tasks(4)
+                .with_seed(21),
+        ),
+        (
+            "clear_gap_fast",
+            Scenario::new(clear_gap(), Source::Gaussian { radius: 1.0 }, Detector::new(10.0, 2.0))
+                .with_options(fast)
+                .with_photons(2_000)
+                .with_tasks(3)
+                .with_seed(21),
         ),
     ]
 }

@@ -2,17 +2,17 @@
 //! interfaces between media of differing refractive index.
 //!
 //! The paper's feature list offers "refraction and internal reflection
-//! (classical physics or probabilistic methods)". Both are implemented:
+//! (classical physics or probabilistic methods)" — [`BoundaryMode`]:
 //!
 //! * [`BoundaryMode::Probabilistic`] — the MCML approach: compute the
 //!   unpolarised Fresnel reflectance `R(θi)` and reflect the *whole* packet
 //!   with probability `R`, otherwise transmit the whole packet. Unbiased,
-//!   one random draw.
-//! * [`BoundaryMode::Classical`] — deterministic partial reflection: the
-//!   packet always refracts, carrying weight `(1 − R) w`, while `R w` is
-//!   returned to the caller to continue as a reflected packet or be tallied.
-//!   Lower variance near the surface at the cost of more bookkeeping; the
-//!   engine tallies the reflected fraction rather than splitting packets.
+//!   one random draw. [`interact_with_boundary_axis`] implements it, and
+//!   every internal interface uses it in both modes.
+//! * [`BoundaryMode::Classical`] — deterministic partial reflection at the
+//!   external surfaces: the fraction `(1 − R) w` escapes and `R w` stays
+//!   inside. The engine's surface stage splits the weight itself from
+//!   [`fresnel_reflectance`].
 //!
 //! Total internal reflection (`θi` beyond the critical angle when passing
 //! into a rarer medium) reflects with probability 1 in both modes.
@@ -26,21 +26,20 @@ pub enum BoundaryMode {
     /// All-or-nothing reflection with probability `R` (MCML default).
     #[default]
     Probabilistic,
-    /// Deterministic weight splitting: transmit `(1−R) w`, return `R w`.
+    /// Deterministic weight splitting at the external surfaces: `(1−R) w`
+    /// escapes, `R w` stays inside.
     Classical,
 }
 
 /// Result of presenting a photon direction to an interface.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoundaryOutcome {
-    /// Packet continues in the incident medium with the given direction
-    /// (specular or total internal reflection). `weight_factor` is 1 in
-    /// probabilistic mode; in classical mode it is the reflected fraction.
-    Reflected { dir: Vec3, weight_factor: f64 },
-    /// Packet crosses into the next medium along `dir` (bent by Snell's
-    /// law). `weight_factor` is 1 in probabilistic mode and `1 − R` in
-    /// classical mode.
-    Transmitted { dir: Vec3, weight_factor: f64 },
+    /// The whole packet continues in the incident medium along `dir`
+    /// (Fresnel-sampled or total internal reflection).
+    Reflected { dir: Vec3 },
+    /// The whole packet crosses into the next medium along `dir` (bent by
+    /// Snell's law).
+    Transmitted { dir: Vec3 },
 }
 
 /// Unpolarised Fresnel reflectance for incidence cosine `cos_i` (≥ 0)
@@ -94,69 +93,36 @@ pub fn critical_cos(n_i: f64, n_t: f64) -> Option<f64> {
     }
 }
 
-/// Resolve an encounter with a horizontal interface whose outward normal is
-/// ±z. `dir` is the incident unit direction, `n_i`/`n_t` the indices on the
-/// incident/transmission sides.
-///
-/// The interface is horizontal (layered geometry), so reflection flips
-/// `dir.z` and refraction rescales the tangential components by Snell's law.
-/// Voxelized geometries present x/y-normal faces too — see
-/// [`interact_with_boundary_axis`], of which this is the `Axis::Z` case.
-pub fn interact_with_boundary<R: McRng>(
-    dir: Vec3,
-    n_i: f64,
-    n_t: f64,
-    mode: BoundaryMode,
-    rng: &mut R,
-) -> BoundaryOutcome {
-    interact_with_boundary_axis(dir, Axis::Z, n_i, n_t, mode, rng)
-}
-
 /// Resolve an encounter with an axis-aligned interface whose outward normal
-/// is the given [`Axis`]. Reflection flips the normal component; refraction
-/// rescales the two tangential components by Snell's law.
+/// is the given [`Axis`], probabilistically: the whole packet reflects with
+/// the Fresnel reflectance `R`, one draw, else it refracts. Reflection flips
+/// the normal component; refraction rescales the two tangential components
+/// by Snell's law. `dir` is the incident unit direction, `n_i`/`n_t` the
+/// indices on the incident/transmission sides.
 #[inline]
 pub fn interact_with_boundary_axis<R: McRng>(
     dir: Vec3,
     axis: Axis,
     n_i: f64,
     n_t: f64,
-    mode: BoundaryMode,
     rng: &mut R,
 ) -> BoundaryOutcome {
     let normal = dir.component(axis);
     let cos_i = normal.abs();
     let reflectance = fresnel_reflectance(n_i, n_t, cos_i);
 
-    let reflected_dir = dir.reflect(axis);
-    let transmitted_dir = || -> Vec3 {
-        if (n_i - n_t).abs() < 1e-12 {
-            return dir;
-        }
-        let ratio = n_i / n_t;
-        let sin_t2 = ratio * ratio * (1.0 - cos_i * cos_i);
-        let cos_t = (1.0 - sin_t2).max(0.0).sqrt();
-        (dir * ratio).with_component(axis, cos_t * normal.signum()).renormalize()
-    };
-
-    if reflectance >= 1.0 {
-        // Total internal reflection: identical in both modes.
-        return BoundaryOutcome::Reflected { dir: reflected_dir, weight_factor: 1.0 };
+    // Total internal reflection draws nothing.
+    if reflectance >= 1.0 || rng.next_f64() < reflectance {
+        return BoundaryOutcome::Reflected { dir: dir.reflect(axis) };
     }
-
-    match mode {
-        BoundaryMode::Probabilistic => {
-            if rng.next_f64() < reflectance {
-                BoundaryOutcome::Reflected { dir: reflected_dir, weight_factor: 1.0 }
-            } else {
-                BoundaryOutcome::Transmitted { dir: transmitted_dir(), weight_factor: 1.0 }
-            }
-        }
-        BoundaryMode::Classical => BoundaryOutcome::Transmitted {
-            dir: transmitted_dir(),
-            weight_factor: 1.0 - reflectance,
-        },
+    if (n_i - n_t).abs() < 1e-12 {
+        return BoundaryOutcome::Transmitted { dir };
     }
+    let ratio = n_i / n_t;
+    let sin_t2 = ratio * ratio * (1.0 - cos_i * cos_i);
+    let cos_t = (1.0 - sin_t2).max(0.0).sqrt();
+    let dir = (dir * ratio).with_component(axis, cos_t * normal.signum()).renormalize();
+    BoundaryOutcome::Transmitted { dir }
 }
 
 #[cfg(test)]
@@ -217,30 +183,19 @@ mod tests {
     fn snell_law_holds_for_transmission() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(8);
         let dir = Vec3::new(0.6, 0.0, 0.8);
-        // Classical mode always transmits (below TIR), so we can inspect it.
-        match interact_with_boundary(dir, 1.0, 1.4, BoundaryMode::Classical, &mut rng) {
-            BoundaryOutcome::Transmitted { dir: t, .. } => {
-                let sin_i = dir.radial();
-                let sin_t = t.radial();
-                assert!((1.0 * sin_i - 1.4 * sin_t).abs() < 1e-9);
-                assert!(t.is_unit(1e-9));
-                assert!(t.z > 0.0, "keeps travelling downward");
+        // R ≈ 0.03 here, so a transmission comes within a few draws.
+        let t = loop {
+            if let BoundaryOutcome::Transmitted { dir: t } =
+                interact_with_boundary_axis(dir, Axis::Z, 1.0, 1.4, &mut rng)
+            {
+                break t;
             }
-            other => panic!("expected transmission, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn classical_mode_splits_energy() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(8);
-        let dir = Vec3::new(0.6, 0.0, 0.8);
-        let r = fresnel_reflectance(1.0, 1.4, 0.8);
-        match interact_with_boundary(dir, 1.0, 1.4, BoundaryMode::Classical, &mut rng) {
-            BoundaryOutcome::Transmitted { weight_factor, .. } => {
-                assert!((weight_factor - (1.0 - r)).abs() < 1e-12);
-            }
-            other => panic!("expected transmission, got {other:?}"),
-        }
+        };
+        let sin_i = dir.radial();
+        let sin_t = t.radial();
+        assert!((1.0 * sin_i - 1.4 * sin_t).abs() < 1e-9);
+        assert!(t.is_unit(1e-9));
+        assert!(t.z > 0.0, "keeps travelling downward");
     }
 
     #[test]
@@ -252,7 +207,7 @@ mod tests {
         let mut reflected = 0usize;
         for _ in 0..n {
             if matches!(
-                interact_with_boundary(dir, 1.0, 1.4, BoundaryMode::Probabilistic, &mut rng),
+                interact_with_boundary_axis(dir, Axis::Z, 1.0, 1.4, &mut rng),
                 BoundaryOutcome::Reflected { .. }
             ) {
                 reflected += 1;
@@ -269,9 +224,8 @@ mod tests {
         let cos_c = critical_cos(1.4, 1.0).unwrap();
         let sin = (1.0 - (cos_c * 0.5) * (cos_c * 0.5)).sqrt();
         let dir = Vec3::new(sin, 0.0, cos_c * 0.5).renormalize();
-        match interact_with_boundary(dir, 1.4, 1.0, BoundaryMode::Probabilistic, &mut rng) {
-            BoundaryOutcome::Reflected { dir: rdir, weight_factor } => {
-                assert_eq!(weight_factor, 1.0);
+        match interact_with_boundary_axis(dir, Axis::Z, 1.4, 1.0, &mut rng) {
+            BoundaryOutcome::Reflected { dir: rdir } => {
                 assert!((rdir.x - dir.x).abs() < 1e-12);
                 assert!((rdir.y - dir.y).abs() < 1e-12);
                 assert!((rdir.z + dir.z).abs() < 1e-12);
@@ -296,33 +250,11 @@ mod tests {
         ) {
             let dir = Vec3::new(ux, 0.3, uz).renormalize();
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-            for mode in [BoundaryMode::Probabilistic, BoundaryMode::Classical] {
-                let out = interact_with_boundary(dir, n_i, n_t, mode, &mut rng);
-                let d = match out {
-                    BoundaryOutcome::Reflected { dir, .. } => dir,
-                    BoundaryOutcome::Transmitted { dir, .. } => dir,
-                };
-                prop_assert!(d.is_unit(1e-9));
-            }
-        }
-
-        #[test]
-        fn classical_weight_factors_conserve_energy(
-            uz in 0.05f64..1.0, n_i in 1.0f64..2.0, n_t in 1.0f64..2.0
-        ) {
-            let dir = Vec3::new((1.0 - uz * uz).sqrt(), 0.0, uz);
-            let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-            let r = fresnel_reflectance(n_i, n_t, uz);
-            match interact_with_boundary(dir, n_i, n_t, BoundaryMode::Classical, &mut rng) {
-                BoundaryOutcome::Transmitted { weight_factor, .. } => {
-                    prop_assert!((weight_factor + r - 1.0).abs() < 1e-9);
-                }
-                BoundaryOutcome::Reflected { weight_factor, .. } => {
-                    // Only TIR reflects in classical mode.
-                    prop_assert!((r - 1.0).abs() < 1e-9);
-                    prop_assert!((weight_factor - 1.0).abs() < 1e-12);
-                }
-            }
+            let d = match interact_with_boundary_axis(dir, Axis::Z, n_i, n_t, &mut rng) {
+                BoundaryOutcome::Reflected { dir } => dir,
+                BoundaryOutcome::Transmitted { dir } => dir,
+            };
+            prop_assert!(d.is_unit(1e-9));
         }
     }
 }

@@ -4,10 +4,9 @@
 //! Monte Carlo method of Prahl et al. (the paper's reference \[5\]), the same
 //! formulation used by MCML and by the reproduced paper's `Algorithm` class:
 //!
-//! * **hop** — sample an exponential free path and advance the photon,
-//!   splitting steps at layer boundaries ([`step`]);
+//! * **hop** — sample an exponential free path ([`step`]);
 //! * **drop** — deposit a fraction `μa/μt` of the photon weight in the
-//!   medium ([`Photon::absorb`]);
+//!   medium ([`Photon::absorb_fraction`]);
 //! * **spin** — scatter into a new direction drawn from the
 //!   Henyey–Greenstein phase function ([`spin()`](fn@spin));
 //! * **boundary** — Fresnel reflection/refraction at refractive-index
@@ -17,8 +16,9 @@
 //!   ([`roulette()`](fn@roulette)).
 //!
 //! Everything here is geometry-free except for the planar-boundary helpers;
-//! the layered-medium bookkeeping lives in `lumen-tissue` and the simulation
-//! loop in `lumen-core`.
+//! the layered-medium bookkeeping lives in `lumen-tissue`, and the
+//! simulation loop — including the step-versus-boundary decision and the
+//! step carry-over — in `lumen-core`.
 
 pub mod approx;
 pub mod fresnel;
@@ -36,7 +36,7 @@ pub use optics::{DerivedOptics, OpticalProperties};
 pub use photon::{Fate, Photon};
 pub use roulette::{roulette, RouletteConfig};
 pub use spin::spin;
-pub use step::{hop, sample_step_mfps};
+pub use step::sample_step_mfps;
 pub use vec3::{Axis, Vec3};
 
 /// Weight below which a photon enters Russian roulette (MCML default).

@@ -105,14 +105,11 @@ impl OpticalProperties {
         let mu_t = self.mu_t();
         let transparent = mu_t == 0.0;
         DerivedOptics {
-            mu_a: self.mu_a,
-            mu_s: self.mu_s,
             g: self.g,
             n: self.n,
             mu_t,
             inv_mu_t: if transparent { f64::INFINITY } else { 1.0 / mu_t },
             absorb_frac: if transparent { 0.0 } else { self.mu_a / mu_t },
-            albedo: if transparent { 1.0 } else { self.mu_s / mu_t },
             transparent,
         }
     }
@@ -128,19 +125,14 @@ impl OpticalProperties {
 ///
 /// **Bit-identity contract**: every field equals the exact expression the
 /// pre-table hot loop evaluated — `mu_t` is the same single addition
-/// `mu_a + mu_s`, `absorb_frac` the same division `mu_a / mu_t` that
-/// [`Photon::absorb`](crate::Photon::absorb) performed inline — so
+/// `mu_a + mu_s`, `absorb_frac` the same division `mu_a / mu_t` — so
 /// substituting the table leaves every tally bit-for-bit unchanged (pinned
-/// by the golden-tally harness). The hop kernel still divides by `mu_t`
-/// rather than multiplying by `inv_mu_t`, because `x / mu_t` and
-/// `x * (1/mu_t)` round differently; `inv_mu_t` is for consumers that want
-/// the mean free path itself (flops calibration, diffusion estimates).
+/// by the golden-tally harness). The two kernel tiers convert a step to
+/// millimetres differently on purpose: the exact tier divides by `mu_t`,
+/// the fast tier multiplies by `inv_mu_t`, and `x / mu_t` and
+/// `x * (1/mu_t)` round differently.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DerivedOptics {
-    /// Absorption coefficient μa (mm⁻¹).
-    pub mu_a: f64,
-    /// Scattering coefficient μs (mm⁻¹).
-    pub mu_s: f64,
     /// Henyey–Greenstein anisotropy factor g.
     pub g: f64,
     /// Refractive index n.
@@ -152,8 +144,6 @@ pub struct DerivedOptics {
     /// Fraction μa/μt of packet weight deposited per interaction; 0 for
     /// transparent media.
     pub absorb_frac: f64,
-    /// Single-scattering albedo μs/μt; 1 for transparent media.
-    pub albedo: f64,
     /// True when μt = 0 (photons stream ballistically).
     pub transparent: bool,
 }
@@ -196,15 +186,13 @@ mod tests {
         assert_eq!(d.mu_t, p.mu_a + p.mu_s);
         assert_eq!(d.inv_mu_t, 1.0 / p.mu_t());
         assert_eq!(d.absorb_frac, p.mu_a / p.mu_t());
-        assert_eq!(d.albedo, p.mu_s / p.mu_t());
-        assert_eq!((d.mu_a, d.mu_s, d.g, d.n), (p.mu_a, p.mu_s, p.g, p.n));
+        assert_eq!((d.g, d.n), (p.g, p.n));
         assert!(!d.transparent);
 
         let t = OpticalProperties::transparent(1.33).derive();
         assert!(t.transparent);
         assert_eq!(t.inv_mu_t, f64::INFINITY);
         assert_eq!(t.absorb_frac, 0.0);
-        assert_eq!(t.albedo, 1.0);
     }
 
     #[test]

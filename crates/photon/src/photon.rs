@@ -95,19 +95,10 @@ impl Photon {
         }
     }
 
-    /// Deposit the absorbed fraction `μa/μt` of the current weight
-    /// ("update absorption and photon weight" in the paper's Fig. 1)
-    /// and return the amount deposited, for the caller to tally.
-    #[inline]
-    pub fn absorb(&mut self, mu_a: f64, mu_t: f64) -> f64 {
-        debug_assert!(mu_t > 0.0);
-        self.absorb_fraction(mu_a / mu_t)
-    }
-
-    /// [`Self::absorb`] with the fraction `μa/μt` already computed — what
-    /// the engine calls with `DerivedOptics::absorb_frac`, saving the
-    /// division per interaction. Bit-identical to `absorb(mu_a, mu_t)`
-    /// when `frac == mu_a / mu_t`.
+    /// Deposit the absorbed fraction `frac = μa/μt` of the current weight
+    /// ("update absorption and photon weight" in the paper's Fig. 1) and
+    /// return the amount deposited, for the caller to tally. The engine
+    /// passes `DerivedOptics::absorb_frac`, so no interaction divides.
     #[inline]
     pub fn absorb_fraction(&mut self, frac: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&frac));
@@ -159,11 +150,11 @@ mod tests {
     #[test]
     fn absorb_conserves_weight() {
         let mut p = photon();
-        let deposited = p.absorb(0.5, 2.0);
+        let deposited = p.absorb_fraction(0.25);
         assert!((deposited - 0.25).abs() < 1e-12);
         assert!((p.weight - 0.75).abs() < 1e-12);
         // Weight + deposits always equals the original weight.
-        let d2 = p.absorb(0.5, 2.0);
+        let d2 = p.absorb_fraction(0.25);
         assert!((p.weight + deposited + d2 - 1.0).abs() < 1e-12);
     }
 

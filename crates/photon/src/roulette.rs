@@ -7,7 +7,6 @@
 //! survival chance `p`; survivors are re-weighted by `1/p` so the expected
 //! weight is conserved exactly.
 
-use crate::photon::{Fate, Photon};
 use mcrng::McRng;
 
 /// Roulette parameters.
@@ -38,19 +37,19 @@ impl RouletteConfig {
     }
 }
 
-/// Play roulette if the photon's weight is below the threshold.
-/// Returns `true` if the photon is still alive afterwards.
+/// Play roulette if a packet's `weight` is below the threshold: one draw,
+/// and a survivor's weight grows by `1/p`. Returns `false` when the packet
+/// lost (its weight is then 0); the caller records the fate.
 #[inline]
-pub fn roulette<R: McRng>(photon: &mut Photon, cfg: RouletteConfig, rng: &mut R) -> bool {
-    if photon.weight >= cfg.threshold {
+pub fn roulette<R: McRng>(weight: &mut f64, cfg: RouletteConfig, rng: &mut R) -> bool {
+    if *weight >= cfg.threshold {
         return true;
     }
     if rng.next_f64() < cfg.survival {
-        photon.weight /= cfg.survival;
+        *weight /= cfg.survival;
         true
     } else {
-        photon.weight = 0.0;
-        photon.terminate(Fate::RouletteKilled);
+        *weight = 0.0;
         false
     }
 }
@@ -58,22 +57,16 @@ pub fn roulette<R: McRng>(photon: &mut Photon, cfg: RouletteConfig, rng: &mut R)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vec3::Vec3;
     use mcrng::Xoshiro256PlusPlus;
 
-    fn dim_photon(weight: f64) -> Photon {
-        let mut p = Photon::launch(Vec3::ZERO, Vec3::PLUS_Z, 0);
-        p.weight = weight;
-        p
-    }
-
     #[test]
-    fn heavy_photon_is_untouched() {
+    fn heavy_photon_is_untouched_and_draws_nothing() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        let mut p = dim_photon(0.5);
-        assert!(roulette(&mut p, RouletteConfig::default(), &mut rng));
-        assert_eq!(p.weight, 0.5);
-        assert!(p.survived());
+        let untouched = rng;
+        let mut w = 0.5;
+        assert!(roulette(&mut w, RouletteConfig::default(), &mut rng));
+        assert_eq!(w, 0.5);
+        assert_eq!(rng, untouched, "no draw above the threshold");
     }
 
     #[test]
@@ -85,10 +78,10 @@ mod tests {
         let mut total = 0.0;
         let mut survivors = 0usize;
         for _ in 0..n {
-            let mut p = dim_photon(w0);
-            if roulette(&mut p, cfg, &mut rng) {
+            let mut w = w0;
+            if roulette(&mut w, cfg, &mut rng) {
                 survivors += 1;
-                total += p.weight;
+                total += w;
             }
         }
         let mean = total / n as f64;
@@ -98,21 +91,18 @@ mod tests {
     }
 
     #[test]
-    fn killed_photons_have_zero_weight_and_fate() {
+    fn killed_packets_have_zero_weight() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
         let cfg = RouletteConfig { threshold: 1e-4, survival: 0.1 };
         // Run until we see a kill.
-        let mut saw_kill = false;
         for _ in 0..1000 {
-            let mut p = dim_photon(1e-5);
-            if !roulette(&mut p, cfg, &mut rng) {
-                assert_eq!(p.weight, 0.0);
-                assert_eq!(p.fate, Fate::RouletteKilled);
-                saw_kill = true;
-                break;
+            let mut w = 1e-5;
+            if !roulette(&mut w, cfg, &mut rng) {
+                assert_eq!(w, 0.0);
+                return;
             }
         }
-        assert!(saw_kill, "no kill in 1000 trials at 90% kill rate");
+        panic!("no kill in 1000 trials at 90% kill rate");
     }
 
     #[test]
@@ -120,9 +110,9 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
         let cfg = RouletteConfig { threshold: 1e-4, survival: 0.25 };
         for _ in 0..1000 {
-            let mut p = dim_photon(5e-5);
-            if roulette(&mut p, cfg, &mut rng) {
-                assert!((p.weight - 2e-4).abs() < 1e-15);
+            let mut w = 5e-5;
+            if roulette(&mut w, cfg, &mut rng) {
+                assert!((w - 2e-4).abs() < 1e-15);
                 return;
             }
         }

@@ -1,12 +1,13 @@
-//! Hop: free-path sampling and propagation, with boundary splitting.
+//! Free-path sampling.
 //!
 //! MCML's step rule: sample a dimensionless step `s ~ Exp(1)` in units of
-//! mean free paths, convert to a geometric length `s/μt`, and if a layer
-//! boundary is closer, move to the boundary and *carry the unspent* portion
-//! of the dimensionless step into the next medium. This keeps the free-path
-//! distribution correct across interfaces of differing μt.
+//! mean free paths and convert it to a geometric length `s/μt`. When a
+//! region boundary is closer, the photon moves to the boundary and *carries
+//! the unspent* portion of the dimensionless step into the next medium,
+//! which keeps the free-path distribution correct across interfaces of
+//! differing μt. The engine's kernels own that decision and the carry,
+//! since only they know the geometry.
 
-use crate::photon::Photon;
 use mcrng::{sample_exponential, McRng};
 
 /// Sample a fresh dimensionless step length in units of mean free paths.
@@ -15,124 +16,18 @@ pub fn sample_step_mfps<R: McRng>(rng: &mut R) -> f64 {
     sample_exponential(rng)
 }
 
-/// Outcome of advancing a photon by (part of) a step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Hop {
-    /// The full sampled step fit inside the current layer; an interaction
-    /// (drop + spin) happens at the new position.
-    Interact,
-    /// The photon hit the layer boundary at distance `hit` before
-    /// exhausting its step; `remaining_mfps` of dimensionless step remain
-    /// to be spent in the next medium.
-    Boundary { remaining_mfps: f64 },
-}
-
-/// Advance `photon` through a medium of interaction coefficient `mu_t`,
-/// given `step_mfps` of dimensionless step budget and the distance
-/// `boundary_distance` to the nearest layer boundary along the current
-/// direction (`f64::INFINITY` if none).
-///
-/// In a transparent medium (μt = 0) the photon streams ballistically to
-/// the boundary and the whole step budget is preserved.
-#[inline]
-pub fn hop(photon: &mut Photon, step_mfps: f64, mu_t: f64, boundary_distance: f64) -> Hop {
-    debug_assert!(step_mfps >= 0.0);
-    debug_assert!(boundary_distance >= 0.0);
-
-    if mu_t <= 0.0 {
-        // Transparent medium (e.g. clear CSF approximation or ambient):
-        // no interactions are possible; stream to the boundary.
-        assert!(
-            boundary_distance.is_finite(),
-            "photon in an unbounded transparent medium would stream forever"
-        );
-        photon.advance(boundary_distance);
-        return Hop::Boundary { remaining_mfps: step_mfps };
-    }
-
-    let geometric = step_mfps / mu_t;
-    if geometric <= boundary_distance {
-        photon.advance(geometric);
-        Hop::Interact
-    } else {
-        photon.advance(boundary_distance);
-        let spent = boundary_distance * mu_t;
-        Hop::Boundary { remaining_mfps: (step_mfps - spent).max(0.0) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vec3::Vec3;
     use mcrng::Xoshiro256PlusPlus;
-
-    fn photon() -> Photon {
-        Photon::launch(Vec3::ZERO, Vec3::PLUS_Z, 0)
-    }
-
-    #[test]
-    fn full_step_inside_layer_interacts() {
-        let mut p = photon();
-        let out = hop(&mut p, 1.0, 2.0, f64::INFINITY);
-        assert_eq!(out, Hop::Interact);
-        assert!((p.pos.z - 0.5).abs() < 1e-12); // 1 mfp / (2 per mm)
-        assert!((p.pathlength - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn boundary_hit_preserves_unspent_step() {
-        let mut p = photon();
-        // Step of 1 mfp in a medium with mu_t = 2/mm is 0.5 mm, but the
-        // boundary is at 0.2 mm: 0.4 mfp spent, 0.6 mfp carried over.
-        let out = hop(&mut p, 1.0, 2.0, 0.2);
-        match out {
-            Hop::Boundary { remaining_mfps } => {
-                assert!((remaining_mfps - 0.6).abs() < 1e-12);
-            }
-            other => panic!("expected Boundary, got {other:?}"),
-        }
-        assert!((p.pos.z - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exact_boundary_distance_counts_as_interaction() {
-        let mut p = photon();
-        let out = hop(&mut p, 1.0, 2.0, 0.5);
-        assert_eq!(out, Hop::Interact);
-    }
-
-    #[test]
-    fn transparent_medium_streams_to_boundary() {
-        let mut p = photon();
-        let out = hop(&mut p, 0.7, 0.0, 3.0);
-        match out {
-            Hop::Boundary { remaining_mfps } => assert_eq!(remaining_mfps, 0.7),
-            other => panic!("expected Boundary, got {other:?}"),
-        }
-        assert!((p.pos.z - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "unbounded transparent medium")]
-    fn transparent_unbounded_panics() {
-        let mut p = photon();
-        let _ = hop(&mut p, 1.0, 0.0, f64::INFINITY);
-    }
 
     #[test]
     fn step_lengths_have_exponential_mean_free_path() {
-        // End-to-end statistical check: mean geometric step = 1/mu_t.
+        // Mean geometric step s/μt = 1/μt, i.e. one mean free path.
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
         let mu_t = 91.0; // white-matter-like
         let n = 100_000;
-        let mut total = 0.0;
-        for _ in 0..n {
-            let mut p = photon();
-            let s = sample_step_mfps(&mut rng);
-            let _ = hop(&mut p, s, mu_t, f64::INFINITY);
-            total += p.pathlength;
-        }
+        let total: f64 = (0..n).map(|_| sample_step_mfps(&mut rng) / mu_t).sum();
         let mean = total / n as f64;
         let expect = 1.0 / mu_t;
         assert!((mean - expect).abs() < 0.02 * expect, "mean {mean} vs expected {expect}");

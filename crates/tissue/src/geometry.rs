@@ -36,10 +36,10 @@ pub trait TissueGeometry {
     fn optics(&self, region: usize) -> &OpticalProperties;
 
     /// Precomputed transport constants of region `region` — what the hot
-    /// loop reads instead of re-deriving μt, μa/μt, and the albedo per
-    /// interaction. Implementations build the table once at construction;
-    /// every field is bit-identical to the inline expression it replaces
-    /// (see [`DerivedOptics`]).
+    /// loop reads instead of re-deriving μt and μa/μt per interaction.
+    /// Implementations build the table once at construction; every field
+    /// is bit-identical to the inline expression it replaces (see
+    /// [`DerivedOptics`]).
     fn derived(&self, region: usize) -> &DerivedOptics;
 
     /// Refractive index of the ambient medium above the z = 0 surface.

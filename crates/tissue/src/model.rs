@@ -28,8 +28,8 @@ pub struct LayeredTissue {
     /// Refractive index of the medium above z = 0 (air by default).
     pub ambient_n: f64,
     /// Per-layer transport constants, precomputed at construction so the
-    /// stepping loop never re-derives μt/albedo per interaction. Layers are
-    /// immutable after `new`, so this can never go stale.
+    /// stepping loop never re-derives μt or μa/μt per interaction. Layers
+    /// are immutable after `new`, so this can never go stale.
     derived: Vec<DerivedOptics>,
 }
 
