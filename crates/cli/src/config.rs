@@ -22,8 +22,8 @@
 //! spec; unknown keys are named errors, not silent no-ops.
 
 use lumen_core::{
-    Detector, GateWindow, Geometry, GridSpec, Precision, RecordOptions, Scenario, Simulation,
-    SimulationOptions, Source, Vec3, VoxelTissue,
+    Detector, GateWindow, Geometry, GridSpec, OpticalProperties, Precision, RecordOptions,
+    Scenario, Simulation, SimulationOptions, Source, Vec3, VoxelTissue,
 };
 use lumen_tissue::presets::{
     adult_head, homogeneous_white_matter, neonatal_head, semi_infinite_phantom, voxelized,
@@ -58,7 +58,7 @@ pub struct Config {
 }
 
 /// Parse or semantic errors with enough context to fix the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// Line had no `=` separator.
     BadLine { line_no: usize, text: String },
@@ -70,6 +70,9 @@ pub enum ConfigError {
     Missing(&'static str),
     /// Value failed to parse.
     BadValue { key: String, value: String, expected: &'static str },
+    /// The values parse but describe a configuration the engine refuses;
+    /// the engine's error names the field and its rule.
+    Invalid(lumen_core::ConfigError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -92,11 +95,22 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadValue { key, value, expected } => {
                 write!(f, "key `{key}`: cannot parse `{value}` (expected {expected})")
             }
+            ConfigError::Invalid(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
+
+impl ConfigError {
+    fn bad(key: &str, value: impl Into<String>, expected: &'static str) -> Self {
+        ConfigError::BadValue { key: key.into(), value: value.into(), expected }
+    }
+
+    fn invalid(e: impl Into<lumen_core::ConfigError>) -> Self {
+        ConfigError::Invalid(e.into())
+    }
+}
 
 impl Config {
     /// Parse configuration text.
@@ -136,11 +150,7 @@ impl Config {
     ) -> Result<Option<T>, ConfigError> {
         match self.get(key) {
             None => Ok(None),
-            Some(v) => v.parse::<T>().map(Some).map_err(|_| ConfigError::BadValue {
-                key: key.into(),
-                value: v.into(),
-                expected,
-            }),
+            Some(v) => v.parse::<T>().map(Some).map_err(|_| ConfigError::bad(key, v, expected)),
         }
     }
 
@@ -174,11 +184,7 @@ impl Config {
     pub fn archive_record(&self) -> Result<Option<(String, RecordOptions)>, ConfigError> {
         let Some(spec) = self.get("archive_record") else { return Ok(None) };
         let mut parts = spec.split_whitespace();
-        let bad = |expected| ConfigError::BadValue {
-            key: "archive_record".into(),
-            value: spec.into(),
-            expected,
-        };
+        let bad = |expected| ConfigError::bad("archive_record", spec, expected);
         let path = parts.next().ok_or_else(|| bad("`<path> [detected_only]`"))?;
         let detected_only = match parts.next() {
             None => false,
@@ -199,11 +205,7 @@ impl Config {
         match self.get("precision") {
             None | Some("exact") => Ok(Precision::Exact),
             Some("fast") => Ok(Precision::Fast),
-            Some(other) => Err(ConfigError::BadValue {
-                key: "precision".into(),
-                value: other.into(),
-                expected: "`exact` or `fast`",
-            }),
+            Some(other) => Err(ConfigError::bad("precision", other, "`exact` or `fast`")),
         }
     }
 
@@ -230,11 +232,7 @@ impl Config {
         }
         options.precision = self.precision()?;
         let sim = Simulation { tissue, source, detector, options };
-        sim.validate().map_err(|e| ConfigError::BadValue {
-            key: "simulation".into(),
-            value: e.to_string(),
-            expected: "a consistent configuration",
-        })?;
+        sim.validate().map_err(ConfigError::invalid)?;
         Ok(sim)
     }
 
@@ -252,46 +250,39 @@ impl Config {
         match kind {
             "layered" => Ok(Geometry::Layered(self.tissue()?)),
             "voxel" => {
-                let path = parts.next().ok_or(ConfigError::BadValue {
-                    key: "geometry".into(),
-                    value: spec.into(),
-                    expected: "`voxel <path-to-grid-file>`",
+                let path = parts.next().ok_or(ConfigError::bad(
+                    "geometry",
+                    spec,
+                    "`voxel <path-to-grid-file>`",
+                ))?;
+                let text = std::fs::read_to_string(path).map_err(|e| {
+                    ConfigError::bad(
+                        "geometry",
+                        format!("{path}: {e}"),
+                        "a readable voxel grid file",
+                    )
                 })?;
-                let text = std::fs::read_to_string(path).map_err(|e| ConfigError::BadValue {
-                    key: "geometry".into(),
-                    value: format!("{path}: {e}"),
-                    expected: "a readable voxel grid file",
-                })?;
-                let grid = VoxelTissue::parse_text(&text).map_err(|e| ConfigError::BadValue {
-                    key: "geometry".into(),
-                    value: e.to_string(),
-                    expected: "a valid voxel grid file",
-                })?;
+                let grid = VoxelTissue::parse_text(&text).map_err(ConfigError::invalid)?;
                 Ok(Geometry::Voxel(grid))
             }
             "voxelized" => {
                 let nums: Vec<f64> = parts.filter_map(|p| p.parse().ok()).collect();
                 let [dx, half_width, depth] = nums.as_slice() else {
-                    return Err(ConfigError::BadValue {
-                        key: "geometry".into(),
-                        value: spec.into(),
-                        expected: "`voxelized <dx> <half_width_mm> <depth_mm>`",
-                    });
+                    return Err(ConfigError::bad(
+                        "geometry",
+                        spec,
+                        "`voxelized <dx> <half_width_mm> <depth_mm>`",
+                    ));
                 };
-                let grid = voxelized(&self.tissue()?, *dx, *half_width, *depth).map_err(|e| {
-                    ConfigError::BadValue {
-                        key: "geometry".into(),
-                        value: e.to_string(),
-                        expected: "a voxelizable extent",
-                    }
-                })?;
+                let grid = voxelized(&self.tissue()?, *dx, *half_width, *depth)
+                    .map_err(ConfigError::invalid)?;
                 Ok(Geometry::Voxel(grid))
             }
-            _ => Err(ConfigError::BadValue {
-                key: "geometry".into(),
-                value: spec.into(),
-                expected: "layered | voxel <path> | voxelized <dx> <half_width> <depth>",
-            }),
+            _ => Err(ConfigError::bad(
+                "geometry",
+                spec,
+                "layered | voxel <path> | voxelized <dx> <half_width> <depth>",
+            )),
         }
     }
 
@@ -306,19 +297,22 @@ impl Config {
             "phantom" => {
                 let nums: Vec<f64> = parts.filter_map(|p| p.parse().ok()).collect();
                 if nums.len() != 4 {
-                    return Err(ConfigError::BadValue {
-                        key: "tissue".into(),
-                        value: spec.into(),
-                        expected: "`phantom <mu_a> <mu_s> <g> <n>`",
-                    });
+                    return Err(ConfigError::bad(
+                        "tissue",
+                        spec,
+                        "`phantom <mu_a> <mu_s> <g> <n>`",
+                    ));
                 }
-                Ok(semi_infinite_phantom(nums[0], nums[1], nums[2], nums[3]))
+                let optics =
+                    OpticalProperties { mu_a: nums[0], mu_s: nums[1], g: nums[2], n: nums[3] };
+                optics.validate().map_err(ConfigError::invalid)?;
+                Ok(semi_infinite_phantom(optics.mu_a, optics.mu_s, optics.g, optics.n))
             }
-            _ => Err(ConfigError::BadValue {
-                key: "tissue".into(),
-                value: spec.into(),
-                expected: "adult_head | neonatal_head | white_matter | phantom ...",
-            }),
+            _ => Err(ConfigError::bad(
+                "tissue",
+                spec,
+                "adult_head | neonatal_head | white_matter | phantom ...",
+            )),
         }
     }
 
@@ -331,11 +325,11 @@ impl Config {
             ("delta", None) => Ok(Source::Delta),
             ("gaussian", Some(radius)) => Ok(Source::Gaussian { radius }),
             ("uniform", Some(radius)) => Ok(Source::Uniform { radius }),
-            _ => Err(ConfigError::BadValue {
-                key: "source".into(),
-                value: spec.into(),
-                expected: "delta | gaussian <radius> | uniform <radius>",
-            }),
+            _ => Err(ConfigError::bad(
+                "source",
+                spec,
+                "delta | gaussian <radius> | uniform <radius>",
+            )),
         }
     }
 
@@ -348,33 +342,24 @@ impl Config {
             ("disc", [sep, radius]) => Detector::new(*sep, *radius),
             ("ring", [sep, half]) => Detector::ring(*sep, *half),
             _ => {
-                return Err(ConfigError::BadValue {
-                    key: "detector".into(),
-                    value: spec.into(),
-                    expected: "disc <separation> <radius> | ring <separation> <half_width>",
-                })
+                return Err(ConfigError::bad(
+                    "detector",
+                    spec,
+                    "disc <separation> <radius> | ring <separation> <half_width>",
+                ))
             }
         };
         if let Some(gate) = self.get("gate") {
             let nums: Vec<f64> = gate.split_whitespace().filter_map(|p| p.parse().ok()).collect();
             let window = match nums.as_slice() {
-                [lo, hi] => GateWindow::new(*lo, *hi).map_err(|e| ConfigError::BadValue {
-                    key: "gate".into(),
-                    value: e.to_string(),
-                    expected: "0 <= min < max",
-                })?,
-                _ => {
-                    return Err(ConfigError::BadValue {
-                        key: "gate".into(),
-                        value: gate.into(),
-                        expected: "`<min_mm> <max_mm>`",
-                    })
-                }
+                [lo, hi] => GateWindow::new(*lo, *hi).map_err(ConfigError::invalid)?,
+                _ => return Err(ConfigError::bad("gate", gate, "`<min_mm> <max_mm>`")),
             };
             det = det.with_gate(window);
         }
         if let Some(na) = self.parse_num::<f64>("na", "number in (0, 1]")? {
-            det = det.with_numerical_aperture(na, 1.0);
+            det =
+                det.with_numerical_aperture(na, 1.0).map_err(|e| ConfigError::Invalid(e.into()))?;
         }
         Ok(det)
     }
@@ -383,7 +368,7 @@ impl Config {
         let Some(spec) = self.get("path_grid") else { return Ok(None) };
         let nums: Vec<f64> = spec.split_whitespace().filter_map(|p| p.parse().ok()).collect();
         match nums.as_slice() {
-            [granularity, depth] if *granularity >= 1.0 => {
+            [granularity, depth] => {
                 let margin = detector.separation.max(1.0);
                 Ok(Some(GridSpec::cubic(
                     *granularity as usize,
@@ -391,11 +376,7 @@ impl Config {
                     Vec3::new(detector.separation + margin, margin, *depth),
                 )))
             }
-            _ => Err(ConfigError::BadValue {
-                key: "path_grid".into(),
-                value: spec.into(),
-                expected: "`<granularity> <depth_mm>`",
-            }),
+            _ => Err(ConfigError::bad("path_grid", spec, "`<granularity> <depth_mm>`")),
         }
     }
 
@@ -403,12 +384,8 @@ impl Config {
         let Some(spec) = self.get("path_histogram") else { return Ok(None) };
         let nums: Vec<f64> = spec.split_whitespace().filter_map(|p| p.parse().ok()).collect();
         match nums.as_slice() {
-            [max_mm, bins] if *max_mm > 0.0 && *bins >= 1.0 => Ok(Some((*max_mm, *bins as usize))),
-            _ => Err(ConfigError::BadValue {
-                key: "path_histogram".into(),
-                value: spec.into(),
-                expected: "`<max_mm> <bins>`",
-            }),
+            [max_mm, bins] => Ok(Some((*max_mm, *bins as usize))),
+            _ => Err(ConfigError::bad("path_histogram", spec, "`<max_mm> <bins>`")),
         }
     }
 }
@@ -492,7 +469,30 @@ path_histogram = 500 25
         let bad_gate =
             Config::parse("tissue = white_matter\ndetector = disc 6 1\ngate = 9 1\nphotons = 1")
                 .unwrap();
-        assert!(bad_gate.build_simulation().is_err());
+        assert!(matches!(
+            bad_gate.build_simulation(),
+            Err(ConfigError::Invalid(lumen_core::ConfigError::BadGate { .. }))
+        ));
+    }
+
+    #[test]
+    fn engine_refusals_keep_their_type() {
+        let field = |text: &str| match Config::parse(text).unwrap().build_simulation() {
+            Err(ConfigError::Invalid(lumen_core::ConfigError::Field(e))) => e.field,
+            other => panic!("expected a field error, got {other:?}"),
+        };
+        let base = "tissue = white_matter\nphotons = 1\n";
+        assert_eq!(field(&format!("{base}detector = disc 6 1\nna = 0")), "na");
+        assert_eq!(field(&format!("{base}detector = disc 6 1\nna = nan")), "na");
+        assert_eq!(field(&format!("{base}detector = disc 6 0")), "detector radius");
+        assert_eq!(field("tissue = phantom 0.1 10 2 1.4\ndetector = disc 6 1"), "g");
+        let fast_grid = Config::parse(&format!(
+            "{base}detector = disc 6 1\nprecision = fast\npath_grid = 10 10"
+        ))
+        .unwrap();
+        let err = fast_grid.build_simulation().unwrap_err();
+        assert!(matches!(err, ConfigError::Invalid(lumen_core::ConfigError::Unsupported(_))));
+        assert!(err.to_string().starts_with("the fast precision tier"), "{err}");
     }
 
     #[test]

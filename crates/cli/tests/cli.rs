@@ -98,6 +98,34 @@ fn run_reports_config_errors_with_location() {
 }
 
 #[test]
+fn invalid_values_exit_1_naming_the_field() {
+    // Each value is refused by a constructor that would otherwise abort
+    // the process (the numerical aperture, the phantom's optics) or by
+    // `Simulation::validate` (whose cell cap keeps a huge histogram or grid
+    // from aborting on allocation).
+    let dir = std::env::temp_dir().join("lumen_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = "detector = disc 3 1\nphotons = 100\n";
+    for (name, extra, field) in [
+        ("na_zero.cfg", "tissue = white_matter\nna = 0\n", "na"),
+        ("na_nan.cfg", "tissue = white_matter\nna = nan\n", "na"),
+        ("phantom_nan.cfg", "tissue = phantom nan 10 0.9 1.4\n", "mu_a"),
+        ("hist_inf.cfg", "tissue = white_matter\npath_histogram = inf 10\n", "max_mm"),
+        ("hist_bins.cfg", "tissue = white_matter\npath_histogram = 100 1e30\n", "path_histogram"),
+        ("grid_huge.cfg", "tissue = white_matter\npath_grid = 1e7 10\n", "grid voxels"),
+    ] {
+        let cfg_path = dir.join(name);
+        std::fs::write(&cfg_path, format!("{extra}{base}")).unwrap();
+        let out = lumen().arg("run").arg(&cfg_path).output().expect("run");
+        std::fs::remove_file(&cfg_path).ok();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(field), "{name}: {err}");
+        assert!(!err.contains("cannot parse"), "{name}: {err}");
+    }
+}
+
+#[test]
 fn unknown_key_is_a_named_error() {
     let dir = std::env::temp_dir().join("lumen_cli_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -39,7 +39,7 @@
 use crate::datamanager::DataManager;
 use crate::protocol::SimTask;
 use crate::wire::{self, WireError};
-use lumen_core::engine::{run_task, Progress, WorkerAccount};
+use lumen_core::engine::{check_stream_range, run_task, Progress, WorkerAccount};
 use lumen_core::{Simulation, SimulationResult};
 use lumen_net::{EventLoop, Flow, Handler, Ops, Token};
 use mcrng::StreamFactory;
@@ -651,14 +651,8 @@ pub fn serve_with_options(
 ) -> Result<NetReport, NetError> {
     options.validate()?;
     sim.validate().map_err(|e| NetError::InvalidConfig(e.to_string()))?;
-    if tasks == 0 {
-        return Err(NetError::InvalidConfig("tasks must be >= 1".into()));
-    }
-    if options.task_offset.checked_add(tasks).is_none() {
-        return Err(NetError::InvalidConfig(
-            "task_offset + tasks overflows the stream index space".into(),
-        ));
-    }
+    check_stream_range(options.task_offset, tasks)
+        .map_err(|e| NetError::InvalidConfig(e.into()))?;
     let dm = DataManager::with_offset(n, tasks, options.task_offset, sim.new_tally(), 0);
 
     let mut events = EventLoop::new(listener)?;

@@ -25,7 +25,11 @@
 //! which [`encode`] and [`decode`] are both written against:
 //!
 //! * a plain record is a `wire_record!` field list — its fields in wire
-//!   order, each written and read by its own `Wire` impl;
+//!   order, each written and read by its own `Wire` impl — and a record
+//!   with a validity rule names it (`checked by OpticalProperties::validate`),
+//!   so a value decoded anywhere is refused exactly as its owner refuses it
+//!   (a `RadialSpec`'s rule names the binning it serves, so its owners —
+//!   `Scenario::validate` and the two radial tallies' constructors — check it);
 //! * a fieldless enum is a `wire_tags!` list of tag bytes;
 //! * a type whose decode has something to *check* — a cap before an
 //!   allocation, a validating constructor, a cross-check between columns —
@@ -56,9 +60,9 @@ use crate::protocol::SimTask;
 use lumen_core::archive::{PathArchive, RecordOptions, CLASS_TRANSMITTED};
 use lumen_core::engine::Scenario;
 use lumen_core::radial::{CylinderGrid, RadialProfile, RadialSpec};
-use lumen_core::tally::{Cells, GridSpec, PathHistogram, Tally, VisitGrid};
+use lumen_core::tally::{Cells, GridSpec, PathHistogram, Tally, VisitGrid, MAX_TALLY_CELLS};
 use lumen_core::{
-    BoundaryMode, Detector, GateWindow, OpticalProperties, Precision, RouletteConfig,
+    check, BoundaryMode, Detector, GateWindow, OpticalProperties, Precision, RouletteConfig, Rule,
     SimulationOptions, Source, Vec3,
 };
 use lumen_tissue::{Geometry, Layer, LayeredTissue, VoxelMaterial, VoxelTissue};
@@ -266,7 +270,7 @@ impl<'a> Decoder<'a> {
     /// straight into the store that becomes the grid's storage. `cells` is
     /// the checked product of the decoded binning (`None` when it
     /// overflowed). A sparse payload says nothing about how large its grid
-    /// is, so the count is held to [`MAX_SPEC_CELLS`] before the store can
+    /// is, so the count is held to [`MAX_TALLY_CELLS`] before the store can
     /// allocate — which it does only at the first literal: all-zero cells
     /// decode untouched, at no cost in the cell count. Only the canonical
     /// encoding is accepted — every run but the first skips at least one
@@ -274,7 +278,10 @@ impl<'a> Decoder<'a> {
     /// literal has all-zero bits — so re-encoding the result reproduces the
     /// input bytes.
     pub fn get_cells(&mut self, cells: Option<usize>) -> Result<Cells, WireError> {
-        let n = checked_cells(cells)?;
+        let n = match cells {
+            Some(n) if n <= MAX_TALLY_CELLS => n,
+            other => return Err(WireError::BadLength(other.map_or(u64::MAX, |n| n as u64))),
+        };
         let mut store = Cells::new(n);
         let mut pos = 0;
         while pos < n {
@@ -483,9 +490,12 @@ wire_tuple!(A.0, B.1, C.2);
 
 /// A record whose layout is its fields in the order listed, each by its own
 /// [`Wire`] impl. A struct expression evaluates its fields in the order
-/// written, so `get` reads every field straight into place.
+/// written, so `get` reads every field straight into place. A type with a
+/// validity rule names it after `checked by`, and a decoded value that
+/// breaks it is `Invalid` wherever the record appears — inside a scenario,
+/// an archive or a tally alike.
 macro_rules! wire_record {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    ($ty:ty { $($field:ident),+ $(,)? } $(checked by $check:path)?) => {
         impl Wire for $ty {
             #[inline]
             fn put(&self, e: &mut Encoder) {
@@ -493,7 +503,9 @@ macro_rules! wire_record {
             }
             #[inline]
             fn get(d: &mut Decoder) -> Result<Self, WireError> {
-                Ok(Self { $($field: Wire::get(d)?),+ })
+                let value = Self { $($field: Wire::get(d)?),+ };
+                $($check(&value).map_err(invalid)?;)?
+                Ok(value)
             }
         }
     };
@@ -547,14 +559,16 @@ fn invalid(e: impl std::fmt::Display) -> WireError {
 
 wire_record!(SimTask { task_id, photons });
 wire_record!(Vec3 { x, y, z });
-wire_record!(OpticalProperties { mu_a, mu_s, g, n });
-wire_record!(GridSpec { nx, ny, nz, min, max });
+wire_record!(OpticalProperties { mu_a, mu_s, g, n } checked by OpticalProperties::validate);
+wire_record!(GridSpec { nx, ny, nz, min, max } checked by GridSpec::validate);
 wire_record!(RadialSpec { nr, r_max });
-wire_record!(GateWindow { min_mm, max_mm });
-wire_record!(Detector { separation, radius, ring, min_exit_cos, gate });
-wire_record!(RouletteConfig { threshold, survival });
+wire_record!(GateWindow { min_mm, max_mm } checked by GateWindow::validate);
+wire_record!(
+    Detector { separation, radius, ring, min_exit_cos, gate } checked by Detector::validate
+);
+wire_record!(RouletteConfig { threshold, survival } checked by RouletteConfig::validate);
 wire_record!(RecordOptions { detected_only });
-wire_record!(Layer { name, z_top, z_bottom, optics });
+wire_record!(Layer { name, z_top, z_bottom, optics } checked by Layer::validate);
 wire_record!(VoxelMaterial { name, optics });
 wire_tags!(BoundaryMode, "boundary mode" { Probabilistic = 0, Classical = 1 });
 wire_tags!(Precision, "precision tier" { Exact = 0, Fast = 1 });
@@ -708,7 +722,7 @@ pub fn tally_held_len(t: &Tally) -> usize {
 /// Region cap for archives arriving over the wire. Generous — the paper's
 /// head models have ≤ 6 regions and a 50³ voxel model a few thousand —
 /// but it bounds the `regions × entries` matrix allocations against a
-/// hostile header the same way [`MAX_SPEC_CELLS`] bounds grid specs.
+/// hostile header the same way [`MAX_TALLY_CELLS`] bounds tally stores.
 pub const MAX_ARCHIVE_REGIONS: u64 = 1 << 12;
 
 impl Wire for PathArchive {
@@ -782,18 +796,14 @@ impl Wire for PathArchive {
             }
         }
         for (vs, what) in [
-            (&[a.specular_weight][..], "specular weight"),
-            (&a.exit_weight, "exit weight"),
-            (&a.exit_radius, "exit radius"),
-            (&a.pathlength, "pathlength"),
-            (&a.max_depth, "max depth"),
-            (&a.partial_path, "partial path"),
+            (&[a.specular_weight][..], "archive specular weight"),
+            (&a.exit_weight, "archive exit weight"),
+            (&a.exit_radius, "archive exit radius"),
+            (&a.pathlength, "archive pathlength"),
+            (&a.max_depth, "archive max depth"),
+            (&a.partial_path, "archive partial path"),
         ] {
-            if vs.iter().any(|v| !v.is_finite() || *v < 0.0) {
-                return Err(WireError::Invalid(format!(
-                    "archive {what} must be finite and non-negative"
-                )));
-            }
+            vs.iter().try_for_each(|&v| check(what, v, Rule::NonNegative)).map_err(invalid)?;
         }
         Ok(a)
     }
@@ -855,15 +865,10 @@ impl Wire for VoxelTissue {
     #[inline]
     fn get(d: &mut Decoder) -> Result<Self, WireError> {
         let ambient_n = d.get_f64()?;
-        let (nx, ny, nz) = <(u64, u64, u64)>::get(d)?;
         // Cells are 2 bytes each on the wire: a hostile dimension triple that
         // cannot fit the remaining bytes (or the VoxelTissue cell cap) dies
-        // here, before any allocation. Dimensions past u32 cannot pass the
-        // cell cap, so the u64 → usize narrowing below is lossless.
-        if nx > u32::MAX as u64 || ny > u32::MAX as u64 || nz > u32::MAX as u64 {
-            return Err(WireError::BadLength(u64::MAX));
-        }
-        let dims = (nx as usize, ny as usize, nz as usize);
+        // here, before any allocation.
+        let dims = <(usize, usize, usize)>::get(d)?;
         let n_cells = lumen_tissue::voxel::checked_cell_count(dims.0, dims.1, dims.2)
             .ok_or(WireError::BadLength(u64::MAX))?;
         let n_cells = d.checked_len(n_cells as u64, 2)?;
@@ -931,35 +936,6 @@ impl Wire for Source {
     }
 }
 
-/// Upper bound on cells in any decoded tally spec (grid voxels, histogram
-/// bins, radial bins). A scenario carries bare specs with no data behind
-/// them, and a tally's sparse grids ([`Decoder::get_cells`]) may
-/// cover any number of cells in 16 bytes — without a cap, a ~100-byte
-/// hostile message could request a 2M³-voxel grid and abort the process on
-/// allocation. 2²⁴ cells (128 MiB of f64) is ~134× the paper's 50³
-/// granularity.
-pub const MAX_SPEC_CELLS: u64 = 1 << 24;
-
-fn checked_cells(cells: Option<usize>) -> Result<usize, WireError> {
-    match cells {
-        Some(n) if (n as u64) <= MAX_SPEC_CELLS => Ok(n),
-        Some(n) => Err(WireError::BadLength(n as u64)),
-        None => Err(WireError::BadLength(u64::MAX)),
-    }
-}
-
-/// An optional tally spec as decoded, held to [`MAX_SPEC_CELLS`] by its
-/// cell count (`None` when the product overflowed).
-fn bounded<T>(
-    spec: Option<T>,
-    cells: impl FnOnce(&T) -> Option<usize>,
-) -> Result<Option<T>, WireError> {
-    if let Some(spec) = &spec {
-        checked_cells(cells(spec))?;
-    }
-    Ok(spec)
-}
-
 impl Wire for SimulationOptions {
     #[inline]
     fn put(&self, e: &mut Encoder) {
@@ -985,14 +961,13 @@ impl Wire for SimulationOptions {
             roulette: Wire::get(d)?,
             max_interactions: u32::try_from(d.get_u64()?)
                 .map_err(|_| WireError::Invalid("max_interactions exceeds u32".into()))?,
-            path_grid: bounded(Wire::get(d)?, GridSpec::checked_len)?,
-            absorption_grid: bounded(Wire::get(d)?, GridSpec::checked_len)?,
-            path_histogram: bounded(Wire::get(d)?, |&(_, bins): &(f64, usize)| Some(bins))?,
-            reflectance_profile: bounded(Wire::get(d)?, |spec: &RadialSpec| Some(spec.nr))?,
-            absorption_rz: bounded(
-                Wire::get(d)?,
-                |&(radial, nz, _): &(RadialSpec, usize, f64)| radial.nr.checked_mul(nz),
-            )?,
+            // The tally specs are bare binnings, held to the cell cap by
+            // `Scenario::validate` before anything is sized from them.
+            path_grid: Wire::get(d)?,
+            absorption_grid: Wire::get(d)?,
+            path_histogram: Wire::get(d)?,
+            reflectance_profile: Wire::get(d)?,
+            absorption_rz: Wire::get(d)?,
             record_paths: Wire::get(d)?,
             archive: Wire::get(d)?,
             precision: Wire::get(d)?,
@@ -1277,6 +1252,17 @@ mod tests {
         let mut a = sample_archive();
         a.class[0] = CLASS_TRANSMITTED + 1;
         assert!(matches!(decode_archive(&encode_archive(&a)), Err(WireError::Invalid(_))));
+        // The recording run's base optics: a NaN `mu_a` that decoded would
+        // make every reweighting ratio NaN.
+        for (mu_a, g) in [(f64::NAN, 0.9), (-1.0, 0.9), (0.05, 2.0)] {
+            let mut a = sample_archive();
+            a.base[0].mu_a = mu_a;
+            a.base[0].g = g;
+            assert!(
+                matches!(decode_archive(&encode_archive(&a)), Err(WireError::Invalid(_))),
+                "base mu_a {mu_a}, g {g} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1410,24 +1396,31 @@ mod tests {
 
     #[test]
     fn sparse_array_cell_count_is_capped_before_allocation() {
-        let over = MAX_SPEC_CELLS + 1;
+        let over = MAX_TALLY_CELLS as u64 + 1;
         let claim = |n| sparse_from(n, |e| run(e, over, &[]));
         assert_eq!(claim(Some(over as usize)), Err(WireError::BadLength(over)));
         assert_eq!(claim(None), Err(WireError::BadLength(u64::MAX)));
         // The cap itself is a legal (if large) grid: 16 bytes in, an
         // untouched store out — no allocation at all.
-        let at_cap = sparse_from(Some(MAX_SPEC_CELLS as usize), |e| run(e, MAX_SPEC_CELLS, &[]));
+        let at_cap = sparse_from(Some(MAX_TALLY_CELLS), |e| run(e, MAX_TALLY_CELLS as u64, &[]));
         let at_cap = at_cap.unwrap();
-        assert_eq!((at_cap.len(), at_cap.is_touched()), (MAX_SPEC_CELLS as usize, false));
+        assert_eq!((at_cap.len(), at_cap.is_touched()), (MAX_TALLY_CELLS, false));
     }
 
     #[test]
     fn hostile_tally_cannot_claim_a_huge_grid_in_a_few_hundred_bytes() {
         // Every dense attachment, claimed at one cell over the cap (or at
         // a product that overflows) and "covered" by a single zero run.
-        let over = MAX_SPEC_CELLS + 1;
+        // A grid spec breaks `GridSpec::validate`'s cap as it decodes; a
+        // radial binning is held to the cap by `get_cells`.
+        let over = MAX_TALLY_CELLS as u64 + 1;
+        let grid_cap = |e: &WireError| matches!(e, WireError::Invalid(m) if m.starts_with("grid voxels exceed"));
+        let bad_length = |e: &WireError| matches!(e, WireError::BadLength(_));
         // `absent` attachments, then one whose binning claims `cells`.
-        let claim = |absent: usize, cells: u64, binning: &dyn Fn(&mut Encoder)| {
+        let claim = |absent: usize,
+                     cells: u64,
+                     refused: &dyn Fn(&WireError) -> bool,
+                     binning: &dyn Fn(&mut Encoder)| {
             let mut e = scalar_head();
             (0..absent).for_each(|_| e.put_u8(0));
             e.put_u8(1);
@@ -1436,16 +1429,20 @@ mod tests {
             let bytes = e.finish();
             assert!(bytes.len() < 300, "{} bytes", bytes.len());
             let got = decode_tally(&bytes);
-            assert!(matches!(got, Err(WireError::BadLength(_))), "attachment {absent}: {got:?}");
+            assert!(got.as_ref().is_err_and(refused), "attachment {absent}: {got:?}");
         };
         let (min, max) = (Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
-        claim(0, over, &|e| GridSpec { nx: over as usize, ny: 1, nz: 1, min, max }.put(e));
-        claim(1, over, &|e| GridSpec { nx: 1, ny: over as usize, nz: 1, min, max }.put(e));
-        claim(3, over, &|e| {
+        claim(0, over, &grid_cap, &|e| {
+            GridSpec { nx: over as usize, ny: 1, nz: 1, min, max }.put(e)
+        });
+        claim(1, over, &grid_cap, &|e| {
+            GridSpec { nx: 1, ny: over as usize, nz: 1, min, max }.put(e)
+        });
+        claim(3, over, &bad_length, &|e| {
             e.put_u64(over); // radial bins
             e.put_f64(1.0);
         });
-        claim(4, 1 << 40, &|e| {
+        claim(4, 1 << 40, &bad_length, &|e| {
             for _ in 0..2 {
                 e.put_u64(1 << 40); // 2^40 radial bins x 2^40 depth bins
                 e.put_f64(1.0);
@@ -1576,7 +1573,8 @@ mod tests {
             Source::Gaussian { radius: 1.5 },
             Detector::ring(30.0, 2.0)
                 .with_gate(GateWindow::new(10.0, 900.0).unwrap())
-                .with_numerical_aperture(0.5, 1.0),
+                .with_numerical_aperture(0.5, 1.0)
+                .unwrap(),
         )
         .with_options(options)
         .with_photons(1_000_000)
@@ -1635,6 +1633,41 @@ mod tests {
             Err(WireError::Invalid(reason)) => assert!(reason.contains("radius"), "{reason}"),
             other => panic!("expected Invalid, got {other:?}"),
         }
+        // A single layer `[0, NaN)` or `[0, -5)` that decoded would run,
+        // and report every photon reflected.
+        let s = plain_scenario();
+        let optics = OpticalProperties::new(0.1, 10.0, 0.0, 1.0);
+        for z_bottom in [f64::NAN, -5.0] {
+            let layer = Layer { name: "slab".into(), z_top: 0.0, z_bottom, optics };
+            let bytes = scenario_with_layers(&s, 1.0, &[layer]);
+            match decode_scenario(&bytes) {
+                Err(WireError::Invalid(reason)) => assert!(reason.contains("slab"), "{reason}"),
+                other => panic!("[0, {z_bottom}) must not decode, got {other:?}"),
+            }
+        }
+    }
+
+    /// `s` encoded with its geometry written by `tissue` instead — how a
+    /// test ships a geometry its constructor refuses.
+    fn scenario_with_tissue(s: &Scenario, tissue: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut e = Encoder::new();
+        tissue(&mut e);
+        s.source.put(&mut e);
+        s.detector.put(&mut e);
+        s.options.put(&mut e);
+        for v in [s.photons, s.tasks, s.seed, s.task_offset] {
+            e.put_u64(v);
+        }
+        e.finish()
+    }
+
+    /// `s` with a layer stack written field by field.
+    fn scenario_with_layers(s: &Scenario, ambient_n: f64, layers: &[Layer]) -> Vec<u8> {
+        scenario_with_tissue(s, |e| {
+            e.put_u8(0);
+            e.put_f64(ambient_n);
+            put_seq(e, layers);
+        })
     }
 
     #[test]
@@ -1650,13 +1683,221 @@ mod tests {
         }
     }
 
+    /// The probes every field meets: NaN, ±∞, −0.0, the smallest
+    /// subnormal, and each bound with its neighbour one ulp either side.
+    fn probes(bounds: &[f64]) -> Vec<f64> {
+        let mut probes = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 5e-324];
+        for &b in bounds {
+            probes.extend([b.next_down(), b, b.next_up()]);
+        }
+        probes
+    }
+
+    /// `(the owner accepts, the decoder accepts)` for a field of
+    /// [`every_option_scenario`] set by `set`. The owner is
+    /// `Scenario::validate`.
+    fn via_scenario(set: impl FnOnce(&mut Scenario)) -> (bool, bool) {
+        let mut s = every_option_scenario();
+        set(&mut s);
+        (s.validate().is_ok(), decode_scenario(&encode_scenario(&s)).is_ok())
+    }
+
+    /// The same for a field of a two-layer stack `[0, 2.5)`, `[2.5, ∞)` or
+    /// its ambient index. The owner is `LayeredTissue::new`, then
+    /// `Scenario::validate`; the decoder gets the fields as they are.
+    fn via_layers(set: impl FnOnce(&mut [Layer], &mut f64)) -> (bool, bool) {
+        let optics = OpticalProperties::new(0.02, 12.0, 0.9, 1.4);
+        let layer =
+            |name: &str, z_top, z_bottom| Layer { name: name.into(), z_top, z_bottom, optics };
+        let mut layers = [layer("top", 0.0, 2.5), layer("bottom", 2.5, f64::INFINITY)];
+        let mut ambient_n = 1.0;
+        set(&mut layers, &mut ambient_n);
+        let s = every_option_scenario();
+        let bytes = scenario_with_layers(&s, ambient_n, &layers);
+        let built = LayeredTissue::new(layers.to_vec(), ambient_n)
+            .map(|t| Scenario { tissue: t.into(), ..s });
+        if let Ok(built) = &built {
+            assert_eq!(encode_scenario(built), bytes, "the hand-written stack is the real layout");
+        }
+        (built.is_ok_and(|s| s.validate().is_ok()), decode_scenario(&bytes).is_ok())
+    }
+
+    /// The fields `VoxelTissue::new` takes besides its shape and cells.
+    struct VoxelParts {
+        origin: (f64, f64),
+        pitch: (f64, f64, f64),
+        material: OpticalProperties,
+        ambient_n: f64,
+    }
+
+    /// The same for a field of a 2×2×2 one-material voxel grid. The owner
+    /// is `VoxelTissue::new`, then `Scenario::validate`.
+    fn via_voxels(set: impl FnOnce(&mut VoxelParts)) -> (bool, bool) {
+        let mut p = VoxelParts {
+            origin: (-1.25, -0.75),
+            pitch: (0.5, 0.625, 0.75),
+            material: OpticalProperties::new(0.02, 12.0, 0.9, 1.4),
+            ambient_n: 1.0,
+        };
+        set(&mut p);
+        let materials = [VoxelMaterial::new("bulk", p.material)];
+        let s = every_option_scenario();
+        let bytes = scenario_with_tissue(&s, |e| {
+            e.put_u8(1);
+            e.put_f64(p.ambient_n);
+            (2usize, 2usize, 2usize).put(e);
+            p.origin.put(e);
+            p.pitch.put(e);
+            put_seq(e, &materials);
+            e.buf.extend_from_slice(&[0; 16]);
+        });
+        let grid = VoxelTissue::new(
+            (2, 2, 2),
+            p.origin,
+            p.pitch,
+            materials.to_vec(),
+            vec![0; 8],
+            p.ambient_n,
+        );
+        let built = grid.map(|t| Scenario { tissue: t.into(), ..s });
+        if let Ok(built) = &built {
+            assert_eq!(encode_scenario(built), bytes, "the hand-written grid is the real layout");
+        }
+        (built.is_ok_and(|s| s.validate().is_ok()), decode_scenario(&bytes).is_ok())
+    }
+
+    /// The same for the base optics of [`sample_archive`]; the owner is
+    /// `OpticalProperties::validate`.
+    fn via_archive(set: impl FnOnce(&mut OpticalProperties)) -> (bool, bool) {
+        let mut a = sample_archive();
+        set(&mut a.base[0]);
+        (a.base[0].validate().is_ok(), decode_archive(&encode_archive(&a)).is_ok())
+    }
+
+    /// The same for an attachment of [`full_tally`]: `set` writes the field
+    /// and answers whether the attachment's own constructor accepts it.
+    fn via_tally(set: impl FnOnce(&mut Tally) -> bool) -> (bool, bool) {
+        let mut t = full_tally();
+        let owner = set(&mut t);
+        (owner, decode_tally(&encode_tally(&t)).is_ok())
+    }
+
+    /// Every `f64` field a decoder can reach, with the rule that governs it
+    /// (the field's [`Rule`](lumen_core::Rule), or the two-field rule of its
+    /// owner with the other field at its base value). For each probe, the
+    /// owner and the decoder must both agree with the rule.
+    #[test]
+    fn every_decodable_field_is_refused_exactly_as_its_owner_refuses_it() {
+        use lumen_core::Rule::*;
+        type Row = (&'static str, &'static [f64], fn(f64) -> bool, fn(f64) -> (bool, bool));
+        #[rustfmt::skip]
+        let rows: &[Row] = &[
+            // A layer's optics and extents, and the stack's ambient index.
+            ("layer mu_a", &[0.0], |v| NonNegative.accepts(v), |v| via_layers(|l, _| l[0].optics.mu_a = v)),
+            ("layer mu_s", &[0.0], |v| NonNegative.accepts(v), |v| via_layers(|l, _| l[0].optics.mu_s = v)),
+            ("layer g", &[-1.0, 1.0], |v| Anisotropy.accepts(v), |v| via_layers(|l, _| l[0].optics.g = v)),
+            ("layer n", &[1.0], |v| Index.accepts(v), |v| via_layers(|l, _| l[1].optics.n = v)),
+            ("first z_top", &[0.0], |v| v == 0.0, |v| via_layers(|l, _| l[0].z_top = v)),
+            ("next z_top", &[2.5], |v| NonNegative.accepts(v) && (v - 2.5).abs() <= 1e-9, |v| via_layers(|l, _| l[1].z_top = v)),
+            ("last z_bottom", &[2.5], |v| v > 2.5, |v| via_layers(|l, _| l[1].z_bottom = v)),
+            ("layered ambient_n", &[1.0], |v| Index.accepts(v), |v| via_layers(|_, n| *n = v)),
+            // A voxel material, pitch, origin and ambient index.
+            ("material mu_a", &[0.0], |v| NonNegative.accepts(v), |v| via_voxels(|p| p.material.mu_a = v)),
+            ("material mu_s", &[0.0], |v| NonNegative.accepts(v), |v| via_voxels(|p| p.material.mu_s = v)),
+            ("material g", &[-1.0, 1.0], |v| Anisotropy.accepts(v), |v| via_voxels(|p| p.material.g = v)),
+            ("material n", &[1.0], |v| Index.accepts(v), |v| via_voxels(|p| p.material.n = v)),
+            ("voxel dx", &[0.0], |v| Positive.accepts(v), |v| via_voxels(|p| p.pitch.0 = v)),
+            ("voxel dy", &[0.0], |v| Positive.accepts(v), |v| via_voxels(|p| p.pitch.1 = v)),
+            ("voxel dz", &[0.0], |v| Positive.accepts(v), |v| via_voxels(|p| p.pitch.2 = v)),
+            ("origin x0", &[], |v| Finite.accepts(v), |v| via_voxels(|p| p.origin.0 = v)),
+            ("origin y0", &[], |v| Finite.accepts(v), |v| via_voxels(|p| p.origin.1 = v)),
+            ("voxel ambient_n", &[1.0], |v| Index.accepts(v), |v| via_voxels(|p| p.ambient_n = v)),
+            // The detector, its gate (10, 900), the source and roulette.
+            ("detector separation", &[0.0], |v| NonNegative.accepts(v), |v| via_scenario(|s| s.detector.separation = v)),
+            ("detector radius", &[0.0], |v| Positive.accepts(v), |v| via_scenario(|s| s.detector.radius = v)),
+            ("min_exit_cos", &[0.0, 1.0], |v| Cosine.accepts(v), |v| via_scenario(|s| s.detector.min_exit_cos = Some(v))),
+            ("gate min_mm", &[0.0, 900.0], |v| NonNegative.accepts(v) && v < 900.0, |v| via_scenario(|s| s.detector.gate.min_mm = v)),
+            ("gate max_mm", &[10.0], |v| v > 10.0, |v| via_scenario(|s| s.detector.gate.max_mm = v)),
+            ("gaussian radius", &[0.0], |v| Positive.accepts(v), |v| via_scenario(|s| s.source = Source::Gaussian { radius: v })),
+            ("uniform radius", &[0.0], |v| Positive.accepts(v), |v| via_scenario(|s| s.source = Source::Uniform { radius: v })),
+            ("roulette threshold", &[0.0, 1.0], |v| OpenUnit.accepts(v), |v| via_scenario(|s| s.options.roulette.threshold = v)),
+            ("roulette survival", &[0.0, 1.0], |v| Probability.accepts(v), |v| via_scenario(|s| s.options.roulette.survival = v)),
+            // Tally specs in the options; path_grid spans (-3, -3, 0)..(9, 3, 9).
+            ("reflectance r_max", &[0.0], |v| Positive.accepts(v), |v| via_scenario(|s| s.options.reflectance_profile.as_mut().unwrap().r_max = v)),
+            ("absorption_rz r_max", &[0.0], |v| Positive.accepts(v), |v| via_scenario(|s| s.options.absorption_rz.as_mut().unwrap().0.r_max = v)),
+            ("absorption_rz z_max", &[0.0], |v| Positive.accepts(v), |v| via_scenario(|s| s.options.absorption_rz.as_mut().unwrap().2 = v)),
+            ("path_histogram max_mm", &[0.0], |v| Positive.accepts(v), |v| via_scenario(|s| s.options.path_histogram.as_mut().unwrap().0 = v)),
+            ("path_grid min.x", &[9.0], |v| v < 9.0, |v| via_scenario(|s| s.options.path_grid.as_mut().unwrap().min.x = v)),
+            ("path_grid min.y", &[3.0], |v| v < 3.0, |v| via_scenario(|s| s.options.path_grid.as_mut().unwrap().min.y = v)),
+            ("path_grid min.z", &[9.0], |v| v < 9.0, |v| via_scenario(|s| s.options.path_grid.as_mut().unwrap().min.z = v)),
+            ("path_grid max.x", &[-3.0], |v| v > -3.0, |v| via_scenario(|s| s.options.path_grid.as_mut().unwrap().max.x = v)),
+            ("path_grid max.y", &[-3.0], |v| v > -3.0, |v| via_scenario(|s| s.options.path_grid.as_mut().unwrap().max.y = v)),
+            ("path_grid max.z", &[0.0], |v| v > 0.0, |v| via_scenario(|s| s.options.path_grid.as_mut().unwrap().max.z = v)),
+            ("absorption_grid max.z", &[0.0], |v| v > 0.0, |v| via_scenario(|s| s.options.absorption_grid.as_mut().unwrap().max.z = v)),
+            // An archive's base optics, outside any scenario.
+            ("archive base mu_a", &[0.0], |v| NonNegative.accepts(v), |v| via_archive(|o| o.mu_a = v)),
+            ("archive base mu_s", &[0.0], |v| NonNegative.accepts(v), |v| via_archive(|o| o.mu_s = v)),
+            ("archive base g", &[-1.0, 1.0], |v| Anisotropy.accepts(v), |v| via_archive(|o| o.g = v)),
+            ("archive base n", &[1.0], |v| Index.accepts(v), |v| via_archive(|o| o.n = v)),
+            // Tally attachments; the grids span (-1, -1, 0)..(1, 1, 2).
+            ("histogram max_mm", &[0.0], |v| Positive.accepts(v), |v| via_tally(|t| {
+                let h = t.path_histogram.as_mut().unwrap();
+                h.max_mm = v;
+                PathHistogram::from_counts(v, h.counts.clone(), h.overflow).is_ok()
+            })),
+            ("profile r_max", &[0.0], |v| Positive.accepts(v), |v| via_tally(|t| {
+                let p = t.reflectance_r.as_mut().unwrap();
+                p.spec.r_max = v;
+                RadialProfile::from_cells(p.spec, p.cells().clone(), p.overflow).is_ok()
+            })),
+            ("cylinder r_max", &[0.0], |v| Positive.accepts(v), |v| via_tally(|t| {
+                let g = t.absorption_rz.as_mut().unwrap();
+                g.radial.r_max = v;
+                CylinderGrid::from_cells(g.radial, g.nz, g.z_max, g.cells().clone(), g.overflow).is_ok()
+            })),
+            ("cylinder z_max", &[0.0], |v| Positive.accepts(v), |v| via_tally(|t| {
+                let g = t.absorption_rz.as_mut().unwrap();
+                g.z_max = v;
+                CylinderGrid::from_cells(g.radial, g.nz, g.z_max, g.cells().clone(), g.overflow).is_ok()
+            })),
+            ("visit grid min.x", &[1.0], |v| v < 1.0, |v| via_tally(|t| {
+                let g = t.path_grid.as_mut().unwrap();
+                g.spec.min.x = v;
+                VisitGrid::from_cells(g.spec, g.cells().clone()).is_ok()
+            })),
+            ("visit grid max.z", &[0.0], |v| v > 0.0, |v| via_tally(|t| {
+                let g = t.absorption_grid.as_mut().unwrap();
+                g.spec.max.z = v;
+                VisitGrid::from_cells(g.spec, g.cells().clone()).is_ok()
+            })),
+        ];
+        let mut disagreements = Vec::new();
+        for &(field, bounds, rule, outcome) in rows {
+            for v in probes(bounds) {
+                let (owner, decoder) = outcome(v);
+                if (owner, decoder) != (rule(v), rule(v)) {
+                    disagreements.push(format!(
+                        "{field} = {v:e}: rule {}, owner {owner}, decoder {decoder}",
+                        rule(v)
+                    ));
+                }
+            }
+        }
+        assert!(disagreements.is_empty(), "{}", disagreements.join("\n"));
+    }
+
     #[test]
     fn scenario_rejects_oversized_tally_specs() {
         use lumen_core::radial::RadialSpec;
         use lumen_tissue::presets::semi_infinite_phantom;
         // A tiny message must not be able to request a gigantic tally: a
         // 2_000_000^3-voxel grid or a u64::MAX-bin histogram would abort
-        // the process on allocation when the scenario is run.
+        // the process on allocation when the scenario is run. Each is
+        // refused by the tally cell cap that `Scenario::validate` applies.
+        let over_cap = |s: &Scenario, what: &str| match decode_scenario(&encode_scenario(s)) {
+            Err(WireError::Invalid(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        };
         let base = Scenario::new(
             semi_infinite_phantom(0.1, 10.0, 0.0, 1.0),
             Source::Delta,
@@ -1670,23 +1911,14 @@ mod tests {
             min: Vec3::new(-1.0, -1.0, 0.0),
             max: Vec3::new(1.0, 1.0, 2.0),
         });
-        assert!(matches!(
-            decode_scenario(&encode_scenario(&huge_grid)),
-            Err(WireError::BadLength(_))
-        ));
+        over_cap(&huge_grid, "grid voxels exceed");
         let mut huge_hist = base.clone();
         huge_hist.options.path_histogram = Some((100.0, u32::MAX as usize));
-        assert!(matches!(
-            decode_scenario(&encode_scenario(&huge_hist)),
-            Err(WireError::BadLength(_))
-        ));
+        over_cap(&huge_hist, "path_histogram bins exceed");
         let mut huge_rz = base;
         huge_rz.options.absorption_rz =
             Some((RadialSpec { nr: 1 << 20, r_max: 4.0 }, 1 << 20, 32.0));
-        assert!(matches!(
-            decode_scenario(&encode_scenario(&huge_rz)),
-            Err(WireError::BadLength(_))
-        ));
+        over_cap(&huge_rz, "absorption_rz cells exceed");
     }
 
     fn voxel_scenario() -> Scenario {

@@ -13,7 +13,7 @@
 //! accepted. [`GateWindow`] reproduces this.
 
 use crate::error::ConfigError;
-use lumen_photon::Vec3;
+use lumen_photon::{check, FieldError, Rule, Vec3};
 
 /// Acceptance window on photon pathlength (mm), simulating time gating.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,12 +29,19 @@ impl GateWindow {
     pub const OPEN: GateWindow = GateWindow { min_mm: 0.0, max_mm: f64::INFINITY };
 
     /// Construct a validated window.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(a > b)` also rejects NaN
     pub fn new(min_mm: f64, max_mm: f64) -> Result<Self, ConfigError> {
-        if min_mm < 0.0 || !(max_mm > min_mm) {
-            return Err(ConfigError::BadGate { min_mm, max_mm });
+        let gate = Self { min_mm, max_mm };
+        gate.validate().map(|()| gate)
+    }
+
+    /// The window's rule, `0 <= min < max`: a finite lower edge and an
+    /// upper edge above it (`f64::INFINITY` leaves the top open).
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(a > b)` also rejects NaN
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !Rule::NonNegative.accepts(self.min_mm) || !(self.max_mm > self.min_mm) {
+            return Err(ConfigError::BadGate { min_mm: self.min_mm, max_mm: self.max_mm });
         }
-        Ok(Self { min_mm, max_mm })
+        Ok(())
     }
 
     /// Whether a pathlength passes the gate.
@@ -105,12 +112,14 @@ impl Detector {
     /// Restrict collection to a fibre numerical aperture: only photons
     /// exiting within `asin(na / n_ambient)` of the surface normal are
     /// detected (a real optode's acceptance cone). `na >= n_ambient`
-    /// accepts everything.
-    pub fn with_numerical_aperture(mut self, na: f64, n_ambient: f64) -> Self {
-        assert!(na > 0.0 && n_ambient >= 1.0, "invalid numerical aperture");
+    /// accepts everything. `na` must be finite and positive, `n_ambient` a
+    /// refractive index.
+    pub fn with_numerical_aperture(mut self, na: f64, n_ambient: f64) -> Result<Self, FieldError> {
+        check("na", na, Rule::Positive)?;
+        check("n_ambient", n_ambient, Rule::Index)?;
         let sin_max = (na / n_ambient).min(1.0);
         self.min_exit_cos = Some((1.0 - sin_max * sin_max).sqrt());
-        self
+        Ok(self)
     }
 
     /// Does an exit-angle cosine (ambient side) pass the acceptance cone?
@@ -129,23 +138,12 @@ impl Detector {
     }
 
     /// Validate geometry.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.separation >= 0.0 && self.separation.is_finite()) {
-            return Err(format!(
-                "detector separation must be finite >= 0, got {}",
-                self.separation
-            ));
-        }
-        if !(self.radius > 0.0 && self.radius.is_finite()) {
-            return Err(format!("detector radius must be finite > 0, got {}", self.radius));
-        }
-        // The constructor's rule, so a gate built field by field (or
-        // decoded from the wire) cannot pass with a NaN edge.
-        GateWindow::new(self.gate.min_mm, self.gate.max_mm).map_err(|e| e.to_string())?;
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check("detector separation", self.separation, Rule::NonNegative)?;
+        check("detector radius", self.radius, Rule::Positive)?;
+        self.gate.validate()?;
         if let Some(c) = self.min_exit_cos {
-            if !(0.0..=1.0).contains(&c) {
-                return Err(format!("acceptance cosine must be in [0,1], got {c}"));
-            }
+            check("min_exit_cos", c, Rule::Cosine)?;
         }
         Ok(())
     }
@@ -192,7 +190,7 @@ mod tests {
         for (min_mm, max_mm) in [(f64::NAN, 50.0), (0.0, f64::NAN), (f64::NAN, f64::NAN)] {
             let d = Detector::new(10.0, 2.0).with_gate(GateWindow { min_mm, max_mm });
             let err = d.validate().expect_err("a NaN gate edge must not validate");
-            assert!(err.contains("gate"), "{err}");
+            assert!(matches!(err, ConfigError::BadGate { .. }), "{err}");
         }
     }
 
@@ -238,7 +236,7 @@ mod tests {
     #[test]
     fn numerical_aperture_restricts_angles() {
         // NA 0.5 in air: sin_max = 0.5, cos_min = sqrt(0.75) ~ 0.866.
-        let d = Detector::new(10.0, 1.0).with_numerical_aperture(0.5, 1.0);
+        let d = Detector::new(10.0, 1.0).with_numerical_aperture(0.5, 1.0).unwrap();
         assert!(d.accepts_angle(1.0)); // normal exit
         assert!(d.accepts_angle(0.90));
         assert!(!d.accepts_angle(0.80)); // outside the cone
@@ -246,8 +244,18 @@ mod tests {
         // No NA accepts grazing exits.
         assert!(Detector::new(10.0, 1.0).accepts_angle(0.01));
         // NA >= n accepts everything.
-        let open = Detector::new(10.0, 1.0).with_numerical_aperture(2.0, 1.0);
+        let open = Detector::new(10.0, 1.0).with_numerical_aperture(2.0, 1.0).unwrap();
         assert!(open.accepts_angle(0.0));
+    }
+
+    #[test]
+    fn numerical_aperture_refuses_what_a_config_can_supply() {
+        for (na, n_ambient, field) in
+            [(0.0, 1.0, "na"), (f64::NAN, 1.0, "na"), (-0.5, 1.0, "na"), (0.5, 0.9, "n_ambient")]
+        {
+            let err = Detector::new(10.0, 1.0).with_numerical_aperture(na, n_ambient).unwrap_err();
+            assert_eq!(err.field, field, "{err}");
+        }
     }
 
     #[test]
@@ -268,7 +276,10 @@ mod tests {
     fn detector_validation() {
         assert!(Detector::new(30.0, 2.0).validate().is_ok());
         assert!(Detector::new(-1.0, 2.0).validate().is_err());
-        assert!(Detector::new(30.0, 0.0).validate().is_err());
+        assert!(matches!(
+            Detector::new(30.0, 0.0).validate(),
+            Err(ConfigError::Field(FieldError { field: "detector radius", .. }))
+        ));
         let mut d = Detector::new(30.0, 2.0);
         d.gate = GateWindow { min_mm: 5.0, max_mm: 1.0 };
         assert!(d.validate().is_err());

@@ -226,14 +226,8 @@ impl Scenario {
 
     /// Validate the complete scenario.
     pub fn validate(&self) -> Result<(), EngineError> {
-        if self.tasks == 0 {
-            return Err(EngineError::InvalidConfig("tasks must be >= 1".into()));
-        }
-        if self.task_offset.checked_add(self.tasks).is_none() {
-            return Err(EngineError::InvalidConfig(
-                "task_offset + tasks overflows the stream index space".into(),
-            ));
-        }
+        check_stream_range(self.task_offset, self.tasks)
+            .map_err(|e| EngineError::InvalidConfig(e.into()))?;
         validate_parts(&self.tissue, &self.source, &self.detector, &self.options)
             .map_err(EngineError::from)
     }
@@ -246,6 +240,16 @@ impl Scenario {
     /// Run on the given backend — sugar for `backend.run(self)`.
     pub fn run_on(&self, backend: &dyn Backend) -> Result<RunReport, EngineError> {
         backend.run(self)
+    }
+}
+
+/// The stream-range rule of a task split: at least one task, and
+/// `task_offset + tasks` within the RNG stream index space.
+pub fn check_stream_range(task_offset: u64, tasks: u64) -> Result<(), &'static str> {
+    match (tasks, task_offset.checked_add(tasks)) {
+        (0, _) => Err("tasks must be >= 1"),
+        (_, None) => Err("task_offset + tasks overflows the stream index space"),
+        _ => Ok(()),
     }
 }
 

@@ -60,7 +60,9 @@ pub use engine::{
     WorkerAccount,
 };
 pub use error::ConfigError;
-pub use lumen_photon::{BoundaryMode, OpticalProperties, Photon, RouletteConfig, Vec3};
+pub use lumen_photon::{
+    check, BoundaryMode, FieldError, OpticalProperties, Photon, RouletteConfig, Rule, Vec3,
+};
 pub use lumen_tissue::{
     Geometry, GeometryError, LayeredTissue, OpticalProperties as TissueOptics, TissueGeometry,
     VoxelMaterial, VoxelTissue,

@@ -16,7 +16,8 @@
 //! what `R(r)` means physically.
 
 use crate::error::ConfigError;
-use crate::tally::Cells;
+use crate::tally::{check_cells, Cells};
+use lumen_photon::{check, Rule};
 
 /// Uniform radial binning over `[0, r_max)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,13 +29,12 @@ pub struct RadialSpec {
 }
 
 impl RadialSpec {
-    /// Validate: at least one bin, finite positive `r_max`. `what` names
-    /// the binning in the error.
-    pub fn validate(&self, what: &'static str) -> Result<(), ConfigError> {
-        if self.nr == 0 || !(self.r_max > 0.0 && self.r_max.is_finite()) {
-            return Err(ConfigError::BadRadialBinning { what, nr: self.nr, r_max: self.r_max });
-        }
-        Ok(())
+    /// Validate: one bin up to the tally cell cap, finite positive
+    /// `r_max`. The errors name the fields as `r_max` and `bins`, so a
+    /// config with two radial binnings is told which one to fix.
+    pub fn validate(&self, r_max: &'static str, bins: &'static str) -> Result<(), ConfigError> {
+        check_cells(bins, Some(self.nr))?;
+        Ok(check(r_max, self.r_max, Rule::Positive)?)
     }
 
     /// Bin width (mm).
@@ -89,11 +89,16 @@ impl RadialProfile {
     /// by bin. An invalid spec or a miscounted store is an error, never a
     /// panic.
     pub fn from_cells(spec: RadialSpec, cells: Cells, overflow: f64) -> Result<Self, ConfigError> {
-        spec.validate("radial profile")?;
+        Self::check_binning(spec)?;
         if cells.len() != spec.nr {
             return Err(ConfigError::CellCount { expected: spec.nr, got: cells.len() });
         }
         Ok(Self { spec, cells, overflow })
+    }
+
+    /// The binning rule, naming the `reflectance_profile` option it serves.
+    pub(crate) fn check_binning(spec: RadialSpec) -> Result<(), ConfigError> {
+        spec.validate("reflectance_profile r_max", "reflectance_profile radial bins")
     }
 
     /// Record weight `w` escaping at radius `r`.
@@ -149,7 +154,7 @@ pub struct CylinderGrid {
 impl CylinderGrid {
     /// Empty grid.
     pub fn new(radial: RadialSpec, nz: usize, z_max: f64) -> Self {
-        let cells = Cells::new(radial.nr.checked_mul(nz).unwrap_or(0));
+        let cells = Cells::new(Self::check_binning(radial, nz, z_max).unwrap_or(0));
         Self::from_cells(radial, nz, z_max, cells, 0.0).expect("invalid cylinder binning")
     }
 
@@ -157,7 +162,6 @@ impl CylinderGrid {
     /// as its storage — how a decoder rebuilds a grid without re-depositing
     /// cell by cell. Invalid binning or a miscounted store is an error,
     /// never a panic.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
     pub fn from_cells(
         radial: RadialSpec,
         nz: usize,
@@ -165,16 +169,25 @@ impl CylinderGrid {
         cells: Cells,
         overflow: f64,
     ) -> Result<Self, ConfigError> {
-        radial.validate("cylinder grid")?;
-        if nz == 0 || !(z_max > 0.0) {
-            return Err(ConfigError::BadDepthBinning { nz, z_max });
-        }
-        let expected = radial.nr.checked_mul(nz);
-        if expected != Some(cells.len()) {
-            let expected = expected.unwrap_or(usize::MAX);
+        let expected = Self::check_binning(radial, nz, z_max)?;
+        if cells.len() != expected {
             return Err(ConfigError::CellCount { expected, got: cells.len() });
         }
         Ok(Self { radial, nz, z_max, cells, overflow })
+    }
+
+    /// The binning rule, naming the `absorption_rz` option it serves:
+    /// valid radial and depth bins, a finite positive `z_max`, and at most
+    /// the tally cell cap in all. `Ok` holds the cell count.
+    pub(crate) fn check_binning(
+        radial: RadialSpec,
+        nz: usize,
+        z_max: f64,
+    ) -> Result<usize, ConfigError> {
+        radial.validate("absorption_rz r_max", "absorption_rz radial bins")?;
+        check_cells("absorption_rz depth bins", Some(nz))?;
+        check("absorption_rz z_max", z_max, Rule::Positive)?;
+        check_cells("absorption_rz cells", radial.nr.checked_mul(nz))
     }
 
     /// Deposit weight `w` at radius `r`, depth `z`.
@@ -226,6 +239,8 @@ impl CylinderGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tally::MAX_TALLY_CELLS;
+    use lumen_photon::FieldError;
 
     fn spec() -> RadialSpec {
         RadialSpec { nr: 10, r_max: 5.0 }
@@ -301,22 +316,24 @@ mod tests {
             Err(ConfigError::CellCount { expected: 10, got: 9 })
         );
         let endless = RadialSpec { nr: 10, r_max: f64::INFINITY };
-        assert_eq!(
+        assert!(matches!(
             RadialProfile::from_cells(endless, Cells::new(10), 0.0),
-            Err(ConfigError::BadRadialBinning {
-                what: "radial profile",
-                nr: 10,
-                r_max: f64::INFINITY
-            })
-        );
+            Err(ConfigError::Field(FieldError {
+                field: "reflectance_profile r_max",
+                rule: Rule::Positive,
+                ..
+            }))
+        ));
+        // Each binning names itself.
         let binless = RadialSpec { nr: 0, r_max: 1.0 };
+        assert_eq!(binless.validate("r", "bins"), Err(ConfigError::ZeroCount("bins")));
         assert_eq!(
-            binless.validate("absorption_rz"),
-            Err(ConfigError::BadRadialBinning { what: "absorption_rz", nr: 0, r_max: 1.0 })
+            RadialProfile::from_cells(binless, Cells::new(0), 0.0),
+            Err(ConfigError::ZeroCount("reflectance_profile radial bins"))
         );
         assert_eq!(
             CylinderGrid::from_cells(binless, 4, 8.0, Cells::new(0), 0.0),
-            Err(ConfigError::BadRadialBinning { what: "cylinder grid", nr: 0, r_max: 1.0 })
+            Err(ConfigError::ZeroCount("absorption_rz radial bins"))
         );
 
         let data: Vec<f64> = (0..40).map(f64::from).collect();
@@ -327,12 +344,35 @@ mod tests {
             CylinderGrid::from_cells(spec(), 4, 8.0, Cells::new(41), 0.0),
             Err(ConfigError::CellCount { expected: 40, got: 41 })
         );
-        for (nz, z_max) in [(0, 8.0), (4, 0.0), (4, f64::NAN)] {
+        assert_eq!(
+            CylinderGrid::from_cells(spec(), 0, 8.0, Cells::new(0), 0.0),
+            Err(ConfigError::ZeroCount("absorption_rz depth bins"))
+        );
+        for z_max in [0.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
-                CylinderGrid::from_cells(spec(), nz, z_max, Cells::new(10 * nz), 0.0),
-                Err(ConfigError::BadDepthBinning { .. })
+                CylinderGrid::from_cells(spec(), 4, z_max, Cells::new(40), 0.0),
+                Err(ConfigError::Field(FieldError { field: "absorption_rz z_max", .. }))
             ));
         }
+
+        // Counts past the tally cell cap, or whose product overflows, are
+        // refused before any storage is sized.
+        let wide = RadialSpec { nr: MAX_TALLY_CELLS + 1, r_max: 1.0 };
+        assert_eq!(
+            RadialProfile::from_cells(wide, Cells::new(0), 0.0),
+            Err(ConfigError::TooManyCells("reflectance_profile radial bins"))
+        );
+        let square = RadialSpec { nr: 1 << 12, r_max: 1.0 };
+        assert_eq!(
+            CylinderGrid::from_cells(square, (1 << 12) + 1, 8.0, Cells::new(0), 0.0),
+            Err(ConfigError::TooManyCells("absorption_rz cells"))
+        );
+        assert_eq!(
+            CylinderGrid::from_cells(square, usize::MAX, 8.0, Cells::new(0), 0.0),
+            Err(ConfigError::TooManyCells("absorption_rz depth bins"))
+        );
+        let at_cap = CylinderGrid::from_cells(square, 1 << 12, 8.0, Cells::new(1 << 24), 0.0);
+        assert_eq!(at_cap.map(|g| g.cells().len()), Ok(MAX_TALLY_CELLS));
     }
 
     #[test]

@@ -25,10 +25,10 @@ use crate::archive::{PathArchive, RecordOptions};
 use crate::detector::Detector;
 use crate::error::ConfigError;
 use crate::kernel;
-use crate::radial::RadialSpec;
+use crate::radial::{CylinderGrid, RadialProfile, RadialSpec};
 use crate::results::SimulationResult;
 use crate::source::Source;
-use crate::tally::{GridSpec, Tally};
+use crate::tally::{GridSpec, PathHistogram, Tally};
 use lumen_photon::{BoundaryMode, RouletteConfig, Vec3};
 use lumen_tissue::{Geometry, TissueGeometry};
 use mcrng::{McRng, StreamFactory};
@@ -199,68 +199,47 @@ impl Scratch {
 /// The one configuration check, by reference: [`Simulation::validate`] and
 /// `engine::Scenario::validate` both call it on their own fields, so
 /// neither clones a geometry (a voxel grid can be 2^26 cells) to read it.
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
+/// Each part is checked by its owner's rule; the tally attachments by the
+/// binning rules their constructors apply.
 pub(crate) fn validate_parts(
     tissue: &Geometry,
     source: &Source,
     detector: &Detector,
     options: &SimulationOptions,
 ) -> Result<(), ConfigError> {
-    let component =
-        |what: &'static str| move |reason: String| ConfigError::Component { what, reason };
-    source.validate().map_err(component("source"))?;
-    detector.validate().map_err(component("detector"))?;
-    options.roulette.validate().map_err(component("roulette"))?;
-    if let Some(g) = &options.path_grid {
-        g.validate()?;
+    source.validate()?;
+    detector.validate()?;
+    options.roulette.validate()?;
+    for grid in [&options.path_grid, &options.absorption_grid].into_iter().flatten() {
+        grid.validate()?;
     }
-    if let Some(g) = &options.absorption_grid {
-        g.validate()?;
+    if let Some((max_mm, bins)) = options.path_histogram {
+        PathHistogram::check_binning(max_mm, bins)?;
     }
-    if let Some((max_mm, bins)) = &options.path_histogram {
-        if !(*max_mm > 0.0) || *bins == 0 {
-            return Err(ConfigError::BadHistogram { max_mm: *max_mm, bins: *bins });
-        }
+    if let Some(spec) = options.reflectance_profile {
+        RadialProfile::check_binning(spec)?;
     }
-    if let Some(r) = &options.reflectance_profile {
-        r.validate("reflectance profile")?;
-    }
-    if let Some((r, nz, z_max)) = &options.absorption_rz {
-        r.validate("absorption_rz")?;
-        if *nz == 0 || !(*z_max > 0.0) {
-            return Err(ConfigError::BadDepthBinning { nz: *nz, z_max: *z_max });
-        }
+    if let Some((radial, nz, z_max)) = options.absorption_rz {
+        CylinderGrid::check_binning(radial, nz, z_max)?;
     }
     if options.max_interactions == 0 {
-        return Err(ConfigError::ZeroInteractionCap);
+        return Err(ConfigError::ZeroCount("max_interactions"));
     }
-    if options.archive.is_some() && options.boundary_mode == BoundaryMode::Classical {
-        return Err(ConfigError::Component {
-            what: "archive",
-            reason: "path archives require probabilistic boundary mode (classical mode \
-                     splits one packet across several escape events)"
-                .into(),
-        });
-    }
-    if options.precision == Precision::Fast {
-        let fast_rejects = |what: &'static str, why: &str| ConfigError::Component {
-            what,
-            reason: format!("the fast precision tier does not support {why}; use exact"),
-        };
-        if options.boundary_mode == BoundaryMode::Classical {
-            return Err(fast_rejects(
-                "precision",
-                "classical boundary splitting (whole-packet probabilistic mode only)",
-            ));
-        }
-        if options.path_grid.is_some() {
-            return Err(fast_rejects("precision", "trajectory visit grids (path_grid)"));
-        }
-        if options.record_paths > 0 {
-            return Err(fast_rejects("precision", "trajectory recording (record_paths)"));
-        }
-        if options.archive.is_some() {
-            return Err(fast_rejects("precision", "perturbation-MC path archives"));
+    let (classical, fast) =
+        (options.boundary_mode == BoundaryMode::Classical, options.precision == Precision::Fast);
+    for (refused, why) in [
+        (
+            classical && options.archive.is_some(),
+            "path archives require probabilistic boundary mode (classical mode splits one packet \
+             across several escape events)",
+        ),
+        (fast && classical, "the fast precision tier does not support classical boundaries"),
+        (fast && options.path_grid.is_some(), "the fast precision tier does not support path_grid"),
+        (fast && options.record_paths > 0, "the fast precision tier does not support record_paths"),
+        (fast && options.archive.is_some(), "the fast precision tier does not support archives"),
+    ] {
+        if refused {
+            return Err(ConfigError::Unsupported(why));
         }
     }
     tissue.validate()?;
@@ -588,25 +567,31 @@ mod tests {
     fn validate_reports_typed_errors() {
         use lumen_tissue::GeometryError;
 
+        let field = |sim: &Simulation| match sim.validate() {
+            Err(ConfigError::Field(e)) => e.field,
+            other => panic!("expected a field error, got {other:?}"),
+        };
         let mut sim = quick_sim();
         sim.detector.radius = -1.0;
-        assert!(matches!(sim.validate(), Err(ConfigError::Component { what: "detector", .. })));
+        assert_eq!(field(&sim), "detector radius");
 
         let mut sim = quick_sim();
         sim.source = Source::Gaussian { radius: -2.0 };
-        assert!(matches!(sim.validate(), Err(ConfigError::Component { what: "source", .. })));
+        assert_eq!(field(&sim), "source radius");
 
         let mut sim = quick_sim();
         sim.options.max_interactions = 0;
-        assert_eq!(sim.validate(), Err(ConfigError::ZeroInteractionCap));
+        assert_eq!(sim.validate(), Err(ConfigError::ZeroCount("max_interactions")));
 
         let mut sim = quick_sim();
         sim.options.path_histogram = Some((-3.0, 10));
-        assert_eq!(sim.validate(), Err(ConfigError::BadHistogram { max_mm: -3.0, bins: 10 }));
+        assert_eq!(field(&sim), "path_histogram max_mm");
 
         let mut sim = quick_sim();
         sim.options.absorption_rz = Some((RadialSpec { nr: 4, r_max: 5.0 }, 0, 10.0));
-        assert_eq!(sim.validate(), Err(ConfigError::BadDepthBinning { nz: 0, z_max: 10.0 }));
+        assert_eq!(sim.validate(), Err(ConfigError::ZeroCount("absorption_rz depth bins")));
+        sim.options.absorption_rz = Some((RadialSpec { nr: 4, r_max: 5.0 }, 4, f64::INFINITY));
+        assert_eq!(field(&sim), "absorption_rz z_max");
 
         // Each radial binning names itself, so a config with both can
         // tell which one to fix.
@@ -615,17 +600,25 @@ mod tests {
         sim.options.reflectance_profile = Some(RadialSpec { nr: 4, r_max: 5.0 });
         sim.options.absorption_rz = Some((bad, 4, 10.0));
         let err = sim.validate().unwrap_err();
-        assert_eq!(err, ConfigError::BadRadialBinning { what: "absorption_rz", nr: 0, r_max: 5.0 });
+        assert_eq!(err, ConfigError::ZeroCount("absorption_rz radial bins"));
         assert!(err.to_string().starts_with("absorption_rz "));
         sim.options.reflectance_profile = Some(bad);
-        assert!(matches!(
-            sim.validate(),
-            Err(ConfigError::BadRadialBinning { what: "reflectance profile", .. })
-        ));
+        assert_eq!(sim.validate(), Err(ConfigError::ZeroCount("reflectance_profile radial bins")));
+        sim.options.reflectance_profile = Some(RadialSpec { nr: 4, r_max: f64::NAN });
+        assert_eq!(field(&sim), "reflectance_profile r_max");
+
+        // Counts are held to the tally cell cap before any storage exists.
+        let mut sim = quick_sim();
+        sim.options.path_histogram = Some((100.0, usize::MAX));
+        assert_eq!(sim.validate(), Err(ConfigError::TooManyCells("path_histogram bins")));
+        sim.options.path_histogram = None;
+        sim.options.path_grid =
+            Some(GridSpec::cubic(1 << 23, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0)));
+        assert_eq!(sim.validate(), Err(ConfigError::TooManyCells("grid voxels")));
 
         let mut sim = quick_sim();
         sim.options.path_grid = Some(GridSpec::cubic(0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0)));
-        assert_eq!(sim.validate(), Err(ConfigError::EmptyGrid));
+        assert_eq!(sim.validate(), Err(ConfigError::ZeroCount("grid voxels")));
 
         // Geometry failures surface as `Geometry`, and the whole family
         // converts into the engine's InvalidConfig with the message intact.
@@ -636,7 +629,7 @@ mod tests {
         );
         let sim = Simulation::new(tissue, Source::Delta, Detector::new(1.0, 0.5));
         let err = sim.validate().unwrap_err();
-        assert!(matches!(err, ConfigError::Geometry(GeometryError::BadOptics { .. })));
+        assert!(matches!(err, ConfigError::Geometry(GeometryError::BadLayer { .. })));
         let engine_err: crate::engine::EngineError = err.into();
         assert!(engine_err.to_string().contains("semi-infinite"));
     }

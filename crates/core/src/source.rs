@@ -15,7 +15,7 @@
 //! interface; the reflected fraction `R_sp = ((n₀−n₁)/(n₀+n₁))²` is removed
 //! from the packet weight and reported to the tally, matching MCML.
 
-use lumen_photon::{fresnel_reflectance, Fate, Photon, Vec3};
+use lumen_photon::{check, fresnel_reflectance, Fate, FieldError, Photon, Rule, Vec3};
 use lumen_tissue::TissueGeometry;
 use mcrng::{gaussian_pair, uniform_disc, McRng};
 
@@ -32,15 +32,11 @@ pub enum Source {
 
 impl Source {
     /// Validate footprint parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), FieldError> {
         match *self {
             Source::Delta => Ok(()),
             Source::Gaussian { radius } | Source::Uniform { radius } => {
-                if radius > 0.0 && radius.is_finite() {
-                    Ok(())
-                } else {
-                    Err(format!("source radius must be finite and positive, got {radius}"))
-                }
+                check("source radius", radius, Rule::Positive)
             }
         }
     }

@@ -12,7 +12,23 @@
 
 use crate::error::ConfigError;
 use crate::radial::{CylinderGrid, RadialProfile, RadialSpec};
-use lumen_photon::{Fate, Vec3};
+use lumen_photon::{check, Fate, Rule, Vec3};
+
+/// Most cells one tally binning may hold (grid voxels, histogram bins,
+/// radial or r×z bins): 2²⁴, 128 MiB of `f64` and ~134× the paper's 50³
+/// granularity. A config line or a few wire bytes name a binning, so the
+/// cap is what keeps one from sizing an allocation that aborts the process.
+pub const MAX_TALLY_CELLS: usize = 1 << 24;
+
+/// A binning's cell count (`None` when its product overflowed) held to
+/// `1..=`[`MAX_TALLY_CELLS`]; `what` names it in the error.
+pub(crate) fn check_cells(what: &'static str, cells: Option<usize>) -> Result<usize, ConfigError> {
+    match cells {
+        Some(0) => Err(ConfigError::ZeroCount(what)),
+        Some(n) if n <= MAX_TALLY_CELLS => Ok(n),
+        _ => Err(ConfigError::TooManyCells(what)),
+    }
+}
 
 /// Voxelisation of the volume of interest.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,11 +50,9 @@ impl GridSpec {
         Self { nx: n, ny: n, nz: n, min, max }
     }
 
-    /// Validate extents.
+    /// Validate the voxel count and extents.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.nx == 0 || self.ny == 0 || self.nz == 0 {
-            return Err(ConfigError::EmptyGrid);
-        }
+        check_cells("grid voxels", self.checked_len())?;
         if !(self.min.x < self.max.x && self.min.y < self.max.y && self.min.z < self.max.z) {
             return Err(ConfigError::DegenerateGrid { min: self.min, max: self.max });
         }
@@ -346,10 +360,8 @@ impl VisitGrid {
     /// error, never a panic.
     pub fn from_cells(spec: GridSpec, cells: Cells) -> Result<Self, ConfigError> {
         spec.validate()?;
-        let expected = spec.checked_len();
-        if expected != Some(cells.len()) {
-            let expected = expected.unwrap_or(usize::MAX);
-            return Err(ConfigError::CellCount { expected, got: cells.len() });
+        if cells.len() != spec.len() {
+            return Err(ConfigError::CellCount { expected: spec.len(), got: cells.len() });
         }
         let vs = spec.voxel_size();
         Ok(Self {
@@ -438,19 +450,22 @@ pub struct PathHistogram {
 impl PathHistogram {
     /// Empty histogram with `bins` uniform bins over `[0, max_mm)`.
     pub fn new(max_mm: f64, bins: usize) -> Self {
-        assert!(max_mm > 0.0 && bins > 0, "invalid path histogram spec");
-        Self { max_mm, counts: vec![0; bins], overflow: 0 }
+        Self::from_counts(max_mm, vec![0; bins], 0).expect("invalid path histogram spec")
     }
 
     /// A histogram over `[0, max_mm)` that takes `counts` (one per bin) as
-    /// its storage — how a decoder rebuilds one. A non-positive or NaN
-    /// range or an empty vector is an error, never a panic.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also rejects NaN
+    /// its storage — how a decoder rebuilds one. A range that is not finite
+    /// and positive, or no bins, is an error, never a panic.
     pub fn from_counts(max_mm: f64, counts: Vec<u64>, overflow: u64) -> Result<Self, ConfigError> {
-        if !(max_mm > 0.0) || counts.is_empty() {
-            return Err(ConfigError::BadHistogram { max_mm, bins: counts.len() });
-        }
+        Self::check_binning(max_mm, counts.len())?;
         Ok(Self { max_mm, counts, overflow })
+    }
+
+    /// The binning rule: a finite positive range and one bin up to the
+    /// tally cell cap.
+    pub(crate) fn check_binning(max_mm: f64, bins: usize) -> Result<(), ConfigError> {
+        check_cells("path_histogram bins", Some(bins))?;
+        Ok(check("path_histogram max_mm", max_mm, Rule::Positive)?)
     }
 
     /// Record one detected pathlength.
@@ -772,7 +787,7 @@ mod tests {
     fn grid_spec_validation() {
         assert!(spec().validate().is_ok());
         let bad = GridSpec::cubic(0, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
-        assert_eq!(bad.validate(), Err(ConfigError::EmptyGrid));
+        assert_eq!(bad.validate(), Err(ConfigError::ZeroCount("grid voxels")));
         let degenerate = GridSpec::cubic(10, Vec3::ZERO, Vec3::ZERO);
         assert_eq!(
             degenerate.validate(),
@@ -812,12 +827,18 @@ mod tests {
             Err(ConfigError::CellCount { expected: 1000, got: 999 })
         );
         let empty = GridSpec { nx: 0, ..spec() };
-        assert_eq!(VisitGrid::from_cells(empty, Cells::new(0)), Err(ConfigError::EmptyGrid));
+        assert_eq!(
+            VisitGrid::from_cells(empty, Cells::new(0)),
+            Err(ConfigError::ZeroCount("grid voxels"))
+        );
         let huge = GridSpec { nx: usize::MAX, ny: 2, ..spec() };
-        assert!(matches!(
+        assert_eq!(
             VisitGrid::from_cells(huge, Cells::new(0)),
-            Err(ConfigError::CellCount { got: 0, .. })
-        ));
+            Err(ConfigError::TooManyCells("grid voxels"))
+        );
+        let over = GridSpec { nx: 1 << 12, ny: 1 << 12, nz: 2, ..spec() };
+        assert_eq!(over.validate(), Err(ConfigError::TooManyCells("grid voxels")));
+        assert!(GridSpec { nz: 1, ..over }.validate().is_ok());
     }
 
     #[test]
@@ -826,16 +847,21 @@ mod tests {
         recorded.record(30.0);
         recorded.record(250.0);
         assert_eq!(PathHistogram::from_counts(100.0, vec![0, 1, 0, 0], 1), Ok(recorded));
-        for max_mm in [0.0, -1.0, f64::NAN] {
+        for max_mm in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
                 PathHistogram::from_counts(max_mm, vec![0; 4], 0),
-                Err(ConfigError::BadHistogram { bins: 4, .. })
+                Err(ConfigError::Field(_))
             ));
         }
         assert_eq!(
             PathHistogram::from_counts(100.0, Vec::new(), 0),
-            Err(ConfigError::BadHistogram { max_mm: 100.0, bins: 0 })
+            Err(ConfigError::ZeroCount("path_histogram bins"))
         );
+        assert_eq!(
+            PathHistogram::check_binning(100.0, usize::MAX),
+            Err(ConfigError::TooManyCells("path_histogram bins"))
+        );
+        assert!(PathHistogram::check_binning(100.0, MAX_TALLY_CELLS).is_ok());
     }
 
     #[test]

@@ -287,7 +287,8 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
                 Source::Gaussian { radius: 1.5 },
                 Detector::ring(20.0, 2.0)
                     .with_gate(GateWindow::new(10.0, 400.0).unwrap())
-                    .with_numerical_aperture(0.5, 1.0),
+                    .with_numerical_aperture(0.5, 1.0)
+                    .unwrap(),
             )
             .with_options(gated)
             .with_photons(2_000)

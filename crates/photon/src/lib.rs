@@ -15,6 +15,8 @@
 //! * **roulette** — unbiased termination of low-weight photons
 //!   ([`roulette()`](fn@roulette)).
 //!
+//! [`rule`] holds the single-field validity rules every validator shares.
+//!
 //! Everything here is geometry-free except for the planar-boundary helpers;
 //! the layered-medium bookkeeping lives in `lumen-tissue`, and the
 //! simulation loop — including the step-versus-boundary decision and the
@@ -25,6 +27,7 @@ pub mod fresnel;
 pub mod optics;
 pub mod photon;
 pub mod roulette;
+pub mod rule;
 pub mod spin;
 pub mod step;
 pub mod vec3;
@@ -35,6 +38,7 @@ pub use fresnel::{
 pub use optics::{DerivedOptics, OpticalProperties};
 pub use photon::{Fate, Photon};
 pub use roulette::{roulette, RouletteConfig};
+pub use rule::{check, FieldError, Rule};
 pub use spin::spin;
 pub use step::sample_step_mfps;
 pub use vec3::{Axis, Vec3};

@@ -6,6 +6,8 @@
 //! recovers `μs` for a chosen anisotropy `g`, which is how the presets in
 //! `lumen-tissue` encode Table 1.
 
+use crate::rule::{check, FieldError, Rule};
+
 /// Absorption/scattering description of one homogeneous medium.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpticalProperties {
@@ -42,20 +44,11 @@ impl OpticalProperties {
     }
 
     /// Check physical plausibility.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.mu_a >= 0.0 && self.mu_a.is_finite()) {
-            return Err(format!("mu_a must be finite and >= 0, got {}", self.mu_a));
-        }
-        if !(self.mu_s >= 0.0 && self.mu_s.is_finite()) {
-            return Err(format!("mu_s must be finite and >= 0, got {}", self.mu_s));
-        }
-        if !(-1.0..=1.0).contains(&self.g) {
-            return Err(format!("g must lie in [-1, 1], got {}", self.g));
-        }
-        if !(self.n >= 1.0 && self.n.is_finite()) {
-            return Err(format!("n must be finite and >= 1, got {}", self.n));
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), FieldError> {
+        check("mu_a", self.mu_a, Rule::NonNegative)?;
+        check("mu_s", self.mu_s, Rule::NonNegative)?;
+        check("g", self.g, Rule::Anisotropy)?;
+        check("n", self.n, Rule::Index)
     }
 
     /// Total interaction coefficient μt = μa + μs (mm⁻¹).

@@ -7,6 +7,7 @@
 //! survival chance `p`; survivors are re-weighted by `1/p` so the expected
 //! weight is conserved exactly.
 
+use crate::rule::{check, FieldError, Rule};
 use mcrng::McRng;
 
 /// Roulette parameters.
@@ -26,14 +27,9 @@ impl Default for RouletteConfig {
 
 impl RouletteConfig {
     /// Validate parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.threshold > 0.0 && self.threshold < 1.0) {
-            return Err(format!("roulette threshold must be in (0,1), got {}", self.threshold));
-        }
-        if !(self.survival > 0.0 && self.survival <= 1.0) {
-            return Err(format!("roulette survival must be in (0,1], got {}", self.survival));
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), FieldError> {
+        check("roulette threshold", self.threshold, Rule::OpenUnit)?;
+        check("roulette survival", self.survival, Rule::Probability)
     }
 }
 

@@ -146,9 +146,9 @@ impl TissueGeometry for LayeredTissue {
     fn validate(&self) -> Result<(), GeometryError> {
         let last = self.layers().last().expect("validated non-empty");
         if last.is_semi_infinite() && last.optics.is_transparent() {
-            return Err(GeometryError::BadOptics {
-                region: last.name.clone(),
-                reason: "the semi-infinite bottom layer cannot be transparent".into(),
+            return Err(GeometryError::BadLayer {
+                layer: last.name.clone(),
+                problem: "is semi-infinite and cannot be transparent",
             });
         }
         Ok(())
@@ -386,6 +386,6 @@ mod tests {
     #[test]
     fn transparent_semi_infinite_bottom_fails_transport_validation() {
         let t = LayeredTissue::homogeneous("void", OpticalProperties::transparent(1.0), 1.0);
-        assert!(matches!(TissueGeometry::validate(&t), Err(GeometryError::BadOptics { .. })));
+        assert!(matches!(TissueGeometry::validate(&t), Err(GeometryError::BadLayer { .. })));
     }
 }

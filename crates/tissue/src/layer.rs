@@ -1,6 +1,7 @@
 //! A single horizontal tissue slab.
 
-use lumen_photon::OpticalProperties;
+use crate::error::GeometryError;
+use lumen_photon::{check, OpticalProperties, Rule};
 
 /// One homogeneous slab of the layered medium.
 ///
@@ -21,16 +22,31 @@ pub struct Layer {
 
 impl Layer {
     /// Construct a layer; `thickness` may be `f64::INFINITY` for the final
-    /// semi-infinite slab.
+    /// semi-infinite slab. Nothing is checked until the layer joins a
+    /// stack ([`LayeredTissue::new`](crate::LayeredTissue::new)).
     pub fn new(
         name: impl Into<String>,
         z_top: f64,
         thickness: f64,
         optics: OpticalProperties,
     ) -> Self {
-        assert!(z_top >= 0.0 && z_top.is_finite(), "layer top must be finite, >= 0");
-        assert!(thickness > 0.0, "layer thickness must be positive");
         Self { name: name.into(), z_top, z_bottom: z_top + thickness, optics }
+    }
+
+    /// The layer's own rule: a finite top at depth >= 0, a bottom below it
+    /// (infinite for a semi-infinite slab), and valid optics. The stack
+    /// rules that relate neighbours belong to
+    /// [`LayeredTissue::new`](crate::LayeredTissue::new).
+    pub fn validate(&self) -> Result<(), GeometryError> {
+        let region = |error| GeometryError::Region { region: self.name.clone(), error };
+        check("z_top", self.z_top, Rule::NonNegative).map_err(region)?;
+        if self.z_bottom <= self.z_top || self.z_bottom.is_nan() {
+            return Err(GeometryError::BadLayer {
+                layer: self.name.clone(),
+                problem: "must end below its top",
+            });
+        }
+        self.optics.validate().map_err(region)
     }
 
     /// Slab thickness in mm (infinite for the terminal layer).
@@ -92,8 +108,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "thickness must be positive")]
-    fn zero_thickness_rejected() {
-        let _ = Layer::new("bad", 0.0, 0.0, optics());
+    fn empty_or_inverted_extents_are_refused_by_the_stack() {
+        use crate::LayeredTissue;
+        for (z_top, thickness) in [(0.0, 0.0), (0.0, -5.0), (0.0, f64::NAN), (f64::NAN, 1.0)] {
+            let layer = Layer::new("bad", z_top, thickness, optics());
+            assert!(layer.validate().is_err(), "[{z_top}, +{thickness})");
+            assert!(
+                matches!(
+                    LayeredTissue::new(vec![layer], 1.0),
+                    Err(GeometryError::BadLayer { .. } | GeometryError::Region { .. })
+                ),
+                "[{z_top}, +{thickness})"
+            );
+        }
+        let thin = LayeredTissue::new(vec![Layer::new("bad", 0.0, 0.0, optics())], 1.0);
+        assert_eq!(
+            thin,
+            Err(GeometryError::BadLayer { layer: "bad".into(), problem: "must end below its top" })
+        );
     }
 }

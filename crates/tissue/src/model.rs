@@ -2,7 +2,7 @@
 
 use crate::error::GeometryError;
 use crate::layer::Layer;
-use lumen_photon::{Axis, DerivedOptics, OpticalProperties, Vec3};
+use lumen_photon::{check, Axis, DerivedOptics, OpticalProperties, Rule, Vec3};
 
 /// Which boundary a travelling photon will meet first inside its region.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,40 +34,28 @@ pub struct LayeredTissue {
 }
 
 impl LayeredTissue {
-    /// Build a validated stack. Layers must be contiguous from z = 0
-    /// downward, non-empty, and only the last may be semi-infinite.
+    /// Build a validated stack. Every layer passes [`Layer::validate`], and
+    /// the layers must be contiguous from z = 0 downward, non-empty, and
+    /// only the last may be semi-infinite.
     pub fn new(layers: Vec<Layer>, ambient_n: f64) -> Result<Self, GeometryError> {
         if layers.is_empty() {
             return Err(GeometryError::Empty("layer"));
         }
-        if !(ambient_n >= 1.0 && ambient_n.is_finite()) {
-            return Err(GeometryError::BadAmbientIndex(ambient_n));
-        }
-        if layers[0].z_top != 0.0 {
-            return Err(GeometryError::BadLayerStack(format!(
-                "first layer must start at the surface z=0, starts at {}",
-                layers[0].z_top
-            )));
-        }
-        for pair in layers.windows(2) {
-            if pair[0].is_semi_infinite() {
-                return Err(GeometryError::BadLayerStack(format!(
-                    "layer '{}' is semi-infinite but not last",
-                    pair[0].name
-                )));
+        check("ambient_n", ambient_n, Rule::Index)?;
+        for (i, layer) in layers.iter().enumerate() {
+            layer.validate()?;
+            let bad = |problem| GeometryError::BadLayer { layer: layer.name.clone(), problem };
+            if i == 0 && layer.z_top != 0.0 {
+                return Err(bad("must start at the surface z = 0"));
             }
-            if (pair[0].z_bottom - pair[1].z_top).abs() > 1e-9 {
-                return Err(GeometryError::BadLayerStack(format!(
-                    "gap between layer '{}' (ends {}) and '{}' (starts {})",
-                    pair[0].name, pair[0].z_bottom, pair[1].name, pair[1].z_top
-                )));
+            if let Some(next) = layers.get(i + 1) {
+                if layer.is_semi_infinite() {
+                    return Err(bad("is semi-infinite but not last"));
+                }
+                if (layer.z_bottom - next.z_top).abs() > 1e-9 {
+                    return Err(bad("does not end where the next layer starts"));
+                }
             }
-        }
-        for layer in &layers {
-            layer
-                .optics
-                .validate()
-                .map_err(|e| GeometryError::BadOptics { region: layer.name.clone(), reason: e })?;
         }
         let derived = layers.iter().map(|l| l.optics.derive()).collect();
         Ok(Self { layers, ambient_n, derived })

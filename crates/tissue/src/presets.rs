@@ -19,7 +19,7 @@
 use crate::error::GeometryError;
 use crate::model::LayeredTissue;
 use crate::voxel::{VoxelMaterial, VoxelTissue};
-use lumen_photon::{OpticalProperties, Vec3};
+use lumen_photon::{check, OpticalProperties, Rule, Vec3};
 
 /// Standard tissue refractive index in the NIR.
 pub const TISSUE_N: f64 = 1.4;
@@ -152,17 +152,11 @@ pub fn voxelized(
     half_width_mm: f64,
     depth_mm: f64,
 ) -> Result<VoxelTissue, GeometryError> {
-    if !(dx > 0.0 && half_width_mm > 0.0 && depth_mm > 0.0) {
-        return Err(GeometryError::BadGrid(format!(
-            "voxelized() needs positive pitch/extent, got dx={dx}, \
-             half_width={half_width_mm}, depth={depth_mm}"
-        )));
-    }
+    check("voxelized dx", dx, Rule::Positive)?;
+    check("voxelized half_width", half_width_mm, Rule::Positive)?;
+    check("voxelized depth", depth_mm, Rule::Positive)?;
     if depth_mm > tissue.total_depth() {
-        return Err(GeometryError::BadGrid(format!(
-            "depth {depth_mm} mm exceeds the {} mm layered stack",
-            tissue.total_depth()
-        )));
+        return Err(GeometryError::BadGrid("the voxelized depth exceeds the layered stack"));
     }
     let n_lateral = (2.0 * half_width_mm / dx).ceil() as usize;
     let nz = (depth_mm / dx).ceil() as usize;

@@ -24,7 +24,7 @@
 use crate::error::GeometryError;
 use crate::geometry::TissueGeometry;
 use crate::model::BoundaryHit;
-use lumen_photon::{Axis, DerivedOptics, OpticalProperties, Vec3};
+use lumen_photon::{check, Axis, DerivedOptics, OpticalProperties, Rule, Vec3};
 
 /// One palette entry: a named homogeneous material.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,47 +109,30 @@ impl VoxelTissue {
         if nx == 0 || ny == 0 || nz == 0 {
             return Err(GeometryError::Empty("voxel per axis"));
         }
-        let n_cells = checked_cell_count(nx, ny, nz).ok_or_else(|| {
-            GeometryError::BadGrid(format!("{nx}x{ny}x{nz} voxels exceed the {MAX_CELLS}-cell cap"))
-        })?;
-        for (name, d) in [("dx", dx), ("dy", dy), ("dz", dz)] {
-            if !(d > 0.0 && d.is_finite()) {
-                return Err(GeometryError::BadGrid(format!(
-                    "voxel size {name} must be finite and positive, got {d}"
-                )));
-            }
+        let n_cells = checked_cell_count(nx, ny, nz)
+            .ok_or(GeometryError::BadGrid("the voxel count exceeds the cell cap"))?;
+        for (field, d) in [("voxel dx", dx), ("voxel dy", dy), ("voxel dz", dz)] {
+            check(field, d, Rule::Positive)?;
         }
-        if !(x0.is_finite() && y0.is_finite()) {
-            return Err(GeometryError::BadGrid(format!("origin ({x0}, {y0}) must be finite")));
-        }
-        if !(ambient_n >= 1.0 && ambient_n.is_finite()) {
-            return Err(GeometryError::BadAmbientIndex(ambient_n));
-        }
+        check("origin x0", x0, Rule::Finite)?;
+        check("origin y0", y0, Rule::Finite)?;
+        check("ambient_n", ambient_n, Rule::Index)?;
         if materials.is_empty() {
             return Err(GeometryError::Empty("material"));
         }
         if materials.len() > usize::from(u16::MAX) + 1 {
-            return Err(GeometryError::BadGrid(format!(
-                "palette of {} materials exceeds the u16 index space",
-                materials.len()
-            )));
+            return Err(GeometryError::BadGrid("the palette exceeds the u16 index space"));
         }
         for m in &materials {
             m.optics
                 .validate()
-                .map_err(|e| GeometryError::BadOptics { region: m.name.clone(), reason: e })?;
+                .map_err(|error| GeometryError::Region { region: m.name.clone(), error })?;
         }
         if cells.len() != n_cells {
-            return Err(GeometryError::BadGrid(format!(
-                "{} cells provided for a {nx}x{ny}x{nz} grid ({n_cells} expected)",
-                cells.len()
-            )));
+            return Err(GeometryError::BadGrid("the cell count does not match the dimensions"));
         }
-        if let Some(bad) = cells.iter().find(|&&c| usize::from(c) >= materials.len()) {
-            return Err(GeometryError::BadGrid(format!(
-                "cell refers to material {bad} but the palette has {} entries",
-                materials.len()
-            )));
+        if cells.iter().any(|&c| usize::from(c) >= materials.len()) {
+            return Err(GeometryError::BadGrid("a cell refers to a material outside the palette"));
         }
         let derived = materials.iter().map(|m| m.optics.derive()).collect();
         let inv_d = (1.0 / dx, 1.0 / dy, 1.0 / dz);
@@ -183,7 +166,7 @@ impl VoxelTissue {
     ) -> Result<Self, GeometryError> {
         let (nx, ny, nz) = dims;
         let n_cells = checked_cell_count(nx, ny, nz)
-            .ok_or_else(|| GeometryError::BadGrid("grid exceeds the cell cap".into()))?;
+            .ok_or(GeometryError::BadGrid("the voxel count exceeds the cell cap"))?;
         let (x0, y0) = origin;
         let (dx, dy, dz) = voxel_mm;
         let mut cells = Vec::with_capacity(n_cells);
@@ -786,12 +769,6 @@ impl VoxelTissue {
         if !in_cells {
             return Err(err(0, "missing `cells` block"));
         }
-        if cells.len() != expected_cells {
-            return Err(err(
-                0,
-                format!("cells block has {} entries, expected {expected_cells}", cells.len()),
-            ));
-        }
         Self::new(dims, origin, size, materials, cells, ambient)
     }
 }
@@ -799,6 +776,7 @@ impl VoxelTissue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumen_photon::FieldError;
 
     fn two_mat() -> Vec<VoxelMaterial> {
         vec![
@@ -844,7 +822,7 @@ mod tests {
         assert!(matches!(mk((1, 1, 1), vec![7]), Err(GeometryError::BadGrid(_))));
         assert!(matches!(
             VoxelTissue::new((1, 1, 1), (0.0, 0.0), (0.0, 1.0, 1.0), two_mat(), vec![0], 1.0),
-            Err(GeometryError::BadGrid(_))
+            Err(GeometryError::Field(FieldError { field: "voxel dx", .. }))
         ));
         assert!(matches!(
             VoxelTissue::new((1, 1, 1), (0.0, 0.0), (1.0, 1.0, 1.0), vec![], vec![0], 1.0),
@@ -852,7 +830,7 @@ mod tests {
         ));
         assert!(matches!(
             VoxelTissue::new((1, 1, 1), (0.0, 0.0), (1.0, 1.0, 1.0), two_mat(), vec![0], 0.5),
-            Err(GeometryError::BadAmbientIndex(_))
+            Err(GeometryError::Field(_))
         ));
         // Oversized grids fail fast without allocating.
         assert!(matches!(

@@ -224,7 +224,7 @@ fn absorption_rz_matches_layer_totals() {
 #[test]
 fn numerical_aperture_reduces_detections() {
     let open_det = Detector::new(3.0, 1.0);
-    let narrow_det = Detector::new(3.0, 1.0).with_numerical_aperture(0.3, 1.0);
+    let narrow_det = Detector::new(3.0, 1.0).with_numerical_aperture(0.3, 1.0).unwrap();
     let tissue = homogeneous_white_matter();
     let a = run(&Simulation::new(tissue.clone(), Source::Delta, open_det), 200_000, 30);
     let b = run(&Simulation::new(tissue, Source::Delta, narrow_det), 200_000, 30);
