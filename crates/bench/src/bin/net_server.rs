@@ -36,22 +36,20 @@ fn main() {
     let min_clients: usize = arg(5, "2").parse().expect("min_clients");
     let lease_timeout_s: f64 = arg(6, "600").parse().expect("lease_timeout_s");
     let join_grace_s: f64 = arg(7, "600").parse().expect("join_grace_s");
-    // Same range from_spec enforces; Duration::from_secs_f64 would panic
-    // on a negative/NaN/huge value instead of erroring.
-    for (name, v) in [("lease_timeout_s", lease_timeout_s), ("join_grace_s", join_grace_s)] {
-        if !(v > 0.0 && v <= 1e9) {
-            eprintln!("{name} must be in (0, 10^9] seconds, got {v}");
-            std::process::exit(2);
-        }
+    // Out of `Duration`'s range is out of `ServeOptions::validate`'s too.
+    let seconds = |v: f64| Duration::try_from_secs_f64(v).unwrap_or(Duration::MAX);
+    let options = ServeOptions::default()
+        .with_min_clients(min_clients)
+        .with_lease_timeout(seconds(lease_timeout_s))
+        .with_join_grace(seconds(join_grace_s));
+    if let Err(e) = options.validate() {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 
     let sim =
         scenario_by_name(&scenario).unwrap_or_else(|| panic!("unknown scenario '{scenario}'"));
     let listener = TcpListener::bind(&addr).expect("bind server address");
-    let options = ServeOptions::default()
-        .with_min_clients(min_clients)
-        .with_lease_timeout(Duration::from_secs_f64(lease_timeout_s))
-        .with_join_grace(Duration::from_secs_f64(join_grace_s));
     println!(
         "lumen DataManager on {addr}: scenario={scenario}, photons={photons}, tasks={tasks}; \
          starting at {min_clients} client(s), lease timeout {lease_timeout_s}s, \

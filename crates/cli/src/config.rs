@@ -102,6 +102,17 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Parse every token as a number. A token that does not parse is a
+/// `BadValue` naming `key`, never an argument silently dropped.
+fn numbers<'a>(
+    key: &str,
+    spec: &str,
+    expected: &'static str,
+    tokens: impl Iterator<Item = &'a str>,
+) -> Result<Vec<f64>, ConfigError> {
+    tokens.map(|t| t.parse().map_err(|_| ConfigError::bad(key, spec, expected))).collect()
+}
+
 impl ConfigError {
     fn bad(key: &str, value: impl Into<String>, expected: &'static str) -> Self {
         ConfigError::BadValue { key: key.into(), value: value.into(), expected }
@@ -266,13 +277,10 @@ impl Config {
                 Ok(Geometry::Voxel(grid))
             }
             "voxelized" => {
-                let nums: Vec<f64> = parts.filter_map(|p| p.parse().ok()).collect();
+                let expected = "`voxelized <dx> <half_width_mm> <depth_mm>`";
+                let nums = numbers("geometry", spec, expected, parts)?;
                 let [dx, half_width, depth] = nums.as_slice() else {
-                    return Err(ConfigError::bad(
-                        "geometry",
-                        spec,
-                        "`voxelized <dx> <half_width_mm> <depth_mm>`",
-                    ));
+                    return Err(ConfigError::bad("geometry", spec, expected));
                 };
                 let grid = voxelized(&self.tissue()?, *dx, *half_width, *depth)
                     .map_err(ConfigError::invalid)?;
@@ -295,16 +303,12 @@ impl Config {
             "neonatal_head" => Ok(neonatal_head()),
             "white_matter" => Ok(homogeneous_white_matter()),
             "phantom" => {
-                let nums: Vec<f64> = parts.filter_map(|p| p.parse().ok()).collect();
-                if nums.len() != 4 {
-                    return Err(ConfigError::bad(
-                        "tissue",
-                        spec,
-                        "`phantom <mu_a> <mu_s> <g> <n>`",
-                    ));
-                }
-                let optics =
-                    OpticalProperties { mu_a: nums[0], mu_s: nums[1], g: nums[2], n: nums[3] };
+                let expected = "`phantom <mu_a> <mu_s> <g> <n>`";
+                let &[mu_a, mu_s, g, n] = numbers("tissue", spec, expected, parts)?.as_slice()
+                else {
+                    return Err(ConfigError::bad("tissue", spec, expected));
+                };
+                let optics = OpticalProperties { mu_a, mu_s, g, n };
                 optics.validate().map_err(ConfigError::invalid)?;
                 Ok(semi_infinite_phantom(optics.mu_a, optics.mu_s, optics.g, optics.n))
             }
@@ -320,16 +324,12 @@ impl Config {
         let spec = self.get("source").unwrap_or("delta");
         let mut parts = spec.split_whitespace();
         let kind = parts.next().unwrap_or("");
-        let radius = parts.next().and_then(|p| p.parse::<f64>().ok());
-        match (kind, radius) {
-            ("delta", None) => Ok(Source::Delta),
-            ("gaussian", Some(radius)) => Ok(Source::Gaussian { radius }),
-            ("uniform", Some(radius)) => Ok(Source::Uniform { radius }),
-            _ => Err(ConfigError::bad(
-                "source",
-                spec,
-                "delta | gaussian <radius> | uniform <radius>",
-            )),
+        let expected = "delta | gaussian <radius> | uniform <radius>";
+        match (kind, numbers("source", spec, expected, parts)?.as_slice()) {
+            ("delta", []) => Ok(Source::Delta),
+            ("gaussian", &[radius]) => Ok(Source::Gaussian { radius }),
+            ("uniform", &[radius]) => Ok(Source::Uniform { radius }),
+            _ => Err(ConfigError::bad("source", spec, expected)),
         }
     }
 
@@ -337,23 +337,17 @@ impl Config {
         let spec = self.get("detector").ok_or(ConfigError::Missing("detector"))?;
         let mut parts = spec.split_whitespace();
         let kind = parts.next().unwrap_or("");
-        let nums: Vec<f64> = parts.filter_map(|p| p.parse().ok()).collect();
-        let mut det = match (kind, nums.as_slice()) {
+        let expected = "disc <separation> <radius> | ring <separation> <half_width>";
+        let mut det = match (kind, numbers("detector", spec, expected, parts)?.as_slice()) {
             ("disc", [sep, radius]) => Detector::new(*sep, *radius),
             ("ring", [sep, half]) => Detector::ring(*sep, *half),
-            _ => {
-                return Err(ConfigError::bad(
-                    "detector",
-                    spec,
-                    "disc <separation> <radius> | ring <separation> <half_width>",
-                ))
-            }
+            _ => return Err(ConfigError::bad("detector", spec, expected)),
         };
         if let Some(gate) = self.get("gate") {
-            let nums: Vec<f64> = gate.split_whitespace().filter_map(|p| p.parse().ok()).collect();
-            let window = match nums.as_slice() {
-                [lo, hi] => GateWindow::new(*lo, *hi).map_err(ConfigError::invalid)?,
-                _ => return Err(ConfigError::bad("gate", gate, "`<min_mm> <max_mm>`")),
+            let expected = "`<min_mm> <max_mm>`";
+            let window = match numbers("gate", gate, expected, gate.split_whitespace())?[..] {
+                [lo, hi] => GateWindow::new(lo, hi).map_err(ConfigError::invalid)?,
+                _ => return Err(ConfigError::bad("gate", gate, expected)),
             };
             det = det.with_gate(window);
         }
@@ -366,8 +360,8 @@ impl Config {
 
     fn path_grid(&self, detector: &Detector) -> Result<Option<GridSpec>, ConfigError> {
         let Some(spec) = self.get("path_grid") else { return Ok(None) };
-        let nums: Vec<f64> = spec.split_whitespace().filter_map(|p| p.parse().ok()).collect();
-        match nums.as_slice() {
+        let expected = "`<granularity> <depth_mm>`";
+        match numbers("path_grid", spec, expected, spec.split_whitespace())?.as_slice() {
             [granularity, depth] => {
                 let margin = detector.separation.max(1.0);
                 Ok(Some(GridSpec::cubic(
@@ -376,16 +370,16 @@ impl Config {
                     Vec3::new(detector.separation + margin, margin, *depth),
                 )))
             }
-            _ => Err(ConfigError::bad("path_grid", spec, "`<granularity> <depth_mm>`")),
+            _ => Err(ConfigError::bad("path_grid", spec, expected)),
         }
     }
 
     fn path_histogram(&self) -> Result<Option<(f64, usize)>, ConfigError> {
         let Some(spec) = self.get("path_histogram") else { return Ok(None) };
-        let nums: Vec<f64> = spec.split_whitespace().filter_map(|p| p.parse().ok()).collect();
-        match nums.as_slice() {
+        let expected = "`<max_mm> <bins>`";
+        match numbers("path_histogram", spec, expected, spec.split_whitespace())?.as_slice() {
             [max_mm, bins] => Ok(Some((*max_mm, *bins as usize))),
-            _ => Err(ConfigError::bad("path_histogram", spec, "`<max_mm> <bins>`")),
+            _ => Err(ConfigError::bad("path_histogram", spec, expected)),
         }
     }
 }

@@ -123,6 +123,32 @@ fn invalid_values_exit_1_naming_the_field() {
         assert!(err.contains(field), "{name}: {err}");
         assert!(!err.contains("cannot parse"), "{name}: {err}");
     }
+    // A token that does not parse, or one too many, is refused naming its
+    // key: never dropped so that the run goes ahead on the rest.
+    let good = [("tissue", "white_matter"), ("detector", "disc 3 1"), ("photons", "100")];
+    for (key, value) in [
+        ("detector", "disc 30 abc 2"),
+        ("tissue", "phantom 0.01 x 10 0.9 1.4"),
+        ("source", "gaussian 1 2"),
+        ("geometry", "voxelized 1 x 5 4"),
+        ("gate", "0 x 1000"),
+        ("path_grid", "20 x 30"),
+        ("path_histogram", "500 x 25"),
+    ] {
+        let text: String = good
+            .iter()
+            .filter(|(k, _)| *k != key)
+            .chain([&(key, value)])
+            .map(|(k, v)| format!("{k} = {v}\n"))
+            .collect();
+        let cfg_path = dir.join(format!("token_{key}.cfg"));
+        std::fs::write(&cfg_path, text).unwrap();
+        let out = lumen().arg("run").arg(&cfg_path).output().expect("run");
+        std::fs::remove_file(&cfg_path).ok();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{key} = {value}: {err}");
+        assert!(err.contains(&format!("key `{key}`: cannot parse `{value}`")), "{err}");
+    }
 }
 
 #[test]

@@ -193,53 +193,34 @@ impl Backend for ThreadedCluster {
 pub struct Tcp {
     /// Address to bind, e.g. `"127.0.0.1:7878"`.
     pub addr: String,
-    /// Clients to wait for before the first assignment (late joiners are
-    /// served immediately after that).
-    pub min_clients: usize,
-    /// Per-task lease deadline; a lease that misses it is revoked and
-    /// re-queued exactly like a disconnect.
-    pub lease_timeout: Duration,
-    /// How long the server tolerates an empty client pool before
-    /// abandoning the run with a typed error.
-    pub join_grace: Duration,
+    /// The serve knobs. The run's `task_offset` comes from the scenario,
+    /// so the one held here is ignored.
+    pub options: ServeOptions,
 }
 
 impl Tcp {
-    /// A server for `addr` starting at the first client, with the default
-    /// lease/grace timeouts of [`ServeOptions`].
+    /// A server for `addr` with the default [`ServeOptions`]: start at the
+    /// first client, default lease and grace timeouts.
     pub fn new(addr: impl Into<String>) -> Self {
-        let defaults = ServeOptions::default();
-        Self {
-            addr: addr.into(),
-            min_clients: defaults.min_clients,
-            lease_timeout: defaults.lease_timeout,
-            join_grace: defaults.join_grace,
-        }
+        Self { addr: addr.into(), options: ServeOptions::default() }
     }
 
     /// Builder-style minimum client count.
     pub fn with_clients(mut self, min_clients: usize) -> Self {
-        self.min_clients = min_clients;
+        self.options.min_clients = min_clients;
         self
     }
 
     /// Builder-style lease deadline.
     pub fn with_lease_timeout(mut self, lease_timeout: Duration) -> Self {
-        self.lease_timeout = lease_timeout;
+        self.options.lease_timeout = lease_timeout;
         self
     }
 
     /// Builder-style empty-pool grace period.
     pub fn with_join_grace(mut self, join_grace: Duration) -> Self {
-        self.join_grace = join_grace;
+        self.options.join_grace = join_grace;
         self
-    }
-
-    fn serve_options(&self) -> ServeOptions {
-        ServeOptions::default()
-            .with_min_clients(self.min_clients)
-            .with_lease_timeout(self.lease_timeout)
-            .with_join_grace(self.join_grace)
     }
 }
 
@@ -273,7 +254,7 @@ impl Backend for Tcp {
             &sim,
             scenario.photons,
             scenario.tasks,
-            self.serve_options().with_task_offset(scenario.task_offset),
+            self.options.with_task_offset(scenario.task_offset),
             progress,
         )
         .map_err(net_error)?;
@@ -298,7 +279,7 @@ impl Backend for Tcp {
 /// * `reweight <archive-file>` — [`lumen_core::Reweight`] over a stored
 ///   path archive ([`crate::wire::decode_archive`]): answers the scenario
 ///   by re-scoring recorded paths instead of tracing photons.
-pub fn from_spec(spec: &str) -> Result<Box<dyn Backend>, EngineError> {
+pub fn from_spec(spec: &str) -> Result<Box<dyn Backend + Send + Sync>, EngineError> {
     let mut parts = spec.split_whitespace();
     let kind = parts.next().unwrap_or("");
     let args: Vec<&str> = parts.collect();
@@ -325,22 +306,19 @@ pub fn from_spec(spec: &str) -> Result<Box<dyn Backend>, EngineError> {
             }
             Ok(Box::new(ThreadedCluster { workers, failure_plan: plan }))
         }
-        ("tcp", [addr]) => Ok(Box::new(Tcp::new(*addr))),
-        ("tcp", [addr, min_clients]) => Ok(Box::new(
-            Tcp::new(*addr).with_clients(parse::<usize>("tcp minimum client count", min_clients)?),
-        )),
-        ("tcp", [addr, min_clients, lease_secs]) => {
-            let secs = parse::<f64>("tcp lease timeout (seconds)", lease_secs)?;
-            if !(secs > 0.0 && secs <= 1e9) {
-                return Err(EngineError::InvalidConfig(format!(
-                    "tcp lease timeout must be in (0, 10^9] seconds, got `{lease_secs}`"
-                )));
+        ("tcp", [addr, rest @ ..]) if rest.len() <= 2 => {
+            let mut tcp = Tcp::new(*addr);
+            if let Some(min_clients) = rest.first() {
+                tcp.options.min_clients = parse("tcp minimum client count", min_clients)?;
             }
-            Ok(Box::new(
-                Tcp::new(*addr)
-                    .with_clients(parse::<usize>("tcp minimum client count", min_clients)?)
-                    .with_lease_timeout(Duration::from_secs_f64(secs)),
-            ))
+            if let Some(lease_secs) = rest.get(1) {
+                let secs = parse::<f64>("tcp lease timeout (seconds)", lease_secs)?;
+                // Out of `Duration`'s range is out of the rule's range too.
+                tcp.options.lease_timeout =
+                    Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX);
+            }
+            tcp.options.validate().map_err(net_error)?;
+            Ok(Box::new(tcp))
         }
         ("tcp", _) => Err(EngineError::InvalidConfig(
             "tcp backend needs `tcp <addr> [min_clients] [lease_timeout_s]`".into(),
@@ -622,9 +600,9 @@ mod tests {
         let tcp = Tcp::new("127.0.0.1:7878")
             .with_clients(3)
             .with_lease_timeout(std::time::Duration::from_secs_f64(5.5));
-        assert_eq!(tcp.min_clients, 3);
-        assert_eq!(tcp.lease_timeout, std::time::Duration::from_secs_f64(5.5));
-        assert_eq!(tcp.join_grace, crate::net::ServeOptions::default().join_grace);
+        assert_eq!(tcp.options.min_clients, 3);
+        assert_eq!(tcp.options.lease_timeout, std::time::Duration::from_secs_f64(5.5));
+        assert_eq!(tcp.options.join_grace, crate::net::ServeOptions::default().join_grace);
     }
 
     #[test]

@@ -21,16 +21,19 @@
 //! Since the transport-core rework the server is a single
 //! [`lumen_net::EventLoop`] readiness loop rather than a
 //! thread-per-connection pool: one thread owns every socket *and* the
-//! lease table, each connection advances an explicit state machine
-//! (handshaking → pooled → leased, with a run-level draining mode), and
-//! the pool scales to hundreds of multiplexed clients with no lock
+//! lease table, each joined connection advances an explicit state
+//! machine (pooled → leased, with a run-level draining mode), and the
+//! pool scales to hundreds of multiplexed clients with no lock
 //! contention. Clients ([`run_client`]) remain plain blocking loops.
 //!
 //! Framing: every message is a 4-byte little-endian length followed by a
 //! kind byte and a [`crate::wire`]-encoded payload. A connection opens
 //! with a [`KIND_HELLO`] exchange carrying the wire-format version
 //! ([`wire::VERSION`]); mismatched peers are rejected with
-//! [`NetError::VersionMismatch`]. Unknown kinds, malformed payloads and
+//! [`NetError::VersionMismatch`]. That gate, the [`KIND_PING`] echo and
+//! the cut of a peer stalled mid-frame for [`ServeOptions::join_grace`]
+//! are the greeted [`lumen_net::EventLoop`]'s; this module owns the work
+//! frames. A stalled client, unknown kinds, malformed payloads and
 //! tallies shaped for a different scenario than the server's terminate
 //! that client's connection; the DataManager re-queues whatever
 //! task the lost client held, exactly as the paper's platform survives
@@ -44,34 +47,21 @@ use lumen_core::{Simulation, SimulationResult};
 use lumen_net::{EventLoop, Flow, Handler, Ops, Token};
 use mcrng::StreamFactory;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{IoSliceMut, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+
+pub use lumen_net::frame::{KIND_HELLO, KIND_PING};
 
 /// Client → server: "I am idle; give me work."
 pub const KIND_REQUEST: u8 = 0x01;
 /// Client → server: a completed task's tally (the task is the client's
 /// current lease — the server is authoritative about which one that is).
 pub const KIND_COMPLETE: u8 = 0x02;
-/// Either direction: protocol handshake. Payload is one byte, the
-/// sender's [`wire::VERSION`]. A client opens with this; the server
-/// always answers with its own version so a mismatched peer can
-/// diagnose itself before the connection closes.
-pub const KIND_HELLO: u8 = 0x03;
-/// Either direction: liveness probe. The peer echoes the payload back
-/// with the same kind. Pings prove the *transport* is alive; they do
-/// **not** count as activity for the server's idle-zombie cut — a
-/// connection that pings but never requests work is still reaped after
-/// a lease period ([`ServeOptions::lease_timeout`]).
-pub const KIND_PING: u8 = 0x04;
 /// Server → client: a task assignment.
 pub const KIND_ASSIGN: u8 = 0x81;
 /// Server → client: no more work; terminate the worker loop.
 pub const KIND_SHUTDOWN: u8 = 0x82;
-
-/// Largest accepted frame — shared with the transport core so the
-/// blocking helpers and the poll loop can never disagree on the cap.
-const MAX_FRAME: u32 = lumen_net::frame::MAX_FRAME;
 
 /// After every task completes, how long the server waits for still-open
 /// clients to request (and be sent) their clean `KIND_SHUTDOWN` before
@@ -166,19 +156,29 @@ pub fn write_frame_to<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(
     Ok(())
 }
 
-/// Read one framed message: `(kind, payload)`.
+/// Read one framed message: `(kind, payload)`. The header is checked by
+/// the transport core's [`lumen_net::frame::frame_len`], the rule its
+/// poll loop decodes by.
 pub fn read_frame(stream: &mut TcpStream) -> Result<(u8, Vec<u8>), NetError> {
-    let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len == 0 || len > MAX_FRAME {
-        return Err(NetError::BadFrame(len));
+    let mut header = [0u8; 4];
+    stream.read_exact(&mut header)?;
+    let len = lumen_net::frame::frame_len(header)
+        .map_err(|_| NetError::BadFrame(u32::from_le_bytes(header)))?;
+    // One vectored read takes the kind byte and the payload apart
+    // whenever the frame is already buffered.
+    let mut kind = [0u8; 1];
+    let mut payload = vec![0u8; len - 1];
+    let mut slices = [IoSliceMut::new(&mut kind), IoSliceMut::new(&mut payload)];
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match stream.read_vectored(bufs) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+            Ok(n) => IoSliceMut::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    // Shift the kind byte out in place: no second buffer for the payload.
-    let kind = payload.remove(0);
-    Ok((kind, payload))
+    Ok((kind[0], payload))
 }
 
 /// Client-side half of the HELLO handshake: announce our
@@ -231,7 +231,9 @@ pub struct ServeOptions {
     /// How long the server tolerates having **zero** connected clients
     /// (at startup, or after the whole pool vanished mid-run) before
     /// abandoning the run with [`NetError::Incomplete`]. Also bounds the
-    /// wait for `min_clients` and a new connection's HELLO.
+    /// wait for `min_clients`, for a new connection's HELLO, and for a
+    /// frame to finish arriving once it has started: a client stalled
+    /// mid-frame this long is cut and its lease requeued.
     pub join_grace: Duration,
     /// First RNG stream index: task `i` draws from stream
     /// `task_offset + i` (mirrors `Scenario::task_offset`). Clients need
@@ -276,23 +278,21 @@ impl ServeOptions {
         self
     }
 
-    fn validate(&self) -> Result<(), NetError> {
+    /// The one range rule for the serve knobs: `min_clients >= 1`, and
+    /// both timeouts in `(0, 10^9 s]`. Every way in — the serve call, the
+    /// `tcp` backend spec, the `net_server` arguments — goes through it.
+    pub fn validate(&self) -> Result<(), NetError> {
         if self.min_clients == 0 {
             return Err(NetError::InvalidConfig("min_clients must be >= 1".into()));
         }
-        if self.lease_timeout.is_zero() || self.join_grace.is_zero() {
-            return Err(NetError::InvalidConfig(
-                "lease_timeout and join_grace must be positive".into(),
-            ));
-        }
-        // Cap deadlines so `Instant + timeout` arithmetic can never
-        // overflow (and panic) on the serve path. ~31 years is "forever"
-        // for any real deployment.
+        // The cap keeps `Instant + timeout` from overflowing (and
+        // panicking) on the serve path; ~31 years is "forever".
         const MAX_TIMEOUT: Duration = Duration::from_secs(1_000_000_000);
-        if self.lease_timeout > MAX_TIMEOUT || self.join_grace > MAX_TIMEOUT {
-            return Err(NetError::InvalidConfig(
-                "lease_timeout and join_grace must be at most 10^9 seconds".into(),
-            ));
+        for (name, t) in [("lease_timeout", self.lease_timeout), ("join_grace", self.join_grace)] {
+            if t.is_zero() || t > MAX_TIMEOUT {
+                let reason = format!("{name} must be in (0, 10^9] seconds, got {t:?}");
+                return Err(NetError::InvalidConfig(reason));
+            }
         }
         Ok(())
     }
@@ -310,15 +310,13 @@ pub struct NetReport {
     pub clients_served: usize,
 }
 
-/// One connection's protocol state — the explicit state machine the
-/// transport core runs each client through. Draining is a run-level mode
-/// (see [`ClusterServer::draining`]), not a per-connection state: once
-/// every task completes, *every* state answers with `KIND_SHUTDOWN`.
+/// One joined connection's protocol state — the explicit state machine
+/// each client walks once the loop's HELLO gate has admitted it.
+/// Draining is a run-level mode (see [`ClusterServer::draining`]), not a
+/// per-connection state: once every task completes, *every* state
+/// answers with `KIND_SHUTDOWN`.
 #[derive(Debug, Clone, Copy)]
 enum Client {
-    /// Accepted, HELLO not yet completed; cut at `deadline` (the join
-    /// grace), so a silent connection can never pin server resources.
-    Handshaking { deadline: Instant },
     /// In the pool without a lease. `parked` means its work request sits
     /// in the wait queue (queue empty, or the start gate still closed);
     /// `idle_since` is when it last went leaseless — a client that
@@ -353,14 +351,10 @@ struct ClusterServer<'a> {
 }
 
 impl ClusterServer<'_> {
-    /// Clients past the handshake — the "pool" whose emptiness starts
-    /// the abandonment clock.
-    fn pool_len(&self) -> usize {
-        self.clients.values().filter(|c| !matches!(c, Client::Handshaking { .. })).count()
-    }
-
+    /// The pool — every joined client — changed size; its emptiness
+    /// starts the abandonment clock.
     fn note_pool_change(&mut self, now: Instant) {
-        let len = self.pool_len();
+        let len = self.clients.len();
         self.progress.on_clients(len);
         if len == 0 {
             self.empty_since = Some(now);
@@ -383,7 +377,6 @@ impl ClusterServer<'_> {
         // requeue can never hand a task to a dead connection.
         self.waiting.retain(|&t| t != token);
         match state {
-            Client::Handshaking { .. } => {}
             Client::Pooled { .. } => self.note_pool_change(now),
             Client::Leased { worker, task, .. } => {
                 self.dm.fail(worker, task);
@@ -446,12 +439,51 @@ impl ClusterServer<'_> {
             }
         }
     }
+
+    /// When the run is abandoned if nothing changes: a join grace after
+    /// the start while the gate is still closed, or after the pool last
+    /// emptied.
+    fn abandon_at(&self) -> Option<Instant> {
+        let gate_closed = self.joined_total < self.options.min_clients;
+        let since = gate_closed.then_some(self.started).into_iter().chain(self.empty_since).min();
+        since.map(|t| t + self.options.join_grace)
+    }
+
+    /// When `state` expires: a lease at its deadline, and a client that
+    /// neither requests nor holds work for a whole lease period (parked
+    /// clients are exempt — they are waiting on *us*).
+    fn expiry(&self, state: &Client) -> Option<Instant> {
+        match *state {
+            Client::Leased { deadline, .. } => Some(deadline),
+            Client::Pooled { idle_since, parked: false, .. } => {
+                Some(idle_since + self.options.lease_timeout)
+            }
+            Client::Pooled { parked: true, .. } => None,
+        }
+    }
 }
 
 impl Handler for ClusterServer<'_> {
-    fn on_open(&mut self, _ops: &mut Ops<'_>, token: Token) {
-        let deadline = Instant::now() + self.options.join_grace;
-        self.clients.insert(token, Client::Handshaking { deadline });
+    /// A client passed the loop's HELLO gate: it joins the pool.
+    fn on_open(&mut self, ops: &mut Ops<'_>, token: Token) {
+        let now = Instant::now();
+        if self.draining.is_some() {
+            // The run already ended; tell the late client to go home (it
+            // never joins, so it is never counted).
+            self.dismiss(ops, token);
+            return;
+        }
+        // Dense worker ids, so per-worker stats cover exactly the clients
+        // actually served.
+        let worker = self.dm.register_worker();
+        self.joined_total += 1;
+        self.empty_since = None;
+        self.clients.insert(token, Client::Pooled { worker, idle_since: now, parked: false });
+        self.progress.on_clients(self.clients.len());
+        if self.joined_total == self.options.min_clients {
+            // Gate opens: release requests parked before quorum.
+            self.drain_waiting(ops, now);
+        }
     }
 
     fn on_frame(&mut self, ops: &mut Ops<'_>, token: Token, kind: u8, payload: Vec<u8>) {
@@ -461,39 +493,6 @@ impl Handler for ClusterServer<'_> {
             return;
         };
         match state {
-            Client::Handshaking { .. } if kind == KIND_HELLO => {
-                let Some(&theirs) = payload.first() else {
-                    self.depart(ops, token, now);
-                    return;
-                };
-                // Always answer with our version *before* any rejection,
-                // so a mismatched peer can diagnose itself.
-                ops.send(token, KIND_HELLO, &[wire::VERSION]);
-                if theirs != wire::VERSION {
-                    self.clients.remove(&token);
-                    ops.finish(token);
-                    return;
-                }
-                if self.draining.is_some() {
-                    // The run already ended; tell the late client to go
-                    // home (it never joins, so it is never counted).
-                    self.dismiss(ops, token);
-                    return;
-                }
-                // Dense worker ids, so per-worker stats cover exactly the
-                // clients actually served.
-                let worker = self.dm.register_worker();
-                self.joined_total += 1;
-                self.empty_since = None;
-                self.clients
-                    .insert(token, Client::Pooled { worker, idle_since: now, parked: false });
-                self.progress.on_clients(self.pool_len());
-                if self.joined_total == self.options.min_clients {
-                    // Gate opens: release requests parked before quorum.
-                    self.drain_waiting(ops, now);
-                }
-            }
-            Client::Handshaking { .. } => self.depart(ops, token, now),
             Client::Pooled { worker, idle_since, parked } => match kind {
                 KIND_REQUEST if self.draining.is_some() => self.dismiss(ops, token),
                 KIND_REQUEST => {
@@ -506,9 +505,6 @@ impl Handler for ClusterServer<'_> {
                             self.waiting.push(token);
                         }
                     }
-                }
-                KIND_PING => {
-                    ops.send(token, KIND_PING, &payload);
                 }
                 // A COMPLETE without a lease is the stale completion of a
                 // revoked task (or a protocol violation): the task
@@ -535,9 +531,6 @@ impl Handler for ClusterServer<'_> {
                     // surrender the lease, cut the peer.
                     _ => self.depart(ops, token, now),
                 },
-                KIND_PING => {
-                    ops.send(token, KIND_PING, &payload);
-                }
                 _ => self.depart(ops, token, now),
             },
         }
@@ -558,11 +551,7 @@ impl Handler for ClusterServer<'_> {
 
         // Abandon (typed, never a hang): the gate never opened, or the
         // whole pool vanished and nobody re-joined within the grace.
-        let gate_stalled = self.joined_total < self.options.min_clients
-            && now.duration_since(self.started) >= self.options.join_grace;
-        let pool_stalled =
-            self.empty_since.is_some_and(|t| now.duration_since(t) >= self.options.join_grace);
-        if gate_stalled || pool_stalled {
+        if self.abandon_at().is_some_and(|at| now >= at) {
             self.failed = Some(NetError::Incomplete {
                 photons_done: self.photons_done,
                 photons_total: self.photons_total,
@@ -577,19 +566,11 @@ impl Handler for ClusterServer<'_> {
         // already in flight, the cut drops it before it can be read, so
         // photons are never double-counted. A connected client that
         // neither requests work nor holds a lease for a whole lease
-        // period is a zombie and is cut for the same reason (parked
-        // clients are exempt — they are waiting on *us*).
+        // period is a zombie and is cut for the same reason.
         let expired: Vec<Token> = self
             .clients
             .iter()
-            .filter(|(_, state)| match **state {
-                Client::Handshaking { deadline } | Client::Leased { deadline, .. } => {
-                    now >= deadline
-                }
-                Client::Pooled { idle_since, parked, .. } => {
-                    !parked && now.duration_since(idle_since) >= self.options.lease_timeout
-                }
-            })
+            .filter(|(_, state)| self.expiry(state).is_some_and(|at| now >= at))
             .map(|(&t, _)| t)
             .collect();
         for token in expired {
@@ -602,26 +583,8 @@ impl Handler for ClusterServer<'_> {
         if let Some(deadline) = self.draining {
             return Some(deadline);
         }
-        let mut horizon: Option<Instant> = None;
-        let mut note = |t: Instant| horizon = Some(horizon.map_or(t, |h| h.min(t)));
-        if self.joined_total < self.options.min_clients {
-            note(self.started + self.options.join_grace);
-        }
-        if let Some(t) = self.empty_since {
-            note(t + self.options.join_grace);
-        }
-        for state in self.clients.values() {
-            match *state {
-                Client::Handshaking { deadline } | Client::Leased { deadline, .. } => {
-                    note(deadline);
-                }
-                Client::Pooled { idle_since, parked, .. } if !parked => {
-                    note(idle_since + self.options.lease_timeout);
-                }
-                Client::Pooled { .. } => {}
-            }
-        }
-        horizon
+        let expiries = self.clients.values().filter_map(|state| self.expiry(state));
+        expiries.chain(self.abandon_at()).min()
     }
 }
 
@@ -655,7 +618,7 @@ pub fn serve_with_options(
         .map_err(|e| NetError::InvalidConfig(e.into()))?;
     let dm = DataManager::with_offset(n, tasks, options.task_offset, sim.new_tally(), 0);
 
-    let mut events = EventLoop::new(listener)?;
+    let mut events = EventLoop::greeted(listener, wire::VERSION, options.join_grace)?;
     let started = Instant::now();
     let mut server = ClusterServer {
         dm,

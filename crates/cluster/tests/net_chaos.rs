@@ -1,6 +1,6 @@
 //! Chaos suite for the elastic TCP runtime — the paper's *non-dedicated
 //! cluster* conditions, reproduced deliberately: clients join late, stall
-//! past their lease, announce the wrong protocol version, return tallies
+//! past their lease or halfway through a frame, announce the wrong protocol version, return tallies
 //! of another scenario's shape, die while parked or while holding work, or
 //! never show up at all.
 //!
@@ -13,7 +13,8 @@
 //! fast loop on a single-core container.
 
 use lumen_cluster::net::{
-    handshake, read_frame, write_frame, KIND_ASSIGN, KIND_COMPLETE, KIND_HELLO, KIND_REQUEST,
+    handshake, read_frame, write_frame, write_frame_to, KIND_ASSIGN, KIND_COMPLETE, KIND_HELLO,
+    KIND_REQUEST,
 };
 use lumen_cluster::wire;
 use lumen_cluster::{serve_with_options, NetError, NetReport, ServeOptions, Tcp};
@@ -22,6 +23,7 @@ use lumen_core::tally::{PathHistogram, Tally};
 use lumen_core::{Detector, Simulation, Source};
 use lumen_tissue::presets::semi_infinite_phantom;
 use mcrng::StreamFactory;
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
@@ -183,6 +185,35 @@ fn lease_timeout_revokes_and_requeues_bit_identically() {
         assert!(gone.is_err(), "revoked client should have been disconnected");
         let completed = good.join().expect("good client");
         assert_eq!(completed, tasks, "the survivor re-ran task {}", stalled_task.task_id);
+    });
+}
+
+#[test]
+fn client_stalled_mid_frame_is_cut_within_the_join_grace() {
+    watchdog("mid_frame_stall", Duration::from_secs(30), || {
+        // A client that stops halfway through its COMPLETE must not keep
+        // its task for the whole lease: the loop cuts it once the frame
+        // has stalled for the join grace, and the task is requeued.
+        let s = sim();
+        let (n, tasks, seed) = (2_000, 4, 19);
+        let options = ServeOptions::default()
+            .with_lease_timeout(Duration::from_secs(600))
+            .with_join_grace(Duration::from_secs(1));
+        let (addr, server) = serve_on(&s, n, tasks, options);
+
+        let mut staller = ManualClient::joined(&addr);
+        staller.take_task();
+        let mut complete = Vec::new();
+        write_frame_to(&mut complete, KIND_COMPLETE, &wire::encode_tally(&s.new_tally()))
+            .expect("encode");
+        staller.stream.write_all(&complete[..complete.len() / 2]).expect("half a frame");
+
+        let good = spawn_client(&addr, &s, seed);
+        let report = server.join().expect("server thread").expect("serve ok");
+        assert_eq!(good.join().expect("good client"), tasks);
+        assert!(report.requeues >= 1, "the stalled lease must be requeued");
+        assert_eq!(report.result.tally, sequential_tally(&s, n, seed, tasks));
+        assert!(read_frame(&mut staller.stream).is_err(), "the staller was cut");
     });
 }
 

@@ -622,7 +622,7 @@ impl Backend for Rayon {
 /// `lumen_cluster::backend::from_spec`, which falls back here — that
 /// one-way registration is what keeps `lumen-core` free of any cluster
 /// dependency.
-pub fn from_spec(spec: &str) -> Result<Box<dyn Backend>, EngineError> {
+pub fn from_spec(spec: &str) -> Result<Box<dyn Backend + Send + Sync>, EngineError> {
     let mut parts = spec.split_whitespace();
     let kind = parts.next().unwrap_or("");
     let args: Vec<&str> = parts.collect();

@@ -3,6 +3,17 @@
 //! since wire v3, factored here so the poll loop's incremental decoder
 //! and the blocking helpers can never drift apart.
 
+/// Either direction: the version handshake; the payload is the sender's
+/// protocol version byte. A client opens with it, and a greeted
+/// [`EventLoop`](crate::EventLoop) answers with its own before any
+/// rejection, so a mismatched peer can diagnose itself.
+pub const KIND_HELLO: u8 = 0x03;
+
+/// Either direction: liveness probe, echoed verbatim. A greeted loop
+/// answers it itself: it proves the transport alive and never reaches,
+/// or counts as activity for, the protocol handler.
+pub const KIND_PING: u8 = 0x04;
+
 /// Largest accepted frame (64 MiB) — a fully populated 50³ grid of f64 is
 /// ~1 MB, so this leaves ample headroom while bounding a hostile length
 /// prefix.
@@ -27,6 +38,18 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+/// The one length-prefix rule: check a frame's 4-byte little-endian
+/// header and return how many bytes follow it (the kind byte plus the
+/// payload). Both the incremental [`FrameDecoder`] and blocking readers
+/// call this, so they can never disagree on what a valid frame is.
+pub fn frame_len(header: [u8; 4]) -> Result<usize, FrameError> {
+    let len = u32::from_le_bytes(header);
+    if len == 0 || len > MAX_FRAME {
+        return Err(FrameError::BadLength(len));
+    }
+    Ok(len as usize)
+}
 
 /// Append one encoded frame to `out` as a single contiguous byte run, so
 /// one `write` syscall (and, with `TCP_NODELAY`, at most one packet) can
@@ -81,11 +104,7 @@ impl FrameDecoder {
         if pending.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]);
-        if len == 0 || len > MAX_FRAME {
-            return Err(FrameError::BadLength(len));
-        }
-        let total = 4 + len as usize;
+        let total = 4 + frame_len([pending[0], pending[1], pending[2], pending[3]])?;
         if pending.len() < total {
             return Ok(None);
         }
@@ -100,8 +119,8 @@ impl FrameDecoder {
     }
 
     /// Is a frame partially assembled (bytes received, frame incomplete)?
-    /// The stall guard keys off this: an idle connection is fine, a
-    /// connection stuck mid-frame is desynchronized or dying.
+    /// A greeted loop's stall cut keys off this: an idle connection is
+    /// fine, a connection stuck mid-frame is desynchronized or dying.
     pub fn mid_frame(&self) -> bool {
         self.buf.len() > self.pos
     }

@@ -22,11 +22,16 @@
 //!   flushing, deadline-driven ticks, and a cross-thread [`Waker`] so
 //!   worker threads can hand results back to the loop.
 //!
-//! Policy stays out of this crate entirely: protocol kinds, handshakes,
-//! lease tables, and caches belong to the handlers. The loop guarantees
-//! only mechanics — every complete frame is delivered exactly once in
-//! arrival order, every connection death is reported exactly once, and
-//! no callback ever blocks on a socket.
+//! The loop guarantees mechanics — every complete frame is delivered
+//! exactly once in arrival order, every connection death is reported
+//! exactly once, and no callback ever blocks on a socket. It owns one
+//! piece of policy, the *connection* rules, because they are the same
+//! for every server and a copy per handler is how two copies drift: a
+//! loop built with [`EventLoop::greeted`] admits a peer only after a
+//! [`frame::KIND_HELLO`] carrying its version, answers
+//! [`frame::KIND_PING`] itself, and cuts a silent newcomer or a peer
+//! stalled mid-frame. Lease tables, caches and every other frame kind
+//! belong to the handlers.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -64,10 +69,11 @@ pub enum Flow {
 
 /// The protocol brain driven by an [`EventLoop`]. All callbacks run on
 /// the loop thread; none may block. State machines live here — the loop
-/// only moves bytes.
+/// moves bytes and, when greeted, keeps the connection rules.
 pub trait Handler {
-    /// A connection was accepted and configured (non-blocking, nodelay).
-    /// Connections whose setup fails are closed before ever reaching the
+    /// A connection was accepted and configured (non-blocking, nodelay)
+    /// and, on a greeted loop, sent a matching HELLO. Connections whose
+    /// setup or greeting fails are closed before ever reaching the
     /// handler — a socket with a broken option set must not be served.
     fn on_open(&mut self, ops: &mut Ops<'_>, token: Token);
 
@@ -75,10 +81,10 @@ pub trait Handler {
     /// order; a handler closing `token` mid-batch drops the rest.
     fn on_frame(&mut self, ops: &mut Ops<'_>, token: Token, kind: u8, payload: Vec<u8>);
 
-    /// The connection died remotely (EOF, I/O error, or a frame-layer
-    /// violation). Called exactly once per connection, and never for
-    /// closes the handler itself initiated via [`Ops::close`] /
-    /// [`Ops::finish`].
+    /// The connection died remotely (EOF, I/O error, a frame-layer
+    /// violation, or a greeted loop's stall cut). Called exactly once per
+    /// opened connection, and never for closes the handler itself
+    /// initiated via [`Ops::close`] / [`Ops::finish`].
     fn on_close(&mut self, ops: &mut Ops<'_>, token: Token);
 
     /// The [`Waker`] fired (at least once since the last delivery —
@@ -86,7 +92,7 @@ pub trait Handler {
     fn on_wake(&mut self, _ops: &mut Ops<'_>) {}
 
     /// Runs once per loop iteration, after I/O. Deadline work (lease
-    /// revocation, stall guards, shutdown flags) belongs here.
+    /// revocation, shutdown flags) belongs here.
     fn on_tick(&mut self, ops: &mut Ops<'_>, now: Instant) -> Flow;
 
     /// The next instant [`Handler::on_tick`] must run even without I/O;
@@ -134,6 +140,9 @@ struct Conn {
     dead: bool,
     /// Last instant bytes arrived (or the accept instant).
     last_read: Instant,
+    /// On a greeted loop, the deadline for the peer's HELLO; `None` once
+    /// the handler has opened the connection (at accept on a raw loop).
+    hello_by: Option<Instant>,
 }
 
 impl Conn {
@@ -165,8 +174,8 @@ impl Conn {
 }
 
 /// The connection-table view handlers mutate during callbacks: queue
-/// frames, close peers, inspect staleness. All operations are
-/// non-blocking and tolerate stale tokens (returning `false`/`None`).
+/// frames, close peers, count connections. All operations are
+/// non-blocking and tolerate stale tokens (returning `false`).
 #[derive(Debug)]
 pub struct Ops<'a> {
     conns: &'a mut HashMap<usize, Conn>,
@@ -218,33 +227,6 @@ impl Ops<'_> {
         }
     }
 
-    /// Is `token` still in the table?
-    pub fn is_open(&self, token: Token) -> bool {
-        self.conns.contains_key(&token.0)
-    }
-
-    /// Is a frame partially assembled on `token`? (Fuel for stall
-    /// guards: idle is fine, stuck mid-frame is not.)
-    pub fn mid_frame(&self, token: Token) -> bool {
-        self.conns.get(&token.0).is_some_and(|c| c.decoder.mid_frame())
-    }
-
-    /// Time since bytes last arrived on `token` (since accept if none
-    /// ever did).
-    pub fn read_idle(&self, token: Token, now: Instant) -> Option<Duration> {
-        self.conns.get(&token.0).map(|c| now.saturating_duration_since(c.last_read))
-    }
-
-    /// The peer address, if the token is live and the socket can name it.
-    pub fn peer_addr(&self, token: Token) -> Option<SocketAddr> {
-        self.conns.get(&token.0).and_then(|c| c.stream.peer_addr().ok())
-    }
-
-    /// Live connections (finishing ones included).
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
     /// No live connections?
     pub fn is_empty(&self) -> bool {
         self.conns.is_empty()
@@ -269,6 +251,33 @@ const MAX_TICK: Duration = Duration::from_millis(50);
 /// Read-scratch size; reads drain the socket buffer in chunks this big.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// A greeted loop's connection rules (see [`EventLoop::greeted`]).
+#[derive(Debug, Clone, Copy)]
+struct Greeting {
+    version: u8,
+    within: Duration,
+}
+
+impl Greeting {
+    /// Judge a connection's first frame: `true` admits it. A HELLO with a
+    /// version byte is always answered with ours first, so a mismatched
+    /// peer can diagnose itself before it is finished; anything else is
+    /// closed unanswered.
+    fn admit(self, ops: &mut Ops<'_>, token: Token, kind: u8, payload: &[u8]) -> bool {
+        match (kind, payload.first()) {
+            (frame::KIND_HELLO, Some(&theirs)) => {
+                ops.send(token, frame::KIND_HELLO, &[self.version]);
+                if theirs == self.version {
+                    return true;
+                }
+                ops.finish(token);
+            }
+            _ => ops.close(token),
+        }
+        false
+    }
+}
+
 /// The readiness loop: owns the listener, the connection table, and the
 /// optional waker, and drives a [`Handler`] until it says [`Flow::Stop`].
 #[derive(Debug)]
@@ -278,13 +287,42 @@ pub struct EventLoop {
     next_token: usize,
     waker_rx: Option<TcpStream>,
     waker_tx: Option<TcpStream>,
+    greeting: Option<Greeting>,
 }
 
 impl EventLoop {
-    /// Take ownership of a bound listener (switched to non-blocking).
+    /// Take ownership of a bound listener (switched to non-blocking): the
+    /// raw loop, which opens every accepted connection and delivers every
+    /// frame.
     pub fn new(listener: TcpListener) -> std::io::Result<Self> {
         listener.set_nonblocking(true)?;
-        Ok(Self { listener, conns: HashMap::new(), next_token: 0, waker_rx: None, waker_tx: None })
+        Ok(Self {
+            listener,
+            conns: HashMap::new(),
+            next_token: 0,
+            waker_rx: None,
+            waker_tx: None,
+            greeting: None,
+        })
+    }
+
+    /// A loop that keeps the connection rules for protocol `version`:
+    ///
+    /// * a connection's first frame must be a [`frame::KIND_HELLO`] with
+    ///   a version byte. The loop answers with `version`, finishes a
+    ///   mismatched peer, and closes on any other first frame;
+    /// * [`Handler::on_open`] runs only after a matching HELLO, and a
+    ///   connection without one `within` of accept is closed with no
+    ///   callback at all — the handler never saw it;
+    /// * after the HELLO the loop echoes [`frame::KIND_PING`] itself and
+    ///   never delivers it;
+    /// * an opened connection that stops for `within` with a frame
+    ///   half-received is cut, reported through [`Handler::on_close`] like
+    ///   any other death. A connection idling *between* frames is fine.
+    pub fn greeted(listener: TcpListener, version: u8, within: Duration) -> std::io::Result<Self> {
+        let mut events = Self::new(listener)?;
+        events.greeting = Some(Greeting { version, within });
+        Ok(events)
     }
 
     /// The listener's bound address (useful with port 0).
@@ -359,6 +397,7 @@ impl EventLoop {
                 }
             }
 
+            self.sweep_stalled(handler, now);
             match handler.on_tick(&mut Ops { conns: &mut self.conns }, now) {
                 Flow::Continue => {}
                 Flow::Stop => return Ok(()),
@@ -375,11 +414,33 @@ impl EventLoop {
         }
     }
 
-    /// Remove `t` and fire `on_close` unless the teardown was local.
+    /// A greeted loop's deadlines: close a connection still without a
+    /// HELLO `within` of accept, and cut an opened one stalled mid-frame
+    /// for `within`.
+    fn sweep_stalled<H: Handler>(&mut self, handler: &mut H, now: Instant) {
+        let Some(Greeting { within, .. }) = self.greeting else { return };
+        let stalled: Vec<usize> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| match c.hello_by {
+                Some(deadline) => now >= deadline,
+                None => {
+                    c.decoder.mid_frame() && now.saturating_duration_since(c.last_read) >= within
+                }
+            })
+            .map(|(&t, _)| t)
+            .collect();
+        for t in stalled {
+            self.close_remote(handler, t);
+        }
+    }
+
+    /// Remove `t` and fire `on_close` if the handler opened it and the
+    /// teardown was not local.
     fn close_remote<H: Handler>(&mut self, handler: &mut H, t: usize) {
         if let Some(conn) = self.conns.remove(&t) {
             let _ = conn.stream.shutdown(Shutdown::Both);
-            if !conn.finishing {
+            if !conn.finishing && conn.hello_by.is_none() {
                 handler.on_close(&mut Ops { conns: &mut self.conns }, Token(t));
             }
         }
@@ -409,9 +470,12 @@ impl EventLoop {
                             finishing: false,
                             dead: false,
                             last_read: now,
+                            hello_by: self.greeting.map(|g| now + g.within),
                         },
                     );
-                    handler.on_open(&mut Ops { conns: &mut self.conns }, Token(t));
+                    if self.greeting.is_none() {
+                        handler.on_open(&mut Ops { conns: &mut self.conns }, Token(t));
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -463,10 +527,12 @@ impl EventLoop {
         // Deliver complete frames one at a time, re-borrowing between
         // callbacks (the handler may close this or any other token).
         loop {
-            let frame = match self.conns.get_mut(&t) {
+            let (hello_due, (kind, payload)) = match self.conns.get_mut(&t) {
                 None => return, // handler closed it mid-batch
+                // The first frame ends the wait for a HELLO either way: a
+                // refused peer is closed or finished, never reported.
                 Some(conn) => match conn.decoder.next_frame() {
-                    Ok(Some(f)) => f,
+                    Ok(Some(f)) => (conn.hello_by.take().is_some(), f),
                     Ok(None) => break,
                     Err(_) => {
                         // Frame-layer violation: the stream is no longer
@@ -476,7 +542,19 @@ impl EventLoop {
                     }
                 },
             };
-            handler.on_frame(&mut Ops { conns: &mut self.conns }, Token(t), frame.0, frame.1);
+            let ops = &mut Ops { conns: &mut self.conns };
+            match self.greeting {
+                Some(rules) if hello_due => {
+                    if !rules.admit(ops, Token(t), kind, &payload) {
+                        return;
+                    }
+                    handler.on_open(ops, Token(t));
+                }
+                Some(_) if kind == frame::KIND_PING => {
+                    ops.send(Token(t), kind, &payload);
+                }
+                _ => handler.on_frame(ops, Token(t), kind, payload),
+            }
         }
         if gone {
             self.close_remote(handler, t);
@@ -509,10 +587,11 @@ mod tests {
     use std::sync::Arc;
 
     /// Echoes every frame back, closes on kind 0xFF, stops when idle
-    /// after having served at least one connection.
+    /// after having served `clients` connections (stopping at the first
+    /// idle moment would refuse clients that had not connected yet).
     struct Echo {
         served: usize,
-        stop_when_empty: bool,
+        clients: usize,
         woke: Arc<AtomicBool>,
     }
 
@@ -532,7 +611,7 @@ mod tests {
             self.woke.store(true, Ordering::Relaxed);
         }
         fn on_tick(&mut self, ops: &mut Ops<'_>, _now: Instant) -> Flow {
-            if self.stop_when_empty && self.served > 0 && ops.is_empty() {
+            if self.served == self.clients && ops.is_empty() {
                 Flow::Stop
             } else {
                 Flow::Continue
@@ -563,7 +642,7 @@ mod tests {
         let server = {
             let woke = Arc::clone(&woke);
             std::thread::spawn(move || {
-                let mut h = Echo { served: 0, stop_when_empty: true, woke };
+                let mut h = Echo { served: 0, clients: 24, woke };
                 el.run(&mut h).unwrap();
                 h.served
             })
@@ -661,6 +740,149 @@ mod tests {
         // not from EOF.
         assert_eq!(server.join().unwrap(), 1);
         drop(s);
+    }
+
+    /// The protocol version the greeted-loop tests speak.
+    const V: u8 = 7;
+
+    /// Echoes every frame the loop delivers and records what reached it;
+    /// stops when told to.
+    #[derive(Default)]
+    struct Recorder {
+        opens: usize,
+        closes: usize,
+        kinds: Vec<u8>,
+        stop: Arc<AtomicBool>,
+    }
+
+    impl Handler for Recorder {
+        fn on_open(&mut self, _: &mut Ops<'_>, _: Token) {
+            self.opens += 1;
+        }
+        fn on_frame(&mut self, ops: &mut Ops<'_>, token: Token, kind: u8, payload: Vec<u8>) {
+            self.kinds.push(kind);
+            ops.send(token, kind, &payload);
+        }
+        fn on_close(&mut self, _: &mut Ops<'_>, _: Token) {
+            self.closes += 1;
+        }
+        fn on_tick(&mut self, _: &mut Ops<'_>, _: Instant) -> Flow {
+            if self.stop.load(Ordering::Relaxed) {
+                Flow::Stop
+            } else {
+                Flow::Continue
+            }
+        }
+    }
+
+    /// Serve a [`Recorder`] on a greeted loop; the returned closure stops
+    /// the loop and hands back what the recorder saw.
+    fn greeted_recorder(within: Duration) -> (SocketAddr, impl FnOnce() -> Recorder) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut el = EventLoop::greeted(listener, V, within).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut h = Recorder { stop, ..Recorder::default() };
+                el.run(&mut h).unwrap();
+                h
+            })
+        };
+        let finish = move || {
+            stop.store(true, Ordering::Relaxed);
+            server.join().unwrap()
+        };
+        (addr, finish)
+    }
+
+    /// The next frame from a blocking stream, `None` once the peer closed.
+    fn recv(stream: &mut TcpStream) -> Option<(u8, Vec<u8>)> {
+        let mut dec = FrameDecoder::new();
+        let mut scratch = [0u8; 4096];
+        loop {
+            if let Some(f) = dec.next_frame().unwrap() {
+                return Some(f);
+            }
+            match stream.read(&mut scratch) {
+                Ok(0) | Err(_) => return None,
+                Ok(n) => dec.extend(&scratch[..n]),
+            }
+        }
+    }
+
+    fn send(stream: &mut TcpStream, kind: u8, payload: &[u8]) {
+        stream.write_all(&frame::encode_frame(kind, payload).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn greeted_loop_closes_a_first_frame_that_is_not_hello() {
+        let (addr, finish) = greeted_recorder(Duration::from_secs(10));
+        for (kind, payload) in [(0x42, &b"query"[..]), (frame::KIND_HELLO, &[][..])] {
+            let mut s = TcpStream::connect(addr).unwrap();
+            send(&mut s, kind, payload);
+            assert_eq!(recv(&mut s), None, "kind {kind:#x}: closed unanswered");
+        }
+        let seen = finish();
+        assert_eq!((seen.opens, seen.closes, seen.kinds.len()), (0, 0, 0));
+    }
+
+    #[test]
+    fn greeted_loop_answers_a_version_mismatch_then_closes() {
+        let (addr, finish) = greeted_recorder(Duration::from_secs(10));
+        let mut s = TcpStream::connect(addr).unwrap();
+        send(&mut s, frame::KIND_HELLO, &[V + 1]);
+        assert_eq!(recv(&mut s), Some((frame::KIND_HELLO, vec![V])), "ours, before the close");
+        assert_eq!(recv(&mut s), None);
+        let seen = finish();
+        assert_eq!((seen.opens, seen.closes), (0, 0), "the handler never saw the peer");
+    }
+
+    #[test]
+    fn greeted_loop_echoes_ping_without_delivering_it() {
+        let within = Duration::from_millis(200);
+        let (addr, finish) = greeted_recorder(within);
+        let mut s = TcpStream::connect(addr).unwrap();
+        send(&mut s, frame::KIND_HELLO, &[V]);
+        assert_eq!(recv(&mut s), Some((frame::KIND_HELLO, vec![V])));
+        // Idling between frames is no stall.
+        std::thread::sleep(within * 2);
+        send(&mut s, frame::KIND_PING, b"still here");
+        assert_eq!(recv(&mut s), Some((frame::KIND_PING, b"still here".to_vec())));
+        send(&mut s, 0x42, b"work");
+        assert_eq!(recv(&mut s), Some((0x42, b"work".to_vec())));
+        let seen = finish();
+        assert_eq!(seen.kinds, vec![0x42], "the ping never reached the handler");
+        assert_eq!(seen.opens, 1);
+    }
+
+    #[test]
+    fn greeted_loop_cuts_a_silent_peer_without_callbacks() {
+        let within = Duration::from_millis(200);
+        let (addr, finish) = greeted_recorder(within);
+        let started = Instant::now();
+        let mut s = TcpStream::connect(addr).unwrap();
+        assert_eq!(recv(&mut s), None, "a peer that never says HELLO is closed");
+        let waited = started.elapsed();
+        assert!(waited >= within && waited < Duration::from_secs(5), "{waited:?}");
+        let seen = finish();
+        assert_eq!((seen.opens, seen.closes), (0, 0));
+    }
+
+    #[test]
+    fn greeted_loop_cuts_a_peer_stalled_mid_frame_through_on_close() {
+        let within = Duration::from_millis(200);
+        let (addr, finish) = greeted_recorder(within);
+        let mut s = TcpStream::connect(addr).unwrap();
+        send(&mut s, frame::KIND_HELLO, &[V]);
+        assert_eq!(recv(&mut s), Some((frame::KIND_HELLO, vec![V])));
+        // Three bytes of a length prefix, then nothing.
+        s.write_all(&[16, 0, 0]).unwrap();
+        assert_eq!(recv(&mut s), None, "the stalled peer is cut");
+        let seen = finish();
+        assert_eq!((seen.opens, seen.closes), (1, 1), "the cut reaches on_close");
+        assert!(seen.kinds.is_empty());
     }
 
     #[test]

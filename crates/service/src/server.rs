@@ -3,10 +3,14 @@
 //! Built on the shared transport core ([`lumen_net::EventLoop`]), the
 //! same readiness loop that runs the cluster runtime: a single poll
 //! thread owns every connection (hundreds multiplex fine — there is no
-//! thread per socket to run out of), and the HELLO version gate matches
-//! the cluster server's contract — the daemon always answers with its
-//! own [`wire::VERSION`] before rejecting a mismatch, so an out-of-date
-//! client can diagnose itself.
+//! thread per socket to run out of). The loop is greeted with
+//! [`wire::VERSION`], so the connection rules are the cluster server's
+//! by construction, not by copy: it admits a peer only after a matching
+//! HELLO (always answering its own version first, so an out-of-date
+//! client can diagnose itself), echoes PING itself, and cuts a peer
+//! silent before its HELLO or stalled mid-frame for `STALL_GUARD`. The
+//! handler sees only what follows the handshake: queries, and the unknown
+//! kinds it refuses.
 //!
 //! The poll thread answers everything that needs no photon: it decodes a
 //! query, validates and hashes it, looks it up, and on a hit encodes and
@@ -27,13 +31,12 @@
 //! Connections are fault-isolated: a malformed query earns a typed
 //! [`KIND_ERROR`] reply on a connection that stays open, an unknown
 //! frame kind earns one on a connection that then closes, and a client
-//! that disconnects mid-response cancels only its own query. The shared
-//! [`SimulationService`] (cache, in-flight claims, worker pool) outlives
-//! any connection.
+//! that disconnects — or is cut for stalling mid-frame — cancels only its
+//! own query. The shared [`SimulationService`] (cache, in-flight claims,
+//! worker pool) outlives any connection.
 
 use crate::proto::{self, KIND_ERROR, KIND_QUERY, KIND_RESULT};
 use crate::service::{Prepared, QueryReply, ServiceError, SimulationService};
-use lumen_cluster::net::{KIND_HELLO, KIND_PING};
 use lumen_cluster::wire;
 use lumen_cluster::NetError;
 use lumen_core::engine::Scenario;
@@ -45,9 +48,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Handshake grace period, and how long a frame may take to finish
-/// arriving once its first byte is here: a connection that is silent
-/// pre-HELLO or stalls mid-frame past this is cut.
+/// The greeted loop's `within`: the handshake grace period, and how long
+/// a frame may take to finish arriving once its first byte is here.
 const STALL_GUARD: Duration = Duration::from_secs(10);
 
 /// One cache miss handed to the executor pool, already validated and
@@ -88,7 +90,7 @@ impl ServiceServer {
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let mut events = EventLoop::new(listener)?;
+        let mut events = EventLoop::greeted(listener, wire::VERSION, STALL_GUARD)?;
         let waker = events.waker()?;
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -184,17 +186,24 @@ fn worker_loop(
     }
 }
 
-/// One connection's protocol state.
+/// One admitted connection's protocol state.
 #[derive(Debug)]
 enum Peer {
-    /// Accepted, HELLO pending; cut at `deadline`.
-    Hello { deadline: Instant },
-    /// Handshaken and idle.
+    /// Idle.
     Ready,
     /// A miss is with the executor pool. Further queries — hits too, so
     /// replies keep request order — queue here and are answered in
     /// order; `cancel` aborts the trace if the connection dies first.
     Busy { generation: u64, cancel: Arc<AtomicBool>, queued: VecDeque<Vec<u8>> },
+}
+
+impl Peer {
+    /// Abort the trace this peer waits on, if any.
+    fn cancel(&self) {
+        if let Peer::Busy { cancel, .. } = self {
+            cancel.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// What the poll thread made of one query by itself.
@@ -277,70 +286,36 @@ impl Daemon {
 
 impl Handler for Daemon {
     fn on_open(&mut self, _ops: &mut Ops<'_>, token: Token) {
-        self.peers.insert(token, Peer::Hello { deadline: Instant::now() + STALL_GUARD });
+        self.peers.insert(token, Peer::Ready);
     }
 
     fn on_frame(&mut self, ops: &mut Ops<'_>, token: Token, kind: u8, payload: Vec<u8>) {
-        match self.peers.get_mut(&token) {
-            None => ops.close(token),
-            Some(Peer::Hello { .. }) => {
-                // The gate: anything but a well-formed HELLO closes the
-                // connection without serving. A mismatched version is
-                // answered with ours first, so the peer can diagnose
-                // itself.
-                let version = (kind == KIND_HELLO).then(|| payload.first().copied()).flatten();
-                match version {
-                    Some(theirs) => {
-                        ops.send(token, KIND_HELLO, &[wire::VERSION]);
-                        if theirs == wire::VERSION {
-                            self.peers.insert(token, Peer::Ready);
-                        } else {
-                            self.peers.remove(&token);
-                            ops.finish(token);
-                        }
-                    }
-                    None => {
-                        self.peers.remove(&token);
-                        ops.close(token);
-                    }
-                }
+        match (self.peers.get_mut(&token), kind) {
+            (None, _) => ops.close(token),
+            (Some(Peer::Ready), KIND_QUERY) => {
+                self.start_query(ops, token, payload, VecDeque::new());
             }
-            Some(Peer::Ready) => match kind {
-                KIND_PING => {
-                    ops.send(token, KIND_PING, &payload);
+            (Some(Peer::Busy { queued, .. }), KIND_QUERY) => queued.push_back(payload),
+            (Some(_), other) => {
+                // Typed rejection, then close: an unknown kind means the
+                // peer and daemon disagree about the protocol.
+                if let Some(peer) = self.peers.remove(&token) {
+                    peer.cancel();
                 }
-                KIND_QUERY => self.start_query(ops, token, payload, VecDeque::new()),
-                other => {
-                    // Typed rejection, then close: an unknown kind means
-                    // the peer and daemon disagree about the protocol.
-                    let msg = format!("unsupported frame kind 0x{other:02x}");
-                    ops.send(token, KIND_ERROR, &proto::encode_error(&msg));
-                    self.peers.remove(&token);
-                    ops.finish(token);
-                }
-            },
-            Some(Peer::Busy { cancel, queued, .. }) => match kind {
-                KIND_PING => {
-                    ops.send(token, KIND_PING, &payload);
-                }
-                KIND_QUERY => queued.push_back(payload),
-                other => {
-                    cancel.store(true, Ordering::Relaxed);
-                    let msg = format!("unsupported frame kind 0x{other:02x}");
-                    ops.send(token, KIND_ERROR, &proto::encode_error(&msg));
-                    self.peers.remove(&token);
-                    ops.finish(token);
-                }
-            },
+                let msg = format!("unsupported frame kind 0x{other:02x}");
+                ops.send(token, KIND_ERROR, &proto::encode_error(&msg));
+                ops.finish(token);
+            }
         }
     }
 
     fn on_close(&mut self, _ops: &mut Ops<'_>, token: Token) {
-        // The instant a querying client dies, its trace is told to stop:
-        // this is what keeps a disconnect from burning minutes of
-        // worker-pool budget on an answer nobody will read.
-        if let Some(Peer::Busy { cancel, .. }) = self.peers.remove(&token) {
-            cancel.store(true, Ordering::Relaxed);
+        // The instant a querying client dies — or the loop cuts it for
+        // stalling mid-frame — its trace is told to stop: this is what
+        // keeps a lost client from burning minutes of worker-pool budget
+        // on an answer nobody will read.
+        if let Some(peer) = self.peers.remove(&token) {
+            peer.cancel();
         }
     }
 
@@ -372,36 +347,13 @@ impl Handler for Daemon {
         }
     }
 
-    fn on_tick(&mut self, ops: &mut Ops<'_>, now: Instant) -> Flow {
-        if self.stop.load(Ordering::Relaxed) {
-            // Cancel every in-flight trace so the executor pool drains
-            // promptly, then stop (dropping the loop cuts the sockets).
-            for peer in self.peers.values() {
-                if let Peer::Busy { cancel, .. } = peer {
-                    cancel.store(true, Ordering::Relaxed);
-                }
-            }
-            return Flow::Stop;
+    fn on_tick(&mut self, _ops: &mut Ops<'_>, _now: Instant) -> Flow {
+        if !self.stop.load(Ordering::Relaxed) {
+            return Flow::Continue;
         }
-        // Stall guards: a silent pre-HELLO connection, or one stuck
-        // mid-frame past the guard, is cut. (A handshaken connection
-        // idling *between* frames is fine — sessions are long-lived.)
-        let cut: Vec<Token> = self
-            .peers
-            .iter()
-            .filter(|(&token, peer)| match peer {
-                Peer::Hello { deadline } => now >= *deadline,
-                _ => {
-                    ops.mid_frame(token)
-                        && ops.read_idle(token, now).is_some_and(|idle| idle >= STALL_GUARD)
-                }
-            })
-            .map(|(&token, _)| token)
-            .collect();
-        for token in cut {
-            self.peers.remove(&token);
-            ops.close(token);
-        }
-        Flow::Continue
+        // Cancel every in-flight trace so the executor pool drains
+        // promptly, then stop (dropping the loop cuts the sockets).
+        self.peers.values().for_each(Peer::cancel);
+        Flow::Stop
     }
 }

@@ -34,7 +34,7 @@
 
 use crate::cache::ResultCache;
 use crate::hash::{scenario_key, ScenarioKey};
-use lumen_core::engine::{EngineError, Scenario};
+use lumen_core::engine::{Backend, EngineError, Scenario};
 use lumen_core::tally::Tally;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,9 +43,12 @@ use std::sync::{Condvar, Mutex};
 /// Tuning knobs for [`SimulationService`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceOptions {
-    /// Backend spec resolved through `lumen_cluster::backend::from_spec`
-    /// for every chunk run (`sequential`, `rayon [threads]`,
-    /// `cluster [workers]`, `tcp <addr>`, ...).
+    /// Backend spec, resolved once through
+    /// `lumen_cluster::backend::from_spec` when the service is built and
+    /// run for every chunk (`sequential`, `rayon [threads]`,
+    /// `cluster [workers]`, `tcp <addr>`). `reweight` is refused: it
+    /// answers every run from one fixed archive, so its chunks would not
+    /// be the distinct stream ranges the cache folds.
     pub backend_spec: String,
     /// Photons per cache chunk. Requested budgets round **up** to whole
     /// chunks, and the actually-simulated budget is recorded in each
@@ -115,10 +118,6 @@ impl ServiceOptions {
         if self.workers == 0 {
             return Err(ServiceError::InvalidConfig("workers must be >= 1".into()));
         }
-        // Resolve the spec once up front so a typo fails service
-        // construction, not the first query.
-        lumen_cluster::backend::from_spec(&self.backend_spec)
-            .map_err(|e| ServiceError::InvalidConfig(e.to_string()))?;
         Ok(())
     }
 }
@@ -256,9 +255,10 @@ pub(crate) struct Prepared {
 
 /// The persistent simulation service (in-process core; `crate::server`
 /// exposes it over TCP).
-#[derive(Debug)]
 pub struct SimulationService {
     options: ServiceOptions,
+    /// `options.backend_spec`, resolved once.
+    backend: Box<dyn Backend + Send + Sync>,
     state: Mutex<State>,
     state_cv: Condvar,
     permits: Mutex<usize>,
@@ -279,12 +279,29 @@ impl Drop for Permit<'_> {
     }
 }
 
+impl std::fmt::Debug for SimulationService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimulationService").field("options", &self.options).finish_non_exhaustive()
+    }
+}
+
 impl SimulationService {
-    /// Build a service, validating the options (including resolving the
-    /// backend spec once).
+    /// Build a service, validating the options and resolving the backend
+    /// spec once, so a typo fails construction, not the first query.
     pub fn new(options: ServiceOptions) -> Result<Self, ServiceError> {
         options.validate()?;
+        let backend = lumen_cluster::backend::from_spec(&options.backend_spec)
+            .map_err(|e| ServiceError::InvalidConfig(e.to_string()))?;
+        // Chunk `j` must be a pure function of (physics, seed, j); the
+        // reweight backend ignores the chunk's photons and stream offset.
+        if backend.name() == "reweight" {
+            return Err(ServiceError::InvalidConfig(
+                "the reweight backend answers from one fixed archive and cannot trace chunks"
+                    .into(),
+            ));
+        }
         Ok(Self {
+            backend,
             state: Mutex::new(State {
                 cache: ResultCache::new(options.max_cache_bytes),
                 inflight: HashSet::new(),
@@ -460,8 +477,6 @@ impl SimulationService {
             return Err(ServiceError::Cancelled);
         }
         let _permit = self.acquire_permit();
-        let backend =
-            lumen_cluster::backend::from_spec(&self.options.backend_spec).map_err(engine_error)?;
         // One copy of the scenario (a voxel geometry is thousands of
         // cells) serves every chunk; only the stream offset moves.
         let mut piece = scenario
@@ -476,7 +491,7 @@ impl SimulationService {
                 return Err(ServiceError::Cancelled);
             }
             piece.task_offset = chunk * self.options.chunk_tasks;
-            let report = backend.run(&piece).map_err(engine_error)?;
+            let report = self.backend.run(&piece).map_err(engine_error)?;
             acc.merge(&report.result.tally);
             self.note_chunk();
         }
@@ -633,6 +648,26 @@ mod tests {
     fn bad_backend_spec_fails_construction() {
         let err = SimulationService::new(ServiceOptions::default().with_backend("quantum"));
         assert!(matches!(err, Err(ServiceError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn reweight_cannot_serve_chunks() {
+        // Reweight ignores each chunk's photons and stream offset, so every
+        // chunk of a miss would merge the same archive evaluation.
+        let mut recorded = scenario(1_000);
+        recorded.options.archive = Some(lumen_core::RecordOptions::default());
+        let tally = lumen_core::engine::Sequential.run(&recorded).unwrap().result.tally;
+        let file = std::env::temp_dir().join("lumen_service_reweight_refusal.lmn");
+        let archive = tally.archive.as_ref().expect("archive attached");
+        std::fs::write(&file, lumen_cluster::wire::encode_archive(archive)).unwrap();
+        let spec = format!("reweight {}", file.display());
+        assert!(lumen_cluster::backend::from_spec(&spec).is_ok(), "the archive itself is fine");
+        let err = SimulationService::new(ServiceOptions::default().with_backend(spec));
+        let _ = std::fs::remove_file(&file);
+        match err {
+            Err(ServiceError::InvalidConfig(msg)) => assert!(msg.contains("reweight"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

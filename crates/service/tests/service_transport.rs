@@ -1,6 +1,6 @@
 //! Transport-core legs for the daemon: dead-client cancellation (a
-//! disconnect mid-trace must stop burning worker-pool budget within one
-//! chunk), the 100+-concurrent-client scale test the old
+//! disconnect mid-trace, or a stall mid-frame, must stop burning
+//! worker-pool budget within one chunk), the 100+-concurrent-client scale test the old
 //! thread-per-connection front end could not express, and the poll
 //! thread's inline hits (never queued behind a trace, never out of
 //! request order on their own connection). All replies stay
@@ -118,6 +118,32 @@ fn dead_client_cancels_its_trace_within_a_chunk_or_two() {
         let reply = client.query(&scenario(1, 10_000)).expect("query after cancellation");
         assert_eq!(reply.served, Served::Cold);
         assert_eq!(reply.photons_done, 10_000);
+        server.shutdown();
+    })
+}
+
+#[test]
+fn client_stalled_mid_frame_has_its_trace_cancelled() {
+    watchdog("mid-frame stall cancellation", LIMIT, || {
+        // A client whose miss is tracing, and which then stops halfway
+        // through its next frame, is cut by the loop's stall guard (10 s);
+        // the cut cancels the trace exactly as a disconnect does.
+        let svc = service(10_000);
+        let server = ServiceServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind daemon");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        handshake(&mut stream).expect("hello");
+        let query = wire::encode_scenario(&scenario(41, 400_000_000));
+        write_frame(&mut stream, KIND_QUERY, &query).expect("send long query");
+        stream.write_all(&[0xFF, 0xFF]).expect("half a length prefix");
+
+        let started = Instant::now();
+        while svc.stats().cancelled == 0 {
+            assert!(started.elapsed() < Duration::from_secs(60), "the trace was never cancelled");
+            thread::sleep(Duration::from_millis(50));
+        }
+        assert!(started.elapsed() >= Duration::from_secs(5), "cut only after the stall guard");
+        assert_eq!(svc.stats().entries, 0, "a cancelled fold is discarded whole, never cached");
+        assert!(read_frame(&mut stream).is_err(), "the stalled client was cut");
         server.shutdown();
     })
 }
