@@ -18,7 +18,7 @@ const PINS: &[(&str, u64, &str)] = &[
     ("fig2_speedup", 0, "84d07abb4b6d8f7b891b8f80e8c19564fd0ef715518a9afe044d150c013b35fa"),
     ("fig3_banana", 2_000, "04ad11f60893dc36a26840ece84a9b047d34010d9b3e820d23923d97b43ea0bc"),
     ("fig4_head_model", 2_000, "1f3caa6756391707329b2cbef198ef6cf070b8f77b6f0797d784505e7e5d765c"),
-    ("table2_hetero", 0, "3cc8b5c3971e0ced573d3bb707e287d9287a5a739e675998f7991204dfe06da8"),
+    ("table2_hetero", 0, "3a1df294569fecf3d15357e75dd43f7ab7f1734e057b8d8bcfb00bc9cfe98d70"),
     ("ablation_csf", 2_000, "b11e8b9fed0b4eb6a95cc8ee9ad0a3b349cc5979c45629c52e904f67dffedf14"),
     ("ablation_fresnel", 1_000, "cfebe53f220642b8add8613fbc2ca3f2a092308d6b8c969d22d7959d8a646b95"),
     ("ablation_scheduler", 0, "a78845d9422626d90e1f943d7ce08b2fcc23eef99402de7e803aa01010465560"),

@@ -81,6 +81,22 @@ impl ThreadedCluster {
         self.failure_plan = plan;
         self
     }
+
+    /// The rule a cluster must meet to run at all: at least one worker
+    /// (zero would leave the queue untouched forever) and a failure rate
+    /// in `[0, 1)` (a rate of 1 would requeue every task forever).
+    fn validate(&self) -> Result<(), EngineError> {
+        if self.workers == 0 {
+            return Err(EngineError::InvalidConfig("cluster needs at least one worker".into()));
+        }
+        let failure_rate = self.failure_plan.rate();
+        if !(0.0..1.0).contains(&failure_rate) {
+            return Err(EngineError::InvalidConfig(format!(
+                "failure rate must be in [0, 1), got {failure_rate}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Backend for ThreadedCluster {
@@ -94,17 +110,8 @@ impl Backend for ThreadedCluster {
         progress: &dyn Progress,
     ) -> Result<RunReport, EngineError> {
         scenario.validate()?;
-        // Zero workers would leave the queue untouched forever.
-        if self.workers == 0 {
-            return Err(EngineError::InvalidConfig("cluster needs at least one worker".into()));
-        }
+        self.validate()?;
         let failure_rate = self.failure_plan.rate();
-        if !(0.0..1.0).contains(&failure_rate) {
-            return Err(EngineError::InvalidConfig(format!(
-                "failure rate must be in [0, 1), got {failure_rate}"
-            )));
-        }
-
         let started = Instant::now();
         let sim = scenario.simulation();
         let factory = StreamFactory::new(scenario.seed);
@@ -293,7 +300,7 @@ pub fn from_spec(spec: &str) -> Result<Box<dyn Backend + Send + Sync>, EngineErr
         ("cluster", rest) => {
             let workers = match rest.first() {
                 Some(v) => parse::<usize>("cluster worker count", v)?,
-                None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+                None => lumen_core::engine::available_threads(),
             };
             let plan = match rest.get(1) {
                 Some(v) => FailurePlan::Random { rate: parse::<f64>("cluster failure rate", v)? },
@@ -304,7 +311,9 @@ pub fn from_spec(spec: &str) -> Result<Box<dyn Backend + Send + Sync>, EngineErr
                     "cluster spec takes at most `[workers] [failure_rate]`, got `{spec}`"
                 )));
             }
-            Ok(Box::new(ThreadedCluster { workers, failure_plan: plan }))
+            let cluster = ThreadedCluster { workers, failure_plan: plan };
+            cluster.validate()?;
+            Ok(Box::new(cluster))
         }
         ("tcp", [addr, rest @ ..]) if rest.len() <= 2 => {
             let mut tcp = Tcp::new(*addr);
@@ -603,6 +612,25 @@ mod tests {
         assert_eq!(tcp.options.min_clients, 3);
         assert_eq!(tcp.options.lease_timeout, std::time::Duration::from_secs_f64(5.5));
         assert_eq!(tcp.options.join_grace, crate::net::ServeOptions::default().join_grace);
+    }
+
+    #[test]
+    fn cluster_specs_that_can_never_run_are_refused() {
+        // Refused when resolved, with the message `run` would give, so a
+        // daemon never starts on a backend that fails every miss.
+        for spec in ["cluster 0", "cluster 0 0.1", "cluster 2 1", "cluster 2 -0.5", "cluster 2 NaN"]
+        {
+            match from_spec(spec) {
+                Err(EngineError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("worker") || msg.contains("rate"), "{spec}: {msg}")
+                }
+                other => {
+                    panic!("{spec}: expected InvalidConfig, got {:?}", other.map(|b| b.name()))
+                }
+            }
+        }
+        assert_eq!(from_spec("cluster 1 0").unwrap().name(), "cluster");
+        assert_eq!(from_spec("cluster 2 0.99").unwrap().name(), "cluster");
     }
 
     #[test]

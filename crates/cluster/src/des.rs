@@ -10,9 +10,11 @@
 //!   availability (non-dedicated usage);
 //! * network latency/bandwidth for task assignment and result return;
 //! * the server's sequential result-merging (a single 3 GHz P4 in the
-//!   paper), which serialises under load;
+//!   paper): results are merged one at a time, in arrival order, so
+//!   merges queue under load;
 //! * the scheduler: demand-driven self-scheduling by default, static or
-//!   GA plans for the ablation.
+//!   GA plans for the ablation. A plan only decides where a machine's
+//!   next task comes from; every plan runs in the same event loop.
 //!
 //! It models *time*, not photons, so it is not a `Backend`: [`predict`]
 //! answers "how long would this scenario take on that pool?", and
@@ -26,7 +28,7 @@ use crate::network::NetworkModel;
 use crate::scheduler::{Plan, Scheduler, SelfScheduling};
 use lumen_core::engine::{batch_sizes, Scenario};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Why the simulator refused its inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,9 +71,9 @@ pub(crate) fn check(ok: bool, what: &'static str, value: f64) -> Result<(), DesE
 pub struct JobSpec {
     /// Total photons to simulate.
     pub total_photons: u64,
-    /// Calibrated cost of one photon (flops). See `DESIGN.md`: calibrated
-    /// so the Table 2 pool finishes 10⁹ photons in about 2 hours, as the
-    /// paper reports.
+    /// Calibrated cost of one photon (flops). [`JobSpec::paper_job`]
+    /// calibrates it so the Table 2 pool finishes 10⁹ photons in about 2
+    /// hours, as the paper reports.
     pub flops_per_photon: f64,
     /// Tasks the photons split into, by `lumen_core::engine::batch_sizes`
     /// (as a scenario's `tasks` does).
@@ -85,7 +87,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// The paper's workload: 10⁹ photons at ~70 kflop each (calibrated so
     /// the Table 2 pool under semi-idle availability finishes in the ~2 h
-    /// the paper reports — see DESIGN.md), 40 000 tasks of 25 000 photons
+    /// the paper reports), 40 000 tasks of 25 000 photons
     /// (small enough that the slowest Table 2 machine finishes a batch in
     /// minutes, bounding the tail), 1 MB results.
     pub fn paper_job() -> Self {
@@ -222,17 +224,24 @@ impl ClusterSim {
         }
 
         let batches = batch_sizes(job.total_photons, job.tasks);
-        let report = match scheduler.plan(batches.len(), &rates, self.seed) {
-            Plan::Dynamic => self.run_dynamic(job, &batches, &rates),
+        // Where a machine's next task comes from: one shared queue in task
+        // order (demand-driven, as `DataManager::assign` hands tasks out),
+        // or a static plan's own queue per machine, in task order.
+        let sources = match scheduler.plan(batches.len(), &rates, self.seed) {
+            Plan::Dynamic => vec![batches.iter().copied().collect()],
             Plan::Static(assignment) => {
                 if assignment.len() != batches.len() || assignment.iter().any(|&m| m >= rates.len())
                 {
                     return Err(DesError::BadPlan { tasks: batches.len(), machines: rates.len() });
                 }
-                self.run_static(job, &batches, &rates, &assignment)
+                let mut own = vec![VecDeque::new(); rates.len()];
+                for (&photons, &m) in batches.iter().zip(&assignment) {
+                    own[m].push_back(photons);
+                }
+                own
             }
         };
-        Ok(report)
+        Ok(self.simulate(job, &rates, sources))
     }
 
     /// One task's cost on machine `m` with a fresh availability draw.
@@ -251,94 +260,48 @@ impl ClusterSim {
         (compute, assign + compute + ret)
     }
 
-    /// Demand-driven self-scheduling: the machine that frees first gets
-    /// the next task.
-    fn run_dynamic(&self, job: &JobSpec, batches: &[u64], rates: &[f64]) -> DesReport {
+    /// The event loop: the machine that frees first takes the next batch
+    /// from its source (`sources[0]` when all machines share one, else
+    /// `sources[m]`) or retires when the source is dry; then the server
+    /// merges the results one at a time, in the order they arrive.
+    fn simulate(&self, job: &JobSpec, rates: &[f64], mut sources: Vec<VecDeque<u64>>) -> DesReport {
         let n = rates.len();
+        let shared = sources.len() == 1;
         let mut samplers: Vec<_> =
             (0..n).map(|m| self.availability.sampler(self.seed, m)).collect();
         let mut busy = vec![0.0f64; n];
         let mut tasks_done = vec![0u64; n];
         let mut photons_done = vec![0u64; n];
+        let mut arrivals = Vec::new();
         // Min-heap of (next-free time, machine index).
         let mut heap: BinaryHeap<Reverse<(OrderedF64, usize)>> =
             (0..n).map(|m| Reverse((OrderedF64(0.0), m))).collect();
-        let mut server_free = 0.0f64;
-        let mut server_busy = 0.0f64;
-        let mut makespan = 0.0f64;
 
-        for &photons in batches {
-            let Reverse((OrderedF64(free_at), m)) = heap.pop().expect("non-empty pool");
+        while let Some(Reverse((OrderedF64(free_at), m))) = heap.pop() {
+            let Some(photons) = sources[if shared { 0 } else { m }].pop_front() else {
+                continue;
+            };
             let avail = samplers[m].next_fraction();
             let (compute, latency) = self.task_seconds(job, photons, rates[m], avail);
-            let result_at_server = free_at + latency;
-            // The server merges results one at a time.
-            let merge_start = result_at_server.max(server_free);
-            let merge_end = merge_start + self.network.server_merge_s;
-            server_free = merge_end;
-            server_busy += self.network.server_merge_s;
             busy[m] += compute;
             tasks_done[m] += 1;
             photons_done[m] += photons;
-            makespan = makespan.max(merge_end);
+            arrivals.push(free_at + latency);
             // The machine can request new work once its result is sent.
-            heap.push(Reverse((OrderedF64(result_at_server), m)));
-        }
-
-        DesReport {
-            makespan_s: makespan,
-            sequential_s: job.sequential_seconds(self.pool.fastest_mflops()),
-            tasks: batches.len() as u64,
-            machine_busy_s: busy,
-            machine_tasks: tasks_done,
-            machine_photons: photons_done,
-            server_busy_s: server_busy,
-        }
-    }
-
-    /// Static plan: task `i` runs on machine `assignment[i]`, in index
-    /// order per machine.
-    fn run_static(
-        &self,
-        job: &JobSpec,
-        batches: &[u64],
-        rates: &[f64],
-        assignment: &[usize],
-    ) -> DesReport {
-        let n = rates.len();
-        let mut samplers: Vec<_> =
-            (0..n).map(|m| self.availability.sampler(self.seed, m)).collect();
-        let mut busy = vec![0.0f64; n];
-        let mut tasks_done = vec![0u64; n];
-        let mut photons_done = vec![0u64; n];
-        let mut machine_free = vec![0.0f64; n];
-        // Collect result-arrival events, then serialise merges in time order.
-        let mut arrivals: Vec<f64> = Vec::with_capacity(assignment.len());
-
-        for (&photons, &m) in batches.iter().zip(assignment) {
-            let avail = samplers[m].next_fraction();
-            let (compute, latency) = self.task_seconds(job, photons, rates[m], avail);
-            let start = machine_free[m];
-            machine_free[m] = start + latency;
-            busy[m] += compute;
-            tasks_done[m] += 1;
-            photons_done[m] += photons;
-            arrivals.push(start + latency);
+            heap.push(Reverse((OrderedF64(free_at + latency), m)));
         }
 
         arrivals.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
         let mut server_free = 0.0f64;
         let mut server_busy = 0.0f64;
-        for t in arrivals {
-            let merge_start = t.max(server_free);
-            server_free = merge_start + self.network.server_merge_s;
+        for &t in &arrivals {
+            server_free = t.max(server_free) + self.network.server_merge_s;
             server_busy += self.network.server_merge_s;
         }
-
         DesReport {
-            makespan_s: server_free.max(machine_free.iter().copied().fold(0.0, f64::max)),
-            sequential_s: job.sequential_seconds(self.pool.fastest_mflops()),
-            tasks: batches.len() as u64,
+            makespan_s: server_free,
+            sequential_s: job.sequential_seconds(rates.iter().copied().fold(0.0, f64::max)),
+            tasks: arrivals.len() as u64,
             machine_busy_s: busy,
             machine_tasks: tasks_done,
             machine_photons: photons_done,
@@ -368,7 +331,8 @@ impl Ord for OrderedF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{homogeneous_pool, table2_pool};
+    use crate::machine::{homogeneous_pool, table2_pool, MachineClass};
+    use crate::scheduler::StaticChunking;
 
     fn dedicated_cluster(count: usize) -> ClusterSim {
         ClusterSim {
@@ -594,6 +558,54 @@ mod tests {
         let bad_plan = Err(DesError::BadPlan { tasks: 100, machines: 2 });
         assert_eq!(lan.run_with(&small_job(), &Broken(vec![0; 99])), bad_plan);
         assert_eq!(lan.run_with(&small_job(), &Broken(vec![2; 100])), bad_plan);
+    }
+
+    #[test]
+    fn the_server_merges_results_in_arrival_order() {
+        // Task 0 goes to the slow machine (1 s), task 1 to the fast one
+        // (1 ms). Merged as they arrive, the fast result is done long
+        // before the slow one lands, so the job ends one merge after the
+        // slow arrival, whatever the plan.
+        let pool = MachinePool {
+            classes: [1.0, 1_000.0]
+                .map(|mflops| MachineClass {
+                    count: 1,
+                    mflops,
+                    ram_mb: 512,
+                    os: "Linux".into(),
+                    cpu: "test".into(),
+                })
+                .to_vec(),
+        };
+        let sim = ClusterSim {
+            pool,
+            network: NetworkModel { server_merge_s: 0.1, ..NetworkModel::FREE },
+            availability: AvailabilityModel::DEDICATED,
+            seed: 1,
+        };
+        let job = JobSpec {
+            total_photons: 2,
+            flops_per_photon: 1.0e6,
+            tasks: 2,
+            task_bytes: 512,
+            result_bytes: 1_000_000,
+        };
+        let schedulers: [&dyn Scheduler; 2] = [&SelfScheduling, &StaticChunking];
+        for scheduler in schedulers {
+            let report = sim.run_with(&job, scheduler).unwrap();
+            assert_eq!(report.makespan_s, 1.0 + 0.1, "{}", scheduler.name());
+            assert_eq!(report.machine_tasks, [1, 1], "{}", scheduler.name());
+        }
+    }
+
+    #[test]
+    fn the_sequential_baseline_is_a_machine_the_pool_has() {
+        // A class with no machines does not set the P1 baseline.
+        let mut pool = homogeneous_pool(4);
+        pool.classes.push(MachineClass { count: 0, mflops: 1_000.0, ..pool.classes[0].clone() });
+        let sim = ClusterSim { pool, ..dedicated_cluster(4) };
+        let job = small_job();
+        assert_eq!(sim.run(&job).unwrap().sequential_s, job.sequential_seconds(209.5));
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl MachinePool {
         }
         rates
     }
-
-    /// Rate of the fastest machine class (the natural sequential baseline:
-    /// you would time P1 on the best machine you have).
-    pub fn fastest_mflops(&self) -> f64 {
-        self.classes.iter().map(|c| c.mflops).fold(0.0, f64::max)
-    }
 }
 
 /// The paper's Table 2: 150 heterogeneous, non-dedicated clients.
@@ -167,11 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn table2_fastest_is_p4() {
-        assert_eq!(table2_pool().fastest_mflops(), 209.5);
-    }
-
-    #[test]
     fn machine_rates_flatten_classes() {
         let pool = table2_pool();
         let rates = pool.machine_rates();
@@ -192,6 +181,5 @@ mod tests {
     fn empty_pool() {
         let pool = homogeneous_pool(0);
         assert!(pool.is_empty());
-        assert_eq!(pool.fastest_mflops(), 209.5);
     }
 }

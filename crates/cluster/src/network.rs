@@ -17,7 +17,7 @@ pub struct NetworkModel {
     /// Usable bandwidth (MB/s).
     pub bandwidth_mb_s: f64,
     /// Server CPU time to merge one returned result (s). Serialised:
-    /// concurrent arrivals queue.
+    /// concurrent arrivals queue and are merged in arrival order.
     pub server_merge_s: f64,
 }
 

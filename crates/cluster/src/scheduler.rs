@@ -6,7 +6,7 @@
 //! Naughton's genetic-algorithm scheduler (reference \[4\]) for the
 //! heterogeneous case; we implement a faithful small GA over static
 //! task→machine assignments so the two approaches can be compared
-//! (experiment A1 in DESIGN.md).
+//! (experiment A1: the `ablation_scheduler` artefact).
 
 use mcrng::{McRng, Xoshiro256PlusPlus};
 

@@ -9,7 +9,9 @@ use lumen_core::engine::{Backend, Progress, Rayon, Scenario, Sequential};
 use lumen_core::{Detector, Source, Vec3};
 use lumen_tissue::presets::{head_with_inclusion, semi_infinite_phantom, AdultHeadConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 fn scenario() -> Scenario {
     Scenario::new(
@@ -187,4 +189,48 @@ fn progress_hook_reports_photons_and_retries() {
     assert_eq!(obs.photons.load(Ordering::Relaxed), 4_000, "all completions observed");
     assert_eq!(obs.retries.load(Ordering::Relaxed), report.requeues, "retries observed live");
     assert!(report.requeues > 0, "50% failure rate over 32 tasks must requeue");
+}
+
+/// Abort with a named panic (not a CI timeout) if `f` does not finish in
+/// time.
+fn watchdog<T: Send + 'static>(
+    name: &str,
+    limit: Duration,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    let body = thread::spawn(move || {
+        tx.send(f()).ok();
+    });
+    match rx.recv_timeout(limit) {
+        Ok(v) => {
+            body.join().ok();
+            v
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("watchdog: `{name}` still running after {limit:?}")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => match body.join() {
+            Err(cause) => std::panic::resume_unwind(cause),
+            Ok(()) => panic!("watchdog: `{name}` exited without a result"),
+        },
+    }
+}
+
+#[test]
+fn a_huge_task_count_costs_what_the_photons_cost() {
+    // 100 photons make at most 100 non-empty batches, however many tasks
+    // are asked for; the split must not walk the empty ones.
+    watchdog("10^15 tasks of 100 photons", Duration::from_secs(60), || {
+        let few = scenario().with_photons(100).with_tasks(100);
+        let huge = few.clone().with_tasks(1_000_000_000_000_000);
+        let reference = Sequential.run(&few).expect("valid scenario");
+        for backend in [&Sequential as &dyn Backend, &ThreadedCluster::new(2)] {
+            let report = backend.run(&huge).expect("valid scenario");
+            assert_eq!(report.result.tally, reference.result.tally, "{}", backend.name());
+        }
+        let predicted = lumen_cluster::predict(&huge, &lumen_cluster::homogeneous_pool(4))
+            .expect("valid scenario");
+        assert_eq!(predicted.tasks, 100);
+    });
 }

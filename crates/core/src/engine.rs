@@ -254,12 +254,14 @@ pub fn check_stream_range(task_offset: u64, tasks: u64) -> Result<(), &'static s
 }
 
 /// Split `total` photons into `tasks` near-equal batch sizes (empty
-/// batches dropped) — the decomposition every backend shares.
+/// batches dropped) — the decomposition every backend shares. Only the
+/// first `min(tasks, total)` batches can be non-empty, so only those are
+/// walked: the cost is bounded by the photons, not by `tasks`.
 pub fn batch_sizes(total: u64, tasks: u64) -> Vec<u64> {
     let tasks = tasks.max(1);
     let base = total / tasks;
     let extra = total % tasks;
-    (0..tasks).map(|i| base + u64::from(i < extra)).filter(|&n| n > 0).collect()
+    (0..tasks.min(total)).map(|i| base + u64::from(i < extra)).collect()
 }
 
 /// Observer for long-running executions.
@@ -497,7 +499,7 @@ pub(crate) fn for_each_index(threads: usize, items: usize, work: impl Fn(usize) 
 
 /// One thread per logical CPU — what a parallel driver uses when the
 /// caller pins nothing.
-pub(crate) fn available_threads() -> usize {
+pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 

@@ -677,4 +677,13 @@ mod tests {
         let err = SimulationService::new(ServiceOptions::default().with_backend("sim 4"));
         assert!(matches!(err, Err(ServiceError::InvalidConfig(_))), "{err:?}");
     }
+
+    #[test]
+    fn a_cluster_that_can_never_run_is_refused() {
+        // Each would fail every miss at run time.
+        for spec in ["cluster 0", "cluster 2 1", "cluster 2 NaN"] {
+            let err = SimulationService::new(ServiceOptions::default().with_backend(spec));
+            assert!(matches!(err, Err(ServiceError::InvalidConfig(_))), "{spec}: {err:?}");
+        }
+    }
 }
