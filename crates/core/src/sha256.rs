@@ -6,10 +6,14 @@
 //! scenario encodings (`lumen_service::scenario_key`), the golden-tally
 //! harness pins every distribution array by its digest, and the wire
 //! format's byte-pin test holds digests of whole encodings. The daemon
-//! hashes on its poll thread, once per query, so [`digest`] is written
+//! hashes on its poll thread, once per new query, so [`digest`] is written
 //! for speed; the tests hold it to the standard known-answer vectors, to
 //! pinned digests, and to a schoolbook implementation at every tail
 //! length.
+//!
+//! There is no hardware (SHA-NI) path: it would need `unsafe` intrinsics
+//! and a second, runtime-detected code path. Its measurements are in
+//! `docs/PERFORMANCE.md` (PR 35).
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,

@@ -79,8 +79,10 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
-    /// Bytes before this offset are already-consumed frames; the buffer
-    /// compacts once the dead prefix dominates.
+    /// Bytes before this offset are already-consumed frames. The buffer
+    /// empties when the last frame in it is taken, and otherwise drops the
+    /// consumed prefix only when more bytes arrive, so each byte is moved
+    /// at most once, and only if it belongs to a frame still incomplete.
     pos: usize,
 }
 
@@ -92,6 +94,10 @@ impl FrameDecoder {
 
     /// Append freshly read bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        if self.pos > 0 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -111,8 +117,8 @@ impl FrameDecoder {
         let kind = pending[4];
         let payload = pending[5..total].to_vec();
         self.pos += total;
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
+        if self.pos == self.buf.len() {
+            self.buf.clear();
             self.pos = 0;
         }
         Ok(Some((kind, payload)))
@@ -202,5 +208,31 @@ mod tests {
             assert!(!dec.mid_frame(), "iteration {i}: decoder must drain fully");
         }
         assert!(dec.buf.len() < 8192, "consumed prefixes must be reclaimed");
+    }
+
+    #[test]
+    fn a_pipelined_stream_never_drained_keeps_the_buffer_bounded() {
+        // Frames of varied size, read in chunks that never end on a frame
+        // boundary: a partial frame is always pending, so the buffer never
+        // empties, and only the per-append compaction bounds it.
+        let sizes = [3usize, 700, 20_000, 1, 5_000, 40_000, 64];
+        let mut wire = Vec::new();
+        for i in 0..60 {
+            let size = sizes[i % sizes.len()];
+            wire.extend(encode_frame(i as u8, &vec![i as u8; size]).unwrap());
+        }
+        let largest = 5 + sizes.iter().max().unwrap();
+        let mut dec = FrameDecoder::new();
+        let mut frames = 0;
+        for chunk in wire.chunks(crate::READ_CHUNK - 7) {
+            dec.extend(chunk);
+            assert!(dec.buf.len() <= 2 * largest + crate::READ_CHUNK, "{} bytes", dec.buf.len());
+            while let Some((kind, payload)) = dec.next_frame().unwrap() {
+                assert_eq!((kind, payload.len()), (frames as u8, sizes[frames % sizes.len()]));
+                frames += 1;
+            }
+        }
+        assert_eq!(frames, 60);
+        assert!(!dec.mid_frame());
     }
 }

@@ -248,7 +248,8 @@ fn raw_fd<T>(_t: &T) -> i32 {
 /// promptly.
 const MAX_TICK: Duration = Duration::from_millis(50);
 
-/// Read-scratch size; reads drain the socket buffer in chunks this big.
+/// Read-scratch size: one `read` takes at most this much, and a read that
+/// fills it is followed by another.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// A greeted loop's connection rules (see [`EventLoop::greeted`]).
@@ -288,6 +289,8 @@ pub struct EventLoop {
     waker_rx: Option<TcpStream>,
     waker_tx: Option<TcpStream>,
     greeting: Option<Greeting>,
+    /// Where every read lands before the decoder copies it; zeroed once.
+    scratch: Box<[u8]>,
 }
 
 impl EventLoop {
@@ -303,6 +306,7 @@ impl EventLoop {
             waker_rx: None,
             waker_tx: None,
             greeting: None,
+            scratch: vec![0; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -408,10 +412,7 @@ impl EventLoop {
     /// Close connections whose eager flush failed mid-callback,
     /// reporting remote deaths to the handler.
     fn sweep_dead<H: Handler>(&mut self, handler: &mut H) {
-        let dead: Vec<usize> = self.conns.iter().filter(|(_, c)| c.dead).map(|(&t, _)| t).collect();
-        for t in dead {
-            self.close_remote(handler, t);
-        }
+        self.sweep(handler, |c| c.dead);
     }
 
     /// A greeted loop's deadlines: close a connection still without a
@@ -419,18 +420,17 @@ impl EventLoop {
     /// for `within`.
     fn sweep_stalled<H: Handler>(&mut self, handler: &mut H, now: Instant) {
         let Some(Greeting { within, .. }) = self.greeting else { return };
-        let stalled: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| match c.hello_by {
-                Some(deadline) => now >= deadline,
-                None => {
-                    c.decoder.mid_frame() && now.saturating_duration_since(c.last_read) >= within
-                }
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for t in stalled {
+        self.sweep(handler, |c| match c.hello_by {
+            Some(deadline) => now >= deadline,
+            None => c.decoder.mid_frame() && now.saturating_duration_since(c.last_read) >= within,
+        });
+    }
+
+    /// [`EventLoop::close_remote`] every connection `doomed` picks.
+    fn sweep<H: Handler>(&mut self, handler: &mut H, doomed: impl Fn(&Conn) -> bool) {
+        let picked: Vec<usize> =
+            self.conns.iter().filter(|(_, c)| doomed(c)).map(|(&t, _)| t).collect();
+        for t in picked {
             self.close_remote(handler, t);
         }
     }
@@ -504,16 +504,22 @@ impl EventLoop {
         let mut gone = false;
         {
             let Some(conn) = self.conns.get_mut(&t) else { return };
-            let mut scratch = [0u8; READ_CHUNK];
             loop {
-                match conn.stream.read(&mut scratch) {
+                match conn.stream.read(&mut self.scratch) {
                     Ok(0) => {
                         gone = true;
                         break;
                     }
                     Ok(n) => {
-                        conn.decoder.extend(&scratch[..n]);
+                        conn.decoder.extend(&self.scratch[..n]);
                         conn.last_read = now;
+                        // A short read drained the socket. Poll is
+                        // level-triggered, so bytes or an EOF that arrive
+                        // after it are reported on the next iteration;
+                        // reading again now would only earn `WouldBlock`.
+                        if n < self.scratch.len() {
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -883,6 +889,38 @@ mod tests {
         let seen = finish();
         assert_eq!((seen.opens, seen.closes), (1, 1), "the cut reaches on_close");
         assert!(seen.kinds.is_empty());
+    }
+
+    #[test]
+    fn a_last_frame_sent_with_the_fin_is_delivered_before_the_close() {
+        // One frame and the FIN back to back: the read that takes the
+        // frame is short and ends the readiness event, so the EOF must
+        // still surface on the next one.
+        let (addr, finish) = greeted_recorder(Duration::from_secs(10));
+        let mut s = TcpStream::connect(addr).unwrap();
+        send(&mut s, frame::KIND_HELLO, &[V]);
+        assert_eq!(recv(&mut s), Some((frame::KIND_HELLO, vec![V])));
+        send(&mut s, 0x42, b"last words");
+        s.shutdown(Shutdown::Write).unwrap();
+        // A lost EOF shows as a timed-out read and no `on_close` below.
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(recv(&mut s), Some((0x42, b"last words".to_vec())));
+        assert_eq!(recv(&mut s), None, "the EOF closed the connection");
+        let seen = finish();
+        assert_eq!((seen.opens, seen.closes, seen.kinds), (1, 1, vec![0x42]));
+    }
+
+    #[test]
+    fn a_frame_larger_than_a_read_is_delivered_whole() {
+        let (addr, finish) = greeted_recorder(Duration::from_secs(10));
+        let mut s = TcpStream::connect(addr).unwrap();
+        send(&mut s, frame::KIND_HELLO, &[V]);
+        assert_eq!(recv(&mut s), Some((frame::KIND_HELLO, vec![V])));
+        let payload: Vec<u8> = (0..3 * READ_CHUNK + 123).map(|i| i as u8).collect();
+        send(&mut s, 0x42, &payload);
+        assert_eq!(recv(&mut s), Some((0x42, payload)));
+        let seen = finish();
+        assert_eq!((seen.opens, seen.closes, seen.kinds), (1, 0, vec![0x42]));
     }
 
     #[test]

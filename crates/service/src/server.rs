@@ -15,7 +15,16 @@
 //! The poll thread answers everything that needs no photon: it decodes a
 //! query, validates and hashes it, looks it up, and on a hit encodes and
 //! sends the reply before `on_frame` returns — one socket round trip, no
-//! hand-off, and never queued behind a trace. What it may hold is the
+//! hand-off, and never queued behind a trace. Each connection keeps its
+//! last query that validated, payload and key, so a byte-for-byte repeat
+//! skips the decode, the validation and the hash and goes straight to the
+//! lookup; if its entry has since been evicted it is decoded again, only
+//! for the scenario to trace. A repeat is a [`crate::ServiceClient`] asking
+//! for the same scenario again on its connection; `lumen query` asks once
+//! per connection and never repeats. The key is a pure function of the
+//! payload bytes, so replies, counters and the cache are exactly what the
+//! full path gives. The kept payload costs each live connection up to the
+//! size of its largest valid query. What it may hold is the
 //! service's state lock, for at most one tally clone (see
 //! `SimulationService::lookup`). A trace is the one thing that must *not*
 //! run there — it blocks for seconds — so a miss goes, with the key the
@@ -187,21 +196,60 @@ fn worker_loop(
 }
 
 /// One admitted connection's protocol state.
+#[derive(Debug, Default)]
+struct Peer {
+    /// The miss this peer waits on; `None` while idle.
+    busy: Option<Busy>,
+    /// The last query that validated: its payload, and what `prepare` made
+    /// of it. A byte-equal repeat goes straight to `lookup`.
+    last: Option<(Vec<u8>, Prepared)>,
+}
+
+/// A miss is with the executor pool. Further queries — hits too, so
+/// replies keep request order — queue here and are answered in order;
+/// `cancel` aborts the trace if the connection dies first.
 #[derive(Debug)]
-enum Peer {
-    /// Idle.
-    Ready,
-    /// A miss is with the executor pool. Further queries — hits too, so
-    /// replies keep request order — queue here and are answered in
-    /// order; `cancel` aborts the trace if the connection dies first.
-    Busy { generation: u64, cancel: Arc<AtomicBool>, queued: VecDeque<Vec<u8>> },
+struct Busy {
+    generation: u64,
+    cancel: Arc<AtomicBool>,
+    queued: VecDeque<Vec<u8>>,
 }
 
 impl Peer {
     /// Abort the trace this peer waits on, if any.
     fn cancel(&self) {
-        if let Peer::Busy { cancel, .. } = self {
-            cancel.store(true, Ordering::Relaxed);
+        if let Some(busy) = &self.busy {
+            busy.cancel.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Everything the poll thread can do with one query by itself. A
+    /// repeat of the `last` payload keeps its `Prepared`: on a hit it is
+    /// not decoded at all, and if its entry has been evicted it is decoded
+    /// only for the scenario to trace. Anything else is decoded, validated
+    /// and hashed, looked up, and, if it validated, becomes `last`.
+    fn answer(&mut self, service: &SimulationService, payload: Vec<u8>) -> Inline {
+        let result = |reply: QueryReply| Inline::Frame(KIND_RESULT, proto::encode_reply(&reply));
+        let repeat = self.last.as_ref().filter(|(bytes, _)| *bytes == payload).map(|&(_, p)| p);
+        if let Some(reply) = repeat.and_then(|prepared| service.lookup(&prepared)) {
+            return result(reply);
+        }
+        let scenario = match wire::decode_scenario(&payload) {
+            Ok(scenario) => scenario,
+            Err(e) => {
+                let msg = format!("malformed scenario: {e}");
+                return Inline::Frame(KIND_ERROR, proto::encode_error(&msg));
+            }
+        };
+        let prepared = match repeat.map_or_else(|| service.prepare(&scenario), Ok) {
+            Ok(prepared) => prepared,
+            Err(e) => return Inline::Frame(KIND_ERROR, proto::encode_error(&e.to_string())),
+        };
+        let reply = if repeat.is_some() { None } else { service.lookup(&prepared) };
+        self.last = Some((payload, prepared));
+        match reply {
+            Some(reply) => result(reply),
+            None => Inline::Miss(Box::new((scenario, prepared))),
         }
     }
 }
@@ -227,26 +275,6 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Everything the poll thread can do with one query by itself:
-    /// decode, validate and hash, look up.
-    fn answer(&self, payload: &[u8]) -> Inline {
-        let scenario = match wire::decode_scenario(payload) {
-            Ok(scenario) => scenario,
-            Err(e) => {
-                let msg = format!("malformed scenario: {e}");
-                return Inline::Frame(KIND_ERROR, proto::encode_error(&msg));
-            }
-        };
-        let prepared = match self.service.prepare(&scenario) {
-            Ok(prepared) => prepared,
-            Err(e) => return Inline::Frame(KIND_ERROR, proto::encode_error(&e.to_string())),
-        };
-        match self.service.lookup(&prepared) {
-            Some(reply) => Inline::Frame(KIND_RESULT, proto::encode_reply(&reply)),
-            None => Inline::Miss(Box::new((scenario, prepared))),
-        }
-    }
-
     /// Serve one query and then its `queued` follow-ups, inline, up to
     /// the first cache miss, which is dispatched and parks the connection
     /// `Busy` with what is still queued. Errors leave the connection open.
@@ -259,7 +287,8 @@ impl Daemon {
     ) {
         let mut next = Some(payload);
         while let Some(bytes) = next.take() {
-            let (scenario, prepared) = match self.answer(&bytes) {
+            let Some(peer) = self.peers.get_mut(&token) else { return };
+            let (scenario, prepared) = match peer.answer(&self.service, bytes) {
                 Inline::Frame(kind, frame) => {
                     ops.send(token, kind, &frame);
                     next = queued.pop_front();
@@ -277,25 +306,22 @@ impl Daemon {
                 self.peers.remove(&token);
                 return;
             }
-            self.peers.insert(token, Peer::Busy { generation, cancel, queued });
+            peer.busy = Some(Busy { generation, cancel, queued });
             return;
         }
-        self.peers.insert(token, Peer::Ready);
     }
 }
 
 impl Handler for Daemon {
     fn on_open(&mut self, _ops: &mut Ops<'_>, token: Token) {
-        self.peers.insert(token, Peer::Ready);
+        self.peers.insert(token, Peer::default());
     }
 
     fn on_frame(&mut self, ops: &mut Ops<'_>, token: Token, kind: u8, payload: Vec<u8>) {
         match (self.peers.get_mut(&token), kind) {
             (None, _) => ops.close(token),
-            (Some(Peer::Ready), KIND_QUERY) => {
-                self.start_query(ops, token, payload, VecDeque::new());
-            }
-            (Some(Peer::Busy { queued, .. }), KIND_QUERY) => queued.push_back(payload),
+            (Some(Peer { busy: Some(busy), .. }), KIND_QUERY) => busy.queued.push_back(payload),
+            (Some(_), KIND_QUERY) => self.start_query(ops, token, payload, VecDeque::new()),
             (Some(_), other) => {
                 // Typed rejection, then close: an unknown kind means the
                 // peer and daemon disagree about the protocol.
@@ -321,14 +347,13 @@ impl Handler for Daemon {
 
     fn on_wake(&mut self, ops: &mut Ops<'_>) {
         while let Ok(done) = self.done_rx.try_recv() {
-            let queued = match self.peers.get_mut(&done.token) {
-                Some(Peer::Busy { generation, queued, .. }) if *generation == done.generation => {
-                    std::mem::take(queued)
-                }
-                // Connection gone (its cancel produced this completion)
-                // or superseded: nobody is waiting for these bytes.
-                _ => continue,
-            };
+            let busy = self
+                .peers
+                .get_mut(&done.token)
+                .and_then(|peer| peer.busy.take_if(|busy| busy.generation == done.generation));
+            // Connection gone (its cancel produced this completion) or
+            // superseded: nobody is waiting for these bytes.
+            let Some(Busy { mut queued, .. }) = busy else { continue };
             match done.result {
                 Ok(reply) => {
                     ops.send(done.token, KIND_RESULT, &proto::encode_reply(&reply));
@@ -337,12 +362,8 @@ impl Handler for Daemon {
                     ops.send(done.token, KIND_ERROR, &proto::encode_error(&e.to_string()));
                 }
             }
-            let mut queued = queued;
-            match queued.pop_front() {
-                Some(next) => self.start_query(ops, done.token, next, queued),
-                None => {
-                    self.peers.insert(done.token, Peer::Ready);
-                }
+            if let Some(next) = queued.pop_front() {
+                self.start_query(ops, done.token, next, queued);
             }
         }
     }

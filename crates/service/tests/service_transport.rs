@@ -3,7 +3,10 @@
 //! worker-pool budget within one chunk), the 100+-concurrent-client scale test the old
 //! thread-per-connection front end could not express, and the poll
 //! thread's inline hits (never queued behind a trace, never out of
-//! request order on their own connection). All replies stay
+//! request order on their own connection), and the per-connection memo
+//! that answers a byte-equal repeat without decoding or hashing it (never
+//! for a different payload, never from an evicted entry, never for a
+//! refused one, never ahead of the miss it is queued behind). All replies stay
 //! byte-deterministic — an answer from a daemon juggling a hundred
 //! sockets is bit-identical to one computed by a private service
 //! instance, and a cancelled fold is discarded whole, never cached.
@@ -13,7 +16,9 @@ use lumen_cluster::wire;
 use lumen_core::engine::Scenario;
 use lumen_core::{Detector, Source};
 use lumen_service::proto::{self, KIND_ERROR, KIND_QUERY, KIND_RESULT};
-use lumen_service::{Served, ServiceClient, ServiceOptions, ServiceServer, SimulationService};
+use lumen_service::{
+    scenario_key, Served, ServiceClient, ServiceOptions, ServiceServer, SimulationService,
+};
 use lumen_tissue::presets::semi_infinite_phantom;
 use std::io::Write;
 use std::net::TcpStream;
@@ -284,6 +289,163 @@ fn pipelined_queries_are_answered_in_request_order() {
         // The typed error left the connection open.
         write_frame(&mut stream, KIND_PING, b"still here").expect("ping");
         assert_eq!(read_frame(&mut stream).expect("pong"), (KIND_PING, b"still here".to_vec()));
+        server.shutdown();
+    })
+}
+
+/// A raw, greeted connection to `server`.
+fn connect(server: &ServiceServer) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    handshake(&mut stream).expect("hello");
+    stream
+}
+
+/// One query's reply frame on `stream`.
+fn ask(stream: &mut TcpStream, payload: &[u8]) -> (u8, Vec<u8>) {
+    write_frame(stream, KIND_QUERY, payload).expect("query");
+    read_frame(stream).expect("reply")
+}
+
+#[test]
+fn a_connection_alternating_two_near_identical_queries_gets_each_its_own_reply() {
+    watchdog("memo alternation", LIMIT, || {
+        // Two detectors one ulp apart: payloads differing in one byte.
+        let a = scenario(5, 10_000);
+        let mut b = a.clone();
+        b.detector.radius = f64::from_bits(a.detector.radius.to_bits() ^ 1);
+        let (pa, pb) = (wire::encode_scenario(&a), wire::encode_scenario(&b));
+        assert_eq!(pa.len(), pb.len());
+        assert_eq!(pa.iter().zip(&pb).filter(|(x, y)| x != y).count(), 1);
+
+        let svc = service(10_000);
+        let server = ServiceServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind daemon");
+        // Prime both keys, then take each one's warm reply from a fresh
+        // connection: the bytes every later answer must repeat.
+        let expect: Vec<(Vec<u8>, [u8; 32])> = [(&a, &pa), (&b, &pb)]
+            .into_iter()
+            .map(|(s, p)| {
+                assert_eq!(ask(&mut connect(&server), p).0, KIND_RESULT);
+                let (kind, reply) = ask(&mut connect(&server), p);
+                assert_eq!(kind, KIND_RESULT);
+                (reply, scenario_key(s))
+            })
+            .collect();
+
+        // Alternating, with back-to-back repeats where rounds meet (b b,
+        // then a a): memo hits and memo replacements both.
+        let mut stream = connect(&server);
+        for round in 0..50 {
+            for which in [0, 1, 1, 0] {
+                let (kind, reply) = ask(&mut stream, [&pa, &pb][which]);
+                assert_eq!(kind, KIND_RESULT, "round {round}");
+                assert_eq!(proto::decode_reply(&reply).expect("decodes").key, expect[which].1);
+                assert_eq!(reply, expect[which].0, "round {round}: query {which}'s bytes");
+            }
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.cold, stats.warm), (2, 2 + 200), "{stats:?}");
+        server.shutdown();
+    })
+}
+
+#[test]
+fn a_repeat_whose_entry_was_evicted_is_traced_again() {
+    watchdog("memo after eviction", LIMIT, || {
+        let (a, b) = (scenario(6, 10_000), scenario(7, 10_000));
+        // A budget that holds either entry but not both.
+        let both = {
+            let probe = service(10_000);
+            probe.query(&a).and_then(|_| probe.query(&b)).expect("probe");
+            probe.stats().cached_bytes as usize
+        };
+        let svc = Arc::new(
+            SimulationService::new(
+                ServiceOptions::default()
+                    .with_backend("sequential")
+                    .with_chunk_photons(10_000)
+                    .with_chunk_tasks(4)
+                    .with_max_cache_bytes(both - 1),
+            )
+            .expect("valid options"),
+        );
+        let server = ServiceServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind daemon");
+        let pa = wire::encode_scenario(&a);
+        let mut stream = connect(&server);
+        let (kind, first) = ask(&mut stream, &pa);
+        assert_eq!(kind, KIND_RESULT);
+        let first = proto::decode_reply(&first).expect("decodes");
+        assert_eq!(first.served, Served::Cold);
+
+        // Another connection's key pushes A out of the cache.
+        ServiceClient::connect(server.local_addr()).and_then(|mut c| c.query(&b)).expect("B");
+        let before = svc.stats();
+        assert_eq!((before.cold, before.evictions, before.entries), (2, 1, 1), "{before:?}");
+
+        let (kind, again) = ask(&mut stream, &pa);
+        assert_eq!(kind, KIND_RESULT);
+        let again = proto::decode_reply(&again).expect("decodes");
+        let after = svc.stats();
+        assert_eq!(again.served, Served::Cold, "an evicted entry is not served from the memo");
+        assert_eq!(after.cold, before.cold + 1, "{after:?}");
+        assert_eq!((again.key, again.tally), (first.key, first.tally));
+        server.shutdown();
+    })
+}
+
+#[test]
+fn a_repeated_refused_query_is_refused_the_same_way_on_an_open_connection() {
+    watchdog("memo and refusals", LIMIT, || {
+        let svc = service(10_000);
+        let server = ServiceServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind daemon");
+        let good = wire::encode_scenario(&scenario(8, 10_000));
+        // One that does not decode, and one that decodes but overflows
+        // the chunk ledger.
+        let truncated = good[..good.len() / 2].to_vec();
+        let overflowing = wire::encode_scenario(&scenario(8, u64::MAX));
+        let mut stream = connect(&server);
+        assert_eq!(ask(&mut stream, &good).0, KIND_RESULT);
+        for (bad, says) in [(&truncated, "malformed"), (&overflowing, "chunk ledger")] {
+            let (kind, first) = ask(&mut stream, bad);
+            assert_eq!(kind, KIND_ERROR);
+            assert!(proto::decode_error(&first).expect("decodes").contains(says));
+            assert_eq!(ask(&mut stream, bad), (KIND_ERROR, first));
+            // Still open, and a refusal did not disturb the memo.
+            let (kind, reply) = ask(&mut stream, &good);
+            assert_eq!(kind, KIND_RESULT);
+            assert_eq!(proto::decode_reply(&reply).expect("decodes").served, Served::Warm);
+        }
+        write_frame(&mut stream, KIND_PING, b"still here").expect("ping");
+        assert_eq!(read_frame(&mut stream).expect("pong"), (KIND_PING, b"still here".to_vec()));
+        let stats = svc.stats();
+        assert_eq!((stats.queries, stats.cold, stats.warm), (3, 1, 2), "{stats:?}");
+        server.shutdown();
+    })
+}
+
+#[test]
+fn a_repeat_pipelined_behind_its_own_miss_is_answered_after_it() {
+    watchdog("memo behind a miss", LIMIT, || {
+        let svc = service(10_000);
+        let server = ServiceServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind daemon");
+        let x = wire::encode_scenario(&scenario(9, 20_000));
+        let mut burst = Vec::new();
+        for _ in 0..3 {
+            write_frame_to(&mut burst, KIND_QUERY, &x).expect("frame");
+        }
+        let mut stream = connect(&server);
+        stream.write_all(&burst).expect("one write, three queries");
+        let replies: Vec<_> = (0..3)
+            .map(|_| {
+                let (kind, payload) = read_frame(&mut stream).expect("reply");
+                assert_eq!(kind, KIND_RESULT);
+                proto::decode_reply(&payload).expect("decodes")
+            })
+            .collect();
+        let served: Vec<_> = replies.iter().map(|r| r.served).collect();
+        assert_eq!(served, [Served::Cold, Served::Warm, Served::Warm]);
+        assert!(replies.iter().all(|r| r.tally == replies[0].tally));
+        let stats = svc.stats();
+        assert_eq!((stats.cold, stats.warm, stats.chunks_traced), (1, 2, 2), "{stats:?}");
         server.shutdown();
     })
 }
