@@ -21,7 +21,9 @@
 
 use crate::net::{serve_with_options, NetError, ServeOptions};
 use crate::DataManager;
-use lumen_core::engine::{run_task, Backend, EngineError, Progress, RunReport, Scenario};
+use lumen_core::engine::{
+    run_task, run_workers, Backend, EngineError, Progress, RunReport, Scenario,
+};
 use lumen_core::SimulationResult;
 use mcrng::{McRng, SplitMix64, StreamFactory};
 use std::net::TcpListener;
@@ -55,7 +57,8 @@ impl FailurePlan {
 
 /// The real master/worker engine as a backend: OS threads play the client
 /// PCs and share the [`DataManager`] behind a lock, each looping request →
-/// trace → return until every task has completed.
+/// trace → return until every task has completed. The calling thread is
+/// worker 0, so `k` workers spawn `k − 1` threads and one spawns none.
 ///
 /// Deterministic in its *physics* for a given `(seed, tasks)`: the same
 /// batches with the same streams are executed regardless of worker count,
@@ -131,49 +134,47 @@ impl Backend for ThreadedCluster {
         // when the last task completes (idle workers can leave).
         let changed = Condvar::new();
 
-        std::thread::scope(|scope| {
-            for worker in 0..self.workers {
-                let (sim, factory, server, changed) = (&sim, &factory, &server, &changed);
-                // Fault injection draws from a per-worker deterministic
-                // stream unrelated to the physics streams.
-                let mut fault_rng = SplitMix64::new(
-                    scenario.seed ^ 0xFA17_FA17_FA17_FA17 ^ (worker as u64).wrapping_mul(0x9E37),
-                );
-                // Poisoned only if another worker panicked mid-update.
-                let lock = move || server.lock().expect("a cluster worker panicked");
-                scope.spawn(move || loop {
-                    let task = {
-                        let mut guard = lock();
-                        loop {
-                            if let Some(task) = guard.0.assign() {
-                                break task;
-                            }
-                            if guard.0.finished() {
-                                return;
-                            }
-                            // Queue dry, tasks still out elsewhere: one of them
-                            // may still come back.
-                            guard = changed.wait(guard).expect("a cluster worker panicked");
+        // Poisoned only if another worker panicked mid-update.
+        let lock = || server.lock().expect("a cluster worker panicked");
+
+        run_workers(self.workers, |worker| {
+            // Fault injection draws from a per-worker deterministic stream
+            // unrelated to the physics streams.
+            let mut fault_rng = SplitMix64::new(
+                scenario.seed ^ 0xFA17_FA17_FA17_FA17 ^ (worker as u64).wrapping_mul(0x9E37),
+            );
+            loop {
+                let task = {
+                    let mut guard = lock();
+                    loop {
+                        if let Some(task) = guard.0.assign() {
+                            break task;
                         }
-                    };
-                    if failure_rate > 0.0 && fault_rng.next_f64() < failure_rate {
-                        // Machine "reclaimed by its owner": the task is lost
-                        // before completing.
-                        lock().0.fail(worker, task);
-                        progress.on_task_retry(task.task_id);
-                        changed.notify_one();
-                    } else {
-                        let tally = run_task(sim, factory, task.task_id, task.photons, None);
-                        let mut guard = lock();
-                        let (dm, photons_done) = &mut *guard;
-                        dm.complete(worker, task, &tally);
-                        *photons_done += task.photons;
-                        progress.on_photons(*photons_done, scenario.photons);
-                        if dm.finished() {
-                            changed.notify_all();
+                        if guard.0.finished() {
+                            return;
                         }
+                        // Queue dry, tasks still out elsewhere: one of them
+                        // may still come back.
+                        guard = changed.wait(guard).expect("a cluster worker panicked");
                     }
-                });
+                };
+                if failure_rate > 0.0 && fault_rng.next_f64() < failure_rate {
+                    // Machine "reclaimed by its owner": the task is lost
+                    // before completing.
+                    lock().0.fail(worker, task);
+                    progress.on_task_retry(task.task_id);
+                    changed.notify_one();
+                } else {
+                    let tally = run_task(&sim, &factory, task.task_id, task.photons, None);
+                    let mut guard = lock();
+                    let (dm, photons_done) = &mut *guard;
+                    dm.complete(worker, task, &tally);
+                    *photons_done += task.photons;
+                    progress.on_photons(*photons_done, scenario.photons);
+                    if dm.finished() {
+                        changed.notify_all();
+                    }
+                }
             }
         });
 

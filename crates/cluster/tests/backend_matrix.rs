@@ -6,11 +6,11 @@
 
 use lumen_cluster::{FailurePlan, Tcp, ThreadedCluster};
 use lumen_core::engine::{Backend, Progress, Rayon, Scenario, Sequential};
-use lumen_core::{Detector, Source, Vec3};
+use lumen_core::{Detector, Precision, Source, Vec3};
 use lumen_tissue::presets::{head_with_inclusion, semi_infinite_phantom, AdultHeadConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::thread;
+use std::sync::{mpsc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 fn scenario() -> Scenario {
@@ -134,6 +134,39 @@ fn matrix_voxel_scenario_bit_identical_across_backends() {
 }
 
 #[test]
+fn matrix_fast_tier_bit_identical_across_backends_and_splits() {
+    // The fast tier's lane pool drains at the end of every task, so the
+    // split decides how the drain looks: one photon a task is a drain with a
+    // single live lane throughout; 33 a task refills one lane past the
+    // 32-lane pool before draining. Every backend must reproduce
+    // `Sequential` at both.
+    let matrix: Vec<Box<dyn Backend>> = vec![
+        Box::new(Rayon::with_threads(1)),
+        Box::new(Rayon::with_threads(3)),
+        Box::new(ThreadedCluster::new(1)),
+        Box::new(ThreadedCluster::new(2)),
+        Box::new(ThreadedCluster::new(4)),
+        Box::new(ThreadedCluster::new(4).with_failure_plan(FailurePlan::Random { rate: 0.25 })),
+    ];
+    for (photons, tasks) in [(12, 12), (33 * 6, 6)] {
+        let mut s = voxel_scenario().with_photons(photons).with_tasks(tasks);
+        s.options.precision = Precision::Fast;
+        let reference = Sequential.run(&s).expect("valid fast voxel scenario");
+        assert_eq!(reference.launched(), photons);
+        for backend in &matrix {
+            let report = backend.run(&s).expect("valid fast voxel scenario");
+            assert_eq!(
+                reference.result.tally,
+                report.result.tally,
+                "`{}` must match `sequential` bit-for-bit on the fast tier at {} photons a task",
+                backend.name(),
+                photons / tasks
+            );
+        }
+    }
+}
+
+#[test]
 fn matrix_voxel_scenario_over_tcp() {
     // Real sockets under a voxel scenario: tasks out, per-region voxel
     // tallies back (the scenario encoding itself is covered in wire.rs).
@@ -189,6 +222,39 @@ fn progress_hook_reports_photons_and_retries() {
     assert_eq!(obs.photons.load(Ordering::Relaxed), 4_000, "all completions observed");
     assert_eq!(obs.retries.load(Ordering::Relaxed), report.requeues, "retries observed live");
     assert!(report.requeues > 0, "50% failure rate over 32 tasks must requeue");
+}
+
+#[test]
+fn one_worker_runs_on_the_calling_thread() {
+    // A run of k workers spawns k − 1 threads: the caller is worker 0, so a
+    // one-worker run reports every completion and retry from the caller.
+    struct Threads(Mutex<Vec<ThreadId>>);
+    impl Progress for Threads {
+        fn on_photons(&self, _completed: u64, _total: u64) {
+            self.0.lock().unwrap().push(thread::current().id());
+        }
+        fn on_task_retry(&self, _task_id: u64) {
+            self.0.lock().unwrap().push(thread::current().id());
+        }
+    }
+    let s = scenario().with_photons(400).with_tasks(16);
+    let one_worker: [&dyn Backend; 4] = [
+        &Sequential,
+        &Rayon::with_threads(1),
+        &ThreadedCluster::new(1),
+        &ThreadedCluster::new(1).with_failure_plan(FailurePlan::Random { rate: 0.5 }),
+    ];
+    for backend in one_worker {
+        let seen = Threads(Mutex::new(Vec::new()));
+        let report = backend.run_with_progress(&s, &seen).expect("valid scenario");
+        let seen = seen.0.into_inner().unwrap();
+        assert_eq!(seen.len() as u64, 16 + report.requeues, "`{}`", backend.name());
+        assert!(
+            seen.iter().all(|&id| id == thread::current().id()),
+            "`{}` called back from a thread other than the caller's",
+            backend.name()
+        );
+    }
 }
 
 /// Abort with a named panic (not a CI timeout) if `f` does not finish in

@@ -22,12 +22,14 @@
 //! longest walks finish. Walk lengths are heavy-tailed, so at the small
 //! tasks a cluster hands out the drain is most of the run: on the 1 mm
 //! voxel head at 128 photons a task, 55 % of supersteps have at most 8 of
-//! the 32 lanes live. Each superstep therefore collects its live lanes, and
-//! every lane-order loop (bookkeeping, hop, drop, roulette) visits only
-//! those. The `ln` and spin sweeps stay full width while more than half the
-//! pool is live and evaluate only the lanes that need them below that. Both
-//! sweep forms run the same per-lane code (`approx::fast_ln`, `spin_lane`),
-//! and Rust never contracts to FMA, so the bits do not depend on which form
+//! the 32 lanes live and 34 % exactly one. The pool therefore keeps its
+//! live lanes as one bit mask, set at launch and cleared when a lane goes
+//! dark, and every lane-order loop (bookkeeping, hop, drop, roulette) walks
+//! that mask, so a superstep costs its live lanes and not the pool. The
+//! `ln` and spin sweeps stay full width while more than half the pool is
+//! live and evaluate only the lanes that need them below that. Both sweep
+//! forms run the same per-lane code (`approx::fast_ln`, `spin_lane`), and
+//! Rust never contracts to FMA, so the bits do not depend on which form
 //! ran.
 //!
 //! # Determinism
@@ -103,7 +105,9 @@ struct Pool {
     // Walk state.
     step_mfps: [f64; LANES],
     interactions: [u32; LANES],
-    alive: [bool; LANES],
+    /// The live lanes, one bit a lane: set by a launch, cleared when a
+    /// lane goes dark. A lane is live exactly while its `fate` is `Alive`.
+    live: u32,
     // Cached optics of `region` (refreshed when `layer` changes), spread
     // into parallel arrays so the hot loops read contiguous f64 streams.
     region: [usize; LANES],
@@ -134,10 +138,10 @@ impl Pool {
             max_depth: [0.0; LANES],
             scatters: [0; LANES],
             layer: [0; LANES],
-            fate: [Fate::Alive; LANES],
+            fate: [Fate::Expired; LANES],
             step_mfps: [0.0; LANES],
             interactions: [0; LANES],
-            alive: [false; LANES],
+            live: 0,
             region: [0; LANES],
             mu_t: [0.0; LANES],
             inv_mu_t: [0.0; LANES],
@@ -225,7 +229,7 @@ impl Pool {
                 self.refresh_optics(l, cx.geom);
                 self.step_mfps[l] = 0.0;
                 self.interactions[l] = 0;
-                self.alive[l] = true;
+                self.live |= 1 << l;
                 return;
             }
             scalar::finish_stage(
@@ -237,7 +241,7 @@ impl Pool {
                 None,
             );
         }
-        self.alive[l] = false;
+        self.live &= !(1 << l);
     }
 
     /// Finish lane `l`'s photon (whose terminal fate is already set in
@@ -301,13 +305,8 @@ impl Pool {
         // superstep. Every lane-order loop below visits only these, in lane
         // order, so the RNG draws are a full sweep's; so do the `ln` and
         // spin sweeps once at most `FULL_WIDTH_ABOVE` lanes are live.
-        let mut mask = 0u32;
-        for l in 0..LANES {
-            mask |= u32::from(self.alive[l]) << l;
-        }
-        let live = Live(mask);
-        let n_live = mask.count_ones() as usize;
-        let full_width = n_live > FULL_WIDTH_ABOVE;
+        let live = Live(self.live);
+        let full_width = self.live.count_ones() as usize > FULL_WIDTH_ABOVE;
 
         // --- bookkeeping + fresh-step draws (lane order) ---
         let mut u_step = [1.0_f64; LANES];
@@ -348,7 +347,7 @@ impl Pool {
         // the next superstep.
         let mut interact = [false; LANES];
         for l in live {
-            if !self.alive[l] || self.step_mfps[l] <= 0.0 {
+            if self.live & (1 << l) == 0 || self.step_mfps[l] <= 0.0 {
                 continue;
             }
             let pos = Vec3::new(self.px[l], self.py[l], self.pz[l]);
@@ -523,7 +522,63 @@ pub(crate) fn run_stream<G: TissueGeometry, R: McRng>(
     for l in 0..LANES {
         pool.try_launch(l, &mut cx);
     }
-    while pool.alive.contains(&true) {
+    while pool.live != 0 {
         pool.superstep(&mut cx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::{Precision, SimulationOptions};
+    use crate::{Detector, Source};
+    use lumen_tissue::presets::{adult_head, AdultHeadConfig};
+    use mcrng::StreamFactory;
+
+    /// The lanes whose photon is still walking, read from the fates alone.
+    fn walking(pool: &Pool) -> u32 {
+        (0..LANES).filter(|&l| pool.fate[l] == Fate::Alive).fold(0, |m, l| m | 1 << l)
+    }
+
+    #[test]
+    fn the_live_mask_is_the_set_of_walking_lanes() {
+        // Layered head: internal interfaces, surface escapes and long walks,
+        // so lanes go dark through every retirement path.
+        let tissue = adult_head(AdultHeadConfig::default());
+        let options = SimulationOptions { precision: Precision::Fast, ..Default::default() };
+        let sim = Simulation::new(tissue.clone(), Source::Delta, Detector::new(20.0, 2.0))
+            .with_options(options);
+        let factory = StreamFactory::new(36);
+        for budget in [0, 1, 31, 32, 33, 129] {
+            let (mut rng, mut tally) = (factory.stream(budget), sim.new_tally());
+            let mut cx =
+                StreamCtx { sim: &sim, geom: &tissue, rng: &mut rng, tally: &mut tally, budget };
+            let mut pool = Pool::new(tissue.region_count());
+            assert_eq!(pool.live, walking(&pool), "budget {budget}: before any launch");
+            for l in 0..LANES {
+                pool.try_launch(l, &mut cx);
+            }
+            assert_eq!(pool.live, walking(&pool), "budget {budget}: after the launches");
+            let mut supersteps = 0;
+            while pool.live != 0 {
+                pool.superstep(&mut cx);
+                supersteps += 1;
+                assert_eq!(pool.live, walking(&pool), "budget {budget}: superstep {supersteps}");
+            }
+            assert_eq!(cx.budget, 0, "budget {budget}: every photon launched");
+            let next = rng.next_u64();
+            if budget == 0 {
+                assert_eq!(supersteps, 0, "a zero-photon stream runs no superstep");
+                assert_eq!(tally, sim.new_tally(), "a zero-photon stream launches nothing");
+                assert_eq!(next, factory.stream(0).next_u64(), "and draws nothing");
+            }
+
+            // The pool driven here is the pool `run_stream` drives.
+            let (mut rng2, mut reference) = (factory.stream(budget), sim.new_tally());
+            run_stream(&sim, &tissue, budget, &mut rng2, &mut reference);
+            assert_eq!(tally.launched, budget);
+            assert_eq!(tally, reference, "budget {budget}: same tally as run_stream");
+            assert_eq!(next, rng2.next_u64(), "budget {budget}: same draws");
+        }
     }
 }
