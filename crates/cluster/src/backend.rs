@@ -21,9 +21,7 @@
 
 use crate::net::{serve_with_options, NetError, ServeOptions};
 use crate::DataManager;
-use lumen_core::engine::{
-    run_task, run_workers, Backend, EngineError, Progress, RunReport, Scenario,
-};
+use lumen_core::engine::{run_task, Backend, EngineError, Progress, RunReport, Scenario};
 use lumen_core::SimulationResult;
 use mcrng::{McRng, SplitMix64, StreamFactory};
 use std::net::TcpListener;
@@ -137,7 +135,7 @@ impl Backend for ThreadedCluster {
         // Poisoned only if another worker panicked mid-update.
         let lock = || server.lock().expect("a cluster worker panicked");
 
-        run_workers(self.workers, |worker| {
+        let work = |worker: usize| {
             // Fault injection draws from a per-worker deterministic stream
             // unrelated to the physics streams.
             let mut fault_rng = SplitMix64::new(
@@ -176,6 +174,14 @@ impl Backend for ThreadedCluster {
                     }
                 }
             }
+        };
+        // Workers `k − 1` down to 1 on scoped threads; the caller is worker 0.
+        let work = &work;
+        std::thread::scope(|scope| {
+            for worker in (1..self.workers).rev() {
+                scope.spawn(move || work(worker));
+            }
+            work(0);
         });
 
         let (dm, _) = server.into_inner().expect("a cluster worker panicked");

@@ -226,7 +226,8 @@ fn progress_hook_reports_photons_and_retries() {
 
 #[test]
 fn one_worker_runs_on_the_calling_thread() {
-    // A run of k workers spawns k − 1 threads: the caller is worker 0, so a
+    // `ThreadedCluster` with k workers spawns k − 1 threads (the caller is
+    // worker 0), and the in-process drivers run one thread inline, so a
     // one-worker run reports every completion and retry from the caller.
     struct Threads(Mutex<Vec<ThreadId>>);
     impl Progress for Threads {

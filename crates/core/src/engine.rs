@@ -472,36 +472,28 @@ pub fn run_task(
     tally
 }
 
-/// Run `worker(w)` for every `w` in `0..workers`: workers `workers − 1`
-/// down to 1 on scoped threads, and worker 0 on the calling thread, so `k`
-/// workers spawn `k − 1` threads. Worker 0 always runs, so zero workers
-/// run as one. Returns once every worker has. Both worker loops, the
-/// in-process drivers' and `ThreadedCluster`'s, start through here.
-pub fn run_workers(workers: usize, worker: impl Fn(usize) + Sync) {
-    let worker = &worker;
-    std::thread::scope(|scope| {
-        for w in (1..workers).rev() {
-            scope.spawn(move || worker(w));
-        }
-        worker(0);
-    });
-}
-
-/// Call `work(i)` once for every `i` in `0..items` on `threads` workers
-/// ([`run_workers`]), each claiming the next unclaimed index when it is
-/// free (demand-driven, so an expensive item delays only the worker holding
-/// it). One thread runs every index on the calling thread, in index order.
-/// Returns once every call has.
+/// Call `work(i)` once for every `i` in `0..items` on `threads` scoped
+/// workers, each claiming the next unclaimed index when it is free
+/// (demand-driven, so an expensive item delays only the worker holding it).
+/// One thread or fewer runs inline on the calling thread, in index order,
+/// with no spawn. Returns once every call has.
 pub(crate) fn for_each_index(threads: usize, items: usize, work: impl Fn(usize) + Sync) {
+    if threads <= 1 {
+        return (0..items).for_each(work);
+    }
     // Relaxed: the counter hands out indices and publishes nothing else;
     // what `work` writes is published by its own lock and the scope's join.
     let next = AtomicUsize::new(0);
-    run_workers(threads, |_| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= items {
-            break;
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items {
+                    break;
+                }
+                work(i);
+            });
         }
-        work(i);
     });
 }
 
@@ -586,10 +578,10 @@ impl Backend for Sequential {
 }
 
 /// Shared-memory thread backend — the DataManager/client decomposition
-/// collapsed into one address space: the calling thread and `threads − 1`
-/// scoped threads claim the scenario's batches on demand and push their
-/// tallies into one [`TaskFold`]. (The name is historical; it is the
-/// `"rayon [threads]"` backend spec.)
+/// collapsed into one address space: scoped worker threads claim the
+/// scenario's batches on demand and push their tallies into one
+/// [`TaskFold`]. (The name is historical; it is the `"rayon [threads]"`
+/// backend spec.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Rayon {
     /// Pin the worker-thread count (must be >= 1); `None` uses one thread
