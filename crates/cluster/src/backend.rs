@@ -25,7 +25,7 @@ use lumen_core::engine::{run_task, Backend, EngineError, Progress, RunReport, Sc
 use lumen_core::SimulationResult;
 use mcrng::{McRng, SplitMix64, StreamFactory};
 use std::net::TcpListener;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a [`ThreadedCluster`] injects worker failures (a non-dedicated PC
@@ -35,8 +35,9 @@ pub enum FailurePlan {
     /// No injected failures.
     #[default]
     Reliable,
-    /// Each assigned task is lost with this probability; lost tasks are
-    /// re-queued and retried elsewhere with identical physics.
+    /// Each assigned task is lost with this probability; a lost task is
+    /// re-queued and re-taken at once by the worker that lost it, which
+    /// re-runs it with identical physics.
     Random {
         /// Per-task failure probability in `[0, 1)`.
         rate: f64,
@@ -55,7 +56,7 @@ impl FailurePlan {
 
 /// The real master/worker engine as a backend: OS threads play the client
 /// PCs and share the [`DataManager`] behind a lock, each looping request →
-/// trace → return until every task has completed. The calling thread is
+/// trace → return until the queue is empty. The calling thread is
 /// worker 0, so `k` workers spawn `k − 1` threads and one spawns none.
 ///
 /// Deterministic in its *physics* for a given `(seed, tasks)`: the same
@@ -116,63 +117,49 @@ impl Backend for ThreadedCluster {
         let started = Instant::now();
         let sim = scenario.simulation();
         let factory = StreamFactory::new(scenario.seed);
-        // The DataManager plus the photons completed so far, under one lock
-        // so observers see a strictly increasing count in call order.
-        let server = Mutex::new((
-            DataManager::with_offset(
-                scenario.photons,
-                scenario.tasks,
-                scenario.task_offset,
-                sim.new_tally(),
-                self.workers,
-            ),
-            0u64,
+        let server = Mutex::new(DataManager::with_offset(
+            scenario.photons,
+            scenario.tasks,
+            scenario.task_offset,
+            sim.new_tally(),
+            self.workers,
         ));
-        // Signalled when a task re-queues (an idle worker can take it) and
-        // when the last task completes (idle workers can leave).
-        let changed = Condvar::new();
-
         // Poisoned only if another worker panicked mid-update.
         let lock = || server.lock().expect("a cluster worker panicked");
 
+        // A lost task is re-queued and re-taken in one critical section,
+        // and a completion shares its section with the next assign, so
+        // the queue never refills once it runs dry: every task still out
+        // is held by a live worker, and a worker leaves at the first
+        // `None`.
         let work = |worker: usize| {
             // Fault injection draws from a per-worker deterministic stream
             // unrelated to the physics streams.
             let mut fault_rng = SplitMix64::new(
                 scenario.seed ^ 0xFA17_FA17_FA17_FA17 ^ (worker as u64).wrapping_mul(0x9E37),
             );
-            loop {
-                let task = {
-                    let mut guard = lock();
-                    loop {
-                        if let Some(task) = guard.0.assign() {
-                            break task;
-                        }
-                        if guard.0.finished() {
-                            return;
-                        }
-                        // Queue dry, tasks still out elsewhere: one of them
-                        // may still come back.
-                        guard = changed.wait(guard).expect("a cluster worker panicked");
+            let mut next = lock().assign();
+            while let Some(task) = next {
+                // Machine "reclaimed by its owner": the task is lost before
+                // completing.
+                let lost = failure_rate > 0.0 && fault_rng.next_f64() < failure_rate;
+                let tally =
+                    (!lost).then(|| run_task(&sim, &factory, task.task_id, task.photons, None));
+                let mut dm = lock();
+                match tally {
+                    None => {
+                        dm.fail(worker, task);
+                        progress.on_task_retry(task.task_id);
                     }
-                };
-                if failure_rate > 0.0 && fault_rng.next_f64() < failure_rate {
-                    // Machine "reclaimed by its owner": the task is lost
-                    // before completing.
-                    lock().0.fail(worker, task);
-                    progress.on_task_retry(task.task_id);
-                    changed.notify_one();
-                } else {
-                    let tally = run_task(&sim, &factory, task.task_id, task.photons, None);
-                    let mut guard = lock();
-                    let (dm, photons_done) = &mut *guard;
-                    dm.complete(worker, task, &tally);
-                    *photons_done += task.photons;
-                    progress.on_photons(*photons_done, scenario.photons);
-                    if dm.finished() {
-                        changed.notify_all();
+                    Some(tally) => {
+                        dm.complete(worker, task, &tally);
+                        // Under the lock, so observers see a strictly
+                        // increasing count in call order.
+                        let (done, total) = dm.photons();
+                        progress.on_photons(done, total);
                     }
                 }
+                next = dm.assign();
             }
         };
         // Workers `k − 1` down to 1 on scoped threads; the caller is worker 0.
@@ -184,7 +171,7 @@ impl Backend for ThreadedCluster {
             work(0);
         });
 
-        let (dm, _) = server.into_inner().expect("a cluster worker panicked");
+        let dm = server.into_inner().expect("a cluster worker panicked");
         let (tally, workers, requeues) = dm.into_results();
         Ok(RunReport {
             result: SimulationResult::new(tally, Vec::new()),
@@ -465,11 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn sole_worker_retakes_its_own_requeued_tasks() {
-        // With one worker nobody else can pick up a failed task and nobody
-        // will ever signal the condvar: the worker must find its own
-        // requeue on the next assign. 32 tasks at 50%: P(zero failures)
-        // ~ 2e-10.
+    fn each_worker_retakes_its_own_requeued_tasks() {
+        // A lost task is re-taken in the critical section that re-queued
+        // it, by the worker that lost it: with one worker nobody else
+        // could, and with three the queue still never refills after it
+        // runs dry, so no worker leaves while work it could take remains.
+        // 32 tasks at 50%: P(zero failures) ~ 2e-10.
         struct Monotonic {
             last: Mutex<u64>,
         }
@@ -482,15 +470,19 @@ mod tests {
             }
         }
         let s = scenario().with_tasks(32);
-        let observer = Monotonic { last: Mutex::new(0) };
-        let faulty = ThreadedCluster::new(1)
-            .with_failure_plan(FailurePlan::Random { rate: 0.5 })
-            .run_with_progress(&s, &observer)
-            .unwrap();
-        assert_eq!(faulty.result.tally, Sequential.run(&s).unwrap().result.tally);
-        assert!(faulty.requeues > 0);
-        assert_eq!(faulty.workers[0].tasks_failed, faulty.requeues);
-        assert_eq!(*observer.last.lock().unwrap(), 4_000);
+        let reference = Sequential.run(&s).unwrap().result.tally;
+        for workers in [1, 3] {
+            let observer = Monotonic { last: Mutex::new(0) };
+            let faulty = ThreadedCluster::new(workers)
+                .with_failure_plan(FailurePlan::Random { rate: 0.5 })
+                .run_with_progress(&s, &observer)
+                .unwrap();
+            assert_eq!(faulty.result.tally, reference, "{workers} workers");
+            assert!(faulty.requeues > 0);
+            let failed: u64 = faulty.workers.iter().map(|w| w.tasks_failed).sum();
+            assert_eq!(failed, faulty.requeues, "{workers} workers");
+            assert_eq!(*observer.last.lock().unwrap(), 4_000, "{workers} workers");
+        }
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! It owns the queue of unassigned tasks, hands them out on request
 //! (demand-driven self-scheduling), re-queues failed tasks, keeps the
 //! per-worker accounts, and hands returned tallies to the task-order
-//! prefix fold, [`TaskFold`]. Who holds an assigned task is the caller's
-//! business: a `ThreadedCluster` worker keeps it on its stack, the TCP
-//! server in its per-client lease with a deadline.
+//! prefix fold, [`TaskFold`]. It also keeps the run's ledger — the photons
+//! completed against the budget, and how many workers have joined — so
+//! neither `ThreadedCluster` nor the TCP server counts them again. Who
+//! holds an assigned task is the caller's business: a `ThreadedCluster`
+//! worker keeps it on its stack, the TCP server in its per-client lease
+//! with a deadline.
 
 use crate::protocol::SimTask;
 use lumen_core::engine::{batch_sizes, TaskFold, WorkerAccount};
@@ -25,6 +28,10 @@ pub struct DataManager {
     /// Per-worker accounting.
     stats: Vec<WorkerAccount>,
     requeues: u64,
+    /// Photons of the tasks [`DataManager::complete`] accepted.
+    photons_done: u64,
+    /// The photon budget the run was built with.
+    photons_total: u64,
 }
 
 impl DataManager {
@@ -58,6 +65,8 @@ impl DataManager {
             queue,
             stats: vec![WorkerAccount::default(); n_workers],
             requeues: 0,
+            photons_done: 0,
+            photons_total: total_photons,
         }
     }
 
@@ -95,6 +104,7 @@ impl DataManager {
         if !self.fold.push(task.task_id, tally) {
             return false;
         }
+        self.photons_done += task.photons;
         if let Some(s) = self.stats.get_mut(worker) {
             s.tasks_completed += 1;
             s.photons += task.photons;
@@ -125,6 +135,18 @@ impl DataManager {
     /// Number of times a task had to be re-queued after a failure.
     pub fn requeues(&self) -> u64 {
         self.requeues
+    }
+
+    /// `(done, total)`: the photons of every accepted completion, and the
+    /// run's whole budget.
+    pub fn photons(&self) -> (u64, u64) {
+        (self.photons_done, self.photons_total)
+    }
+
+    /// Workers known to the run: those it was built with plus every
+    /// [`DataManager::register_worker`].
+    pub fn workers(&self) -> usize {
+        self.stats.len()
     }
 
     /// Consume the manager, yielding the merged tally (the task-order fold
@@ -261,6 +283,32 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[1].tasks_completed, 1);
         assert_eq!(stats[0].tasks_completed, 0);
+    }
+
+    #[test]
+    fn the_ledger_counts_accepted_photons_and_known_workers() {
+        let mut dm = DataManager::with_offset(40, 4, 100, template(), 1);
+        assert_eq!((dm.photons(), dm.workers()), ((0, 40), 1));
+        let late = dm.register_worker();
+        assert_eq!((late, dm.workers()), (1, 2));
+        let t = dm.assign().unwrap();
+        dm.fail(late, t);
+        assert_eq!(dm.photons(), (0, 40), "a lost task counts nothing");
+        let t = dm.assign().unwrap();
+        assert!(dm.complete(late, t, &worker_tally(t.photons)));
+        assert_eq!(dm.photons(), (10, 40));
+        // Neither a duplicate nor an id outside the run moves `done`.
+        assert!(!dm.complete(0, t, &worker_tally(t.photons)));
+        for task_id in [99, 104] {
+            assert!(!dm.complete(0, SimTask { task_id, photons: 10 }, &worker_tally(10)));
+        }
+        assert_eq!(dm.photons(), (10, 40));
+        while let Some(t) = dm.assign() {
+            assert!(dm.complete(0, t, &worker_tally(t.photons)));
+        }
+        assert_eq!((dm.photons(), dm.workers()), ((40, 40), 2));
+        let (tally, stats, requeues) = dm.into_results();
+        assert_eq!((tally.launched, stats.len(), requeues), (40, 2, 1));
     }
 
     /// Five tallies whose float sums depend on the order they are added in.

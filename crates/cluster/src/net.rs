@@ -22,7 +22,7 @@
 //! [`lumen_net::EventLoop`] readiness loop rather than a
 //! thread-per-connection pool: one thread owns every socket *and* the
 //! lease table, each joined connection advances an explicit state
-//! machine (pooled → leased, with a run-level draining mode), and the
+//! machine (idle → waiting → leased, with a run-level draining mode), and the
 //! pool scales to hundreds of multiplexed clients with no lock
 //! contention. Clients ([`run_client`]) remain plain blocking loops.
 //!
@@ -140,14 +140,10 @@ impl std::error::Error for NetError {}
 /// payload are assembled into one contiguous buffer first, so a frame
 /// costs one syscall (and, with `TCP_NODELAY`, at most one packet)
 /// instead of the three the original length/kind/payload sequence paid.
-pub fn write_frame(stream: &mut TcpStream, kind: u8, payload: &[u8]) -> Result<(), NetError> {
-    write_frame_to(stream, kind, payload)
-}
-
-/// [`write_frame`] over any writer — the blocking half of the shared
-/// frame layer ([`lumen_net::frame`]), and the seam the frame-atomicity
-/// regression test observes.
-pub fn write_frame_to<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), NetError> {
+/// Generic over the writer: the blocking half of the shared frame layer
+/// ([`lumen_net::frame`]), and the seam the frame-atomicity regression
+/// test observes.
+pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), NetError> {
     let mut buf = Vec::with_capacity(5 + payload.len());
     lumen_net::frame::encode_frame_into(&mut buf, kind, payload)
         .map_err(|_| NetError::BadFrame((1 + payload.len()) as u32))?;
@@ -197,18 +193,6 @@ pub fn handshake(stream: &mut TcpStream) -> Result<(), NetError> {
         }
         other => Err(NetError::BadKind(other)),
     }
-}
-
-/// Round-trip a [`KIND_PING`] liveness probe on an established
-/// (handshaken) connection, returning the measured latency.
-pub fn ping(stream: &mut TcpStream) -> Result<Duration, NetError> {
-    let started = Instant::now();
-    write_frame(stream, KIND_PING, b"ping")?;
-    let (kind, payload) = read_frame(stream)?;
-    if kind != KIND_PING || payload != b"ping" {
-        return Err(NetError::BadKind(kind));
-    }
-    Ok(started.elapsed())
 }
 
 /// Knobs for the elastic server — see [`serve_with_options`].
@@ -317,12 +301,13 @@ pub struct NetReport {
 /// answers with `KIND_SHUTDOWN`.
 #[derive(Debug, Clone, Copy)]
 enum Client {
-    /// In the pool without a lease. `parked` means its work request sits
-    /// in the wait queue (queue empty, or the start gate still closed);
-    /// `idle_since` is when it last went leaseless — a client that
-    /// neither requests nor holds work for a whole lease period is a
+    /// In the pool with neither a lease nor a pending request, since
+    /// `since`. A client that stays idle for a whole lease period is a
     /// zombie and gets cut.
-    Pooled { worker: usize, idle_since: Instant, parked: bool },
+    Idle { worker: usize, since: Instant },
+    /// Its work request is parked until a task re-queues or the start
+    /// gate opens. Exempt from the zombie cut: it is waiting on *us*.
+    Waiting { worker: usize },
     /// Holds `task` until `deadline`; past it the lease is revoked, the
     /// task re-queued, and the connection cut.
     Leased { worker: usize, task: SimTask, deadline: Instant },
@@ -330,15 +315,11 @@ enum Client {
 
 /// The DataManager protocol as a [`Handler`] on the shared poll loop:
 /// one thread owns every connection *and* the lease table, so there is
-/// no lock to contend on and no per-client thread to leak.
+/// no lock to contend on and no per-client thread to leak. The run's
+/// ledger — photons done, workers joined — is the DataManager's.
 struct ClusterServer<'a> {
     dm: DataManager,
     clients: HashMap<Token, Client>,
-    /// Parked requests, released LIFO as work re-queues or the gate opens.
-    waiting: Vec<Token>,
-    joined_total: usize,
-    photons_done: u64,
-    photons_total: u64,
     options: ServeOptions,
     started: Instant,
     /// The pool has been empty since this instant (None while non-empty).
@@ -361,6 +342,11 @@ impl ClusterServer<'_> {
         }
     }
 
+    /// Whether `min_clients` have joined, so work may be handed out.
+    fn gate_open(&self) -> bool {
+        self.dm.workers() >= self.options.min_clients
+    }
+
     /// Cut `token` on our initiative (revocation, zombie, violation) and
     /// reap its protocol state.
     fn depart(&mut self, ops: &mut Ops<'_>, token: Token, now: Instant) {
@@ -371,53 +357,50 @@ impl ClusterServer<'_> {
     /// Forget `token`, surrendering its lease back to the queue — the
     /// requeue keeps the same `task_id`, so the re-execution draws the
     /// identical RNG substream and the final tally stays bit-identical.
+    /// A departed client leaves no trace, so a later requeue can never
+    /// hand a task to a dead connection.
     fn reap(&mut self, ops: &mut Ops<'_>, token: Token, now: Instant) {
         let Some(state) = self.clients.remove(&token) else { return };
-        // Purge the departed client from the wait queue so a later
-        // requeue can never hand a task to a dead connection.
-        self.waiting.retain(|&t| t != token);
-        match state {
-            Client::Pooled { .. } => self.note_pool_change(now),
-            Client::Leased { worker, task, .. } => {
-                self.dm.fail(worker, task);
-                self.progress.on_task_retry(task.task_id);
-                self.drain_waiting(ops, now);
-                self.note_pool_change(now);
-            }
+        if let Client::Leased { worker, task, .. } = state {
+            self.dm.fail(worker, task);
+            self.progress.on_task_retry(task.task_id);
+            self.drain_waiting(ops, now);
         }
+        self.note_pool_change(now);
     }
 
     /// Answer `token`'s work request: lease the next queued task, or park
-    /// the request until one re-queues.
-    fn hand_out(&mut self, ops: &mut Ops<'_>, token: Token, now: Instant) {
-        let Some(&Client::Pooled { worker, idle_since, .. }) = self.clients.get(&token) else {
-            return;
-        };
-        match self.dm.assign() {
+    /// the request while the queue is empty or the gate closed.
+    fn hand_out(&mut self, ops: &mut Ops<'_>, token: Token, worker: usize, now: Instant) {
+        let next = if self.gate_open() { self.dm.assign() } else { None };
+        let state = match next {
             Some(task) => {
                 // A hand-off onto a dying socket is safe: the write error
                 // surfaces as a close event, whose reap re-queues `task`.
                 ops.send(token, KIND_ASSIGN, &wire::encode_task(&task));
-                let deadline = now + self.options.lease_timeout;
-                self.clients.insert(token, Client::Leased { worker, task, deadline });
+                Client::Leased { worker, task, deadline: now + self.options.lease_timeout }
             }
-            None => {
-                self.clients.insert(token, Client::Pooled { worker, idle_since, parked: true });
-                if !self.waiting.contains(&token) {
-                    self.waiting.push(token);
-                }
-            }
-        }
+            None => Client::Waiting { worker },
+        };
+        self.clients.insert(token, state);
+    }
+
+    /// The clients whose requests are parked.
+    fn waiting(&self) -> Vec<(Token, usize)> {
+        let parked = self.clients.iter().filter_map(|(&token, state)| match *state {
+            Client::Waiting { worker } => Some((token, worker)),
+            _ => None,
+        });
+        parked.collect()
     }
 
     /// Wake parked clients while queued work remains.
     fn drain_waiting(&mut self, ops: &mut Ops<'_>, now: Instant) {
-        while !self.dm.queue_empty() {
-            let Some(token) = self.waiting.pop() else { return };
-            if let Some(&Client::Pooled { worker, idle_since, .. }) = self.clients.get(&token) {
-                self.clients.insert(token, Client::Pooled { worker, idle_since, parked: false });
-                self.hand_out(ops, token, now);
+        for (token, worker) in self.waiting() {
+            if self.dm.queue_empty() {
+                return;
             }
+            self.hand_out(ops, token, worker, now);
         }
     }
 
@@ -433,10 +416,8 @@ impl ClusterServer<'_> {
     /// request, bounded by [`DRAIN_WINDOW`].
     fn begin_drain(&mut self, ops: &mut Ops<'_>, now: Instant) {
         self.draining = Some(now + DRAIN_WINDOW);
-        for token in std::mem::take(&mut self.waiting) {
-            if self.clients.contains_key(&token) {
-                self.dismiss(ops, token);
-            }
+        for (token, _) in self.waiting() {
+            self.dismiss(ops, token);
         }
     }
 
@@ -444,21 +425,18 @@ impl ClusterServer<'_> {
     /// the start while the gate is still closed, or after the pool last
     /// emptied.
     fn abandon_at(&self) -> Option<Instant> {
-        let gate_closed = self.joined_total < self.options.min_clients;
+        let gate_closed = !self.gate_open();
         let since = gate_closed.then_some(self.started).into_iter().chain(self.empty_since).min();
         since.map(|t| t + self.options.join_grace)
     }
 
     /// When `state` expires: a lease at its deadline, and a client that
-    /// neither requests nor holds work for a whole lease period (parked
-    /// clients are exempt — they are waiting on *us*).
+    /// stays idle for a whole lease period. A waiting client never does.
     fn expiry(&self, state: &Client) -> Option<Instant> {
         match *state {
             Client::Leased { deadline, .. } => Some(deadline),
-            Client::Pooled { idle_since, parked: false, .. } => {
-                Some(idle_since + self.options.lease_timeout)
-            }
-            Client::Pooled { parked: true, .. } => None,
+            Client::Idle { since, .. } => Some(since + self.options.lease_timeout),
+            Client::Waiting { .. } => None,
         }
     }
 }
@@ -476,11 +454,10 @@ impl Handler for ClusterServer<'_> {
         // Dense worker ids, so per-worker stats cover exactly the clients
         // actually served.
         let worker = self.dm.register_worker();
-        self.joined_total += 1;
         self.empty_since = None;
-        self.clients.insert(token, Client::Pooled { worker, idle_since: now, parked: false });
+        self.clients.insert(token, Client::Idle { worker, since: now });
         self.progress.on_clients(self.clients.len());
-        if self.joined_total == self.options.min_clients {
+        if self.dm.workers() == self.options.min_clients {
             // Gate opens: release requests parked before quorum.
             self.drain_waiting(ops, now);
         }
@@ -493,19 +470,9 @@ impl Handler for ClusterServer<'_> {
             return;
         };
         match state {
-            Client::Pooled { worker, idle_since, parked } => match kind {
+            Client::Idle { worker, .. } | Client::Waiting { worker } => match kind {
                 KIND_REQUEST if self.draining.is_some() => self.dismiss(ops, token),
-                KIND_REQUEST => {
-                    if self.joined_total >= self.options.min_clients {
-                        self.hand_out(ops, token, now);
-                    } else {
-                        let state = Client::Pooled { worker, idle_since, parked: true };
-                        self.clients.insert(token, state);
-                        if !parked {
-                            self.waiting.push(token);
-                        }
-                    }
-                }
+                KIND_REQUEST => self.hand_out(ops, token, worker, now),
                 // A COMPLETE without a lease is the stale completion of a
                 // revoked task (or a protocol violation): the task
                 // already went back to the queue, so merging this tally
@@ -516,12 +483,9 @@ impl Handler for ClusterServer<'_> {
                 KIND_COMPLETE => match wire::decode_tally(&payload) {
                     Ok(tally) if self.dm.accepts(&tally) => {
                         self.dm.complete(worker, task, &tally);
-                        self.photons_done += task.photons;
-                        self.progress.on_photons(self.photons_done, self.photons_total);
-                        self.clients.insert(
-                            token,
-                            Client::Pooled { worker, idle_since: now, parked: false },
-                        );
+                        let (done, total) = self.dm.photons();
+                        self.progress.on_photons(done, total);
+                        self.clients.insert(token, Client::Idle { worker, since: now });
                         if self.dm.finished() {
                             self.begin_drain(ops, now);
                         }
@@ -552,11 +516,9 @@ impl Handler for ClusterServer<'_> {
         // Abandon (typed, never a hang): the gate never opened, or the
         // whole pool vanished and nobody re-joined within the grace.
         if self.abandon_at().is_some_and(|at| now >= at) {
-            self.failed = Some(NetError::Incomplete {
-                photons_done: self.photons_done,
-                photons_total: self.photons_total,
-                requeues: self.dm.requeues(),
-            });
+            let (photons_done, photons_total) = self.dm.photons();
+            let requeues = self.dm.requeues();
+            self.failed = Some(NetError::Incomplete { photons_done, photons_total, requeues });
             return Flow::Stop;
         }
 
@@ -623,10 +585,6 @@ pub fn serve_with_options(
     let mut server = ClusterServer {
         dm,
         clients: HashMap::new(),
-        waiting: Vec::new(),
-        joined_total: 0,
-        photons_done: 0,
-        photons_total: n,
         options,
         started,
         empty_since: Some(started),
@@ -642,13 +600,12 @@ pub fn serve_with_options(
     if let Some(err) = server.failed {
         return Err(err);
     }
-    let clients_served = server.joined_total;
     let (tally, worker_stats, requeues) = server.dm.into_results();
     Ok(NetReport {
         result: SimulationResult::new(tally, Vec::new()),
+        clients_served: worker_stats.len(),
         worker_stats,
         requeues,
-        clients_served,
     })
 }
 
@@ -786,7 +743,7 @@ mod tests {
         }
 
         let mut w = CountingWriter { writes: Vec::new() };
-        write_frame_to(&mut w, 0x42, b"payload").unwrap();
+        write_frame(&mut w, 0x42, b"payload").unwrap();
         assert_eq!(w.writes.len(), 1, "one frame must be exactly one write call");
         let bytes = &w.writes[0];
         assert_eq!(&bytes[..4], &8u32.to_le_bytes(), "4-byte LE length prefix");
@@ -794,7 +751,7 @@ mod tests {
         assert_eq!(&bytes[5..], b"payload");
 
         let mut w = CountingWriter { writes: Vec::new() };
-        write_frame_to(&mut w, KIND_REQUEST, &[]).unwrap();
+        write_frame(&mut w, KIND_REQUEST, &[]).unwrap();
         assert_eq!(w.writes.len(), 1, "empty-payload frames too");
         assert_eq!(w.writes[0], vec![1, 0, 0, 0, KIND_REQUEST]);
     }
@@ -867,8 +824,8 @@ mod tests {
             }
         };
         handshake(&mut stream).expect("handshake");
-        let rtt = ping(&mut stream).expect("ping echoes");
-        assert!(rtt < Duration::from_secs(5));
+        write_frame(&mut stream, KIND_PING, b"ping").unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap(), (KIND_PING, b"ping".to_vec()), "echoed");
         // Finish the run so the server thread exits cleanly.
         let seed = 7;
         let factory = StreamFactory::new(seed);

@@ -13,8 +13,7 @@
 //! fast loop on a single-core container.
 
 use lumen_cluster::net::{
-    handshake, read_frame, write_frame, write_frame_to, KIND_ASSIGN, KIND_COMPLETE, KIND_HELLO,
-    KIND_REQUEST,
+    handshake, read_frame, write_frame, KIND_ASSIGN, KIND_COMPLETE, KIND_HELLO, KIND_REQUEST,
 };
 use lumen_cluster::wire;
 use lumen_cluster::{serve_with_options, NetError, NetReport, ServeOptions, Tcp};
@@ -204,7 +203,7 @@ fn client_stalled_mid_frame_is_cut_within_the_join_grace() {
         let mut staller = ManualClient::joined(&addr);
         staller.take_task();
         let mut complete = Vec::new();
-        write_frame_to(&mut complete, KIND_COMPLETE, &wire::encode_tally(&s.new_tally()))
+        write_frame(&mut complete, KIND_COMPLETE, &wire::encode_tally(&s.new_tally()))
             .expect("encode");
         staller.stream.write_all(&complete[..complete.len() / 2]).expect("half a frame");
 
@@ -285,6 +284,37 @@ fn all_clients_gone_is_a_typed_incomplete_error_not_partial_ok() {
                 assert_eq!(photons_done, 0, "no task completed");
                 assert_eq!(photons_total, 2_000);
                 assert!(requeues >= 1, "the crashed lease was requeued first");
+            }
+            other => panic!("expected NetError::Incomplete, got {other:?}"),
+        }
+    });
+}
+
+#[test]
+fn abandoned_run_reports_exactly_the_photons_it_merged() {
+    watchdog("abandoned_ledger", Duration::from_secs(60), || {
+        let s = sim();
+        let (n, tasks, seed) = (2_000, 4, 23);
+        let options = ServeOptions::default().with_join_grace(Duration::from_secs(1));
+        let (addr, server) = serve_on(&s, n, tasks, options);
+
+        // The only client completes one task of four, takes the next (the
+        // assignment proves the completion was merged) and crashes.
+        let mut only = ManualClient::joined(&addr);
+        let done = only.take_task();
+        let mut tally = s.new_tally();
+        let mut rng = StreamFactory::new(seed).stream(done.task_id);
+        s.run_stream(done.photons, &mut rng, &mut tally, None);
+        write_frame(&mut only.stream, KIND_COMPLETE, &wire::encode_tally(&tally))
+            .expect("complete");
+        let _held = only.take_task();
+        drop(only);
+
+        match server.join().expect("server thread") {
+            Err(NetError::Incomplete { photons_done, photons_total, requeues }) => {
+                assert_eq!(photons_done, done.photons, "exactly the one merged task");
+                assert_eq!(photons_total, n);
+                assert_eq!(requeues, 1, "the held lease was requeued");
             }
             other => panic!("expected NetError::Incomplete, got {other:?}"),
         }

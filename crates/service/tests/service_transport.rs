@@ -11,7 +11,7 @@
 //! sockets is bit-identical to one computed by a private service
 //! instance, and a cancelled fold is discarded whole, never cached.
 
-use lumen_cluster::net::{handshake, read_frame, write_frame, write_frame_to, KIND_PING};
+use lumen_cluster::net::{handshake, read_frame, write_frame, KIND_PING};
 use lumen_cluster::wire;
 use lumen_core::engine::Scenario;
 use lumen_core::{Detector, Source};
@@ -263,7 +263,7 @@ fn pipelined_queries_are_answered_in_request_order() {
         let x = wire::encode_scenario(&scenario(3, 10_000));
         let mut burst = Vec::new();
         for payload in [&x[..], &y, &y, &y[..y.len() / 2], &y] {
-            write_frame_to(&mut burst, KIND_QUERY, payload).expect("frame");
+            write_frame(&mut burst, KIND_QUERY, payload).expect("frame");
         }
         stream.write_all(&burst).expect("one write, five queries");
 
@@ -430,7 +430,7 @@ fn a_repeat_pipelined_behind_its_own_miss_is_answered_after_it() {
         let x = wire::encode_scenario(&scenario(9, 20_000));
         let mut burst = Vec::new();
         for _ in 0..3 {
-            write_frame_to(&mut burst, KIND_QUERY, &x).expect("frame");
+            write_frame(&mut burst, KIND_QUERY, &x).expect("frame");
         }
         let mut stream = connect(&server);
         stream.write_all(&burst).expect("one write, three queries");

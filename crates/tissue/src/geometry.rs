@@ -291,52 +291,6 @@ impl Geometry {
     }
 }
 
-impl TissueGeometry for Geometry {
-    fn region_count(&self) -> usize {
-        Geometry::region_count(self)
-    }
-
-    fn region_name(&self, region: usize) -> &str {
-        Geometry::region_name(self, region)
-    }
-
-    fn optics(&self, region: usize) -> &OpticalProperties {
-        Geometry::optics(self, region)
-    }
-
-    fn derived(&self, region: usize) -> &DerivedOptics {
-        Geometry::derived(self, region)
-    }
-
-    fn ambient_n(&self) -> f64 {
-        Geometry::ambient_n(self)
-    }
-
-    fn entry_region(&self, pos: Vec3) -> Option<usize> {
-        Geometry::entry_region(self, pos)
-    }
-
-    fn boundary_hit(&self, pos: Vec3, dir: Vec3, region: usize) -> BoundaryHit {
-        Geometry::boundary_hit(self, pos, dir, region)
-    }
-
-    fn boundary_hit_within(&self, pos: Vec3, dir: Vec3, region: usize, limit: f64) -> BoundaryHit {
-        Geometry::boundary_hit_within(self, pos, dir, region, limit)
-    }
-
-    fn min_boundary_distance(&self, pos: Vec3, region: usize) -> f64 {
-        Geometry::min_boundary_distance(self, pos, region)
-    }
-
-    fn neighbour_n(&self, region: usize, hit: &BoundaryHit) -> f64 {
-        Geometry::neighbour_n(self, region, hit)
-    }
-
-    fn validate(&self) -> Result<(), GeometryError> {
-        Geometry::validate(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
